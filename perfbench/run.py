@@ -8,7 +8,9 @@ Run from the root of a source checkout; the package is imported from
 `src/`. Set-up builds the workload's inputs from the seed (several times,
 reporting the median), a warm-up op runs untimed, then ops run back to back
 for `--seconds`. Every op's output is checked; an op that raises or fails a
-check counts as failed.
+check counts as failed. A reference probe (`probe.py`) runs after every op
+and every set-up step; each time is rescaled to the reference host's speed
+by the probes right before and after it, because the host's speed drifts.
 
 `--trace 0` reports the end-to-end metrics. `--trace 1` alternates untraced
 and traced ops and reports the per-layer metrics from the traced ones, plus
@@ -38,8 +40,9 @@ SRC = ROOT / "src"
 OUT = BENCH_DIR / "out"
 
 SETUP_REPEATS = 3
-IMPORT_REPEATS = 5
+IMPORT_REPEATS = 9
 MIN_TIMED_OPS = 4
+PROBE_WARMUP = 5
 WORKLOAD_NAMES = ("experiment", "analysis", "store")
 
 # Functions whose call count and self time are reported; the record file
@@ -148,9 +151,11 @@ def layer_values(spans, workload, workdir: Path) -> dict[str, float]:
 
 @dataclass
 class Ops:
-    """What the closed loop saw: op times, failures and traced-op values."""
+    """What the closed loop saw: op times (scaled and raw), failures and
+    traced-op values."""
 
     walls: dict[bool, list[float]] = field(default_factory=lambda: {False: [], True: []})
+    raw_walls: dict[bool, list[float]] = field(default_factory=lambda: {False: [], True: []})
     failures: list[str] = field(default_factory=list)
     attempted: int = 0
     reference: dict[str, str] | None = None
@@ -173,9 +178,12 @@ def check_op(ops: Ops, workload, out, workdir: Path) -> list[str]:
     return errors
 
 
-def record_traced_op(ops: Ops, workload, spans, workdir: Path, wall: float) -> list[str]:
+def record_traced_op(ops: Ops, workload, spans, workdir: Path, raw: float, wall: float) -> list[str]:
+    """Layer values of one traced op. Shares are of the raw op time; seconds
+    are scaled like the op's time (by wall / raw)."""
     from spans import OTHER
 
+    factor = wall / raw
     values = layer_values(spans, workload, workdir)
     errors = [f"{key} = {values[key]}, expected {want}"
               for key, want in workload.expected.items() if values[key] != want]
@@ -184,25 +192,35 @@ def record_traced_op(ops: Ops, workload, spans, workdir: Path, wall: float) -> l
         if values[key] != first:
             errors.append(f"{key} = {values[key]}, first traced op had {first}")
     layer_self = spans.layer_self()
-    layer_self[OTHER] = wall - sum(layer_self.values())
-    values.update({f"{layer}.share": secs / wall for layer, secs in layer_self.items()})
+    layer_self[OTHER] = raw - sum(layer_self.values())
+    values.update({f"{layer}.share": secs / raw for layer, secs in layer_self.items()})
+    for key in values:
+        if key.endswith(("_s", "_us")):
+            values[key] *= factor
     ops.layer_samples.append(values)
     for name, secs in zip(spans.names, spans.self_by_name):
-        ops.self_s_totals[name] = ops.self_s_totals.get(name, 0.0) + float(secs)
+        ops.self_s_totals[name] = ops.self_s_totals.get(name, 0.0) + float(secs) * factor
     return errors
 
 
-def run_ops(workload, seconds: float, tracer, run_dir: Path) -> Ops:
+def run_ops(workload, seconds: float, tracer, run_dir: Path, probe) -> Ops:
     """Op 0 is the warm-up (checked, not timed); then ops back to back until
-    `seconds` of op time have passed. With a tracer, every second op is traced.
+    `seconds` have passed since the first timed op started (at least
+    MIN_TIMED_OPS). A probe runs right after each op, and the op's time is
+    scaled by it and the probe before. With a tracer, every second op is
+    traced.
 
-    Each op's directory is removed right after its checks. Deferring the
-    deletes to the end of the run leaves the filesystem busy with them while
-    the next run's ops are timed, which spreads the store workload's times
-    far more than deleting at a steady rate does."""
+    Each op's directory is removed right after its checks, and the removal
+    is flushed (`os.sync`) before the next op starts. The filesystem may
+    discard freed blocks when its journal commits; unflushed deletes pile
+    up and slow the writes of later ops and later runs, which spread the
+    store workload's write phase by up to 2.5x."""
     ops = Ops()
     op_id = 0
-    while op_id <= MIN_TIMED_OPS or sum(ops.walls[False]) + sum(ops.walls[True]) < seconds:
+    timed_from = None
+    while op_id <= MIN_TIMED_OPS or perf_counter() - timed_from < seconds:
+        if op_id == 1:
+            timed_from = perf_counter()
         traced = tracer is not None and op_id > 0 and op_id % 2 == 0
         workdir = run_dir / f"op{op_id}"
         workdir.mkdir()
@@ -215,55 +233,92 @@ def run_ops(workload, seconds: float, tracer, run_dir: Path) -> Ops:
         except Exception as exc:  # a failed op is counted and the loop goes on
             out, errors = None, [f"{type(exc).__name__}: {exc}"]
         finally:
-            wall = perf_counter() - t0
+            raw = perf_counter() - t0
             if traced:
                 tracer.uninstall()
+        probe()
+        wall = probe_scale(raw, probe.samples[-2:])
         if out is not None:
             errors += check_op(ops, workload, out, workdir)
             if traced:
-                errors += record_traced_op(ops, workload, tracer.op_spans(op_id), workdir, wall)
+                errors += record_traced_op(ops, workload, tracer.op_spans(op_id), workdir, raw, wall)
         if errors:
             ops.failures.append(f"op {op_id}: " + "; ".join(errors))
         workload.cleanup(workdir)
         shutil.rmtree(workdir)
+        os.sync()
         if op_id > 0:
             ops.walls[traced].append(wall)
+            ops.raw_walls[traced].append(raw)
         op_id += 1
     return ops
+
+
+def probe_scale(raw_s: float, probes: list[float]) -> float:
+    """Raw seconds rescaled to the reference host's speed by the probes
+    right before and after them."""
+    from probe import REF_PROBE_S
+
+    return raw_s * REF_PROBE_S / statistics.mean(probes)
+
+
+def probed(probe, fn, repeats: int) -> tuple[list[float], list[float]]:
+    """`repeats` timings of `fn` (it returns its own seconds), each followed
+    by a probe, the last probe already run preceding the first: (scaled, raw)."""
+    scaled, raw = [], []
+    for _ in range(repeats):
+        secs = fn()
+        probe()
+        raw.append(secs)
+        scaled.append(probe_scale(secs, probe.samples[-2:]))
+    return scaled, raw
+
+
+def timed(fn) -> float:
+    t0 = perf_counter()
+    fn()
+    return perf_counter() - t0
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool) -> int:
     import soupkit
     import envinfo
+    from probe import Probe
     from spans import Tracer
     from workloads import WORKLOADS
 
-    import_samples = [import_seconds() for _ in range(IMPORT_REPEATS)]
+    os.sync()  # flush deletes left by whatever ran before
+    probe = Probe()
+    for _ in range(PROBE_WARMUP):
+        probe()
+    import_samples, import_raw = probed(probe, import_seconds, IMPORT_REPEATS)
     workload = WORKLOADS[name]()
-    build_samples = []
-    for _ in range(SETUP_REPEATS):
-        t0 = perf_counter()
-        workload.setup(seed)
-        build_samples.append(perf_counter() - t0)
+    build_samples, build_raw = probed(probe, lambda: timed(lambda: workload.setup(seed)), SETUP_REPEATS)
     setup_s = statistics.median(import_samples) + statistics.median(build_samples)
+    raw_setup_s = statistics.median(import_raw) + statistics.median(build_raw)
 
     tracer = Tracer(soupkit) if trace else None
     OUT.mkdir(exist_ok=True)
     run_dir = Path(tempfile.mkdtemp(prefix=f"{name}-", dir=OUT))
     try:
-        ops = run_ops(workload, seconds, tracer, run_dir)
+        ops = run_ops(workload, seconds, tracer, run_dir, probe)
     finally:
         if tracer is not None:
             tracer.uninstall()
         shutil.rmtree(run_dir, ignore_errors=True)
+        os.sync()
 
     wall_s = statistics.median(ops.walls[False])
+    raw_wall_s = statistics.median(ops.raw_walls[False])
     failed = len(ops.failures)
     record = {
         "workload": name, "seed": seed, "seconds": seconds, "trace": int(trace),
         "environment": envinfo.environment(ROOT, SRC),
         "import_s": import_samples, "build_s": build_samples,
+        "import_s_raw": import_raw, "build_s_raw": build_raw,
         "wall_s_untraced": ops.walls[False], "wall_s_traced": ops.walls[True],
+        "wall_s_untraced_raw": ops.raw_walls[False], "wall_s_traced_raw": ops.raw_walls[True],
+        "probe_s": probe.samples,
         "attempted": ops.attempted, "failed": failed, "failures": ops.failures,
         "artifact_sha256": ops.reference or {},
         "expected_counts": workload.expected,
@@ -278,10 +333,13 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> int:
                    "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}
         tail = tail_percentile(ops.walls[False])
         tail_text = f"p{tail[0]} {tail[1]:.4f} s" if tail else "no tail percentile (needs >= 20 ops)"
-        print(f"  wall_s        {wall_s:10.4f} s   median of n={len(ops.walls[False])} ops; {tail_text}")
+        print(f"  wall_s        {wall_s:10.4f} s   median of n={len(ops.walls[False])} ops; {tail_text}; "
+              f"raw {raw_wall_s:.4f} s")
         print(f"  setup_s       {setup_s:10.4f} s   import {statistics.median(import_samples):.4f} s "
-              f"+ build median of {SETUP_REPEATS} {statistics.median(build_samples):.4f} s")
+              f"+ build median of {SETUP_REPEATS} {statistics.median(build_samples):.4f} s; raw {raw_setup_s:.4f} s")
         print(f"  peak_rss_mb   {peak_rss_mb:10.2f} MB")
+        print(f"  probe_s       {statistics.median(probe.samples):10.4f} s   median of {len(probe.samples)} "
+              f"probes; times above are scaled to the reference probe's speed")
     print(f"  failed_ratio  {failed / ops.attempted:10.4f} ratio  ({failed} of {ops.attempted} ops failed)")
     for line in ops.failures[:5]:
         print(f"  FAILED {line}")
