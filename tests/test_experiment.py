@@ -5,6 +5,7 @@ landscape contrast, barrier ordering) are exercised in test_acceptance.py;
 here we only cover the config surface and the cheap invariants.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -160,3 +161,37 @@ def test_run_experiment_is_rerunnable_in_place(tmp_path):
     second = run_experiment(cfg, store)  # exist_ok path: verify, don't rewrite
     assert first["checkpoints"] == second["checkpoints"]
     assert first["soups"] == second["soups"]
+
+
+# Golden sha256 digests of the tiny config's artifacts with every soup
+# method enabled. A change in numerics, soup membership or audit layout
+# shows up here, so a re-baseline has to be made, and logged, on purpose.
+_ALL_SOUPS = ("uniform", "greedy", "gou", "gog", "fgg_uniform", "fgg_greedy", "gs_gou", "gs_gog")
+_GOLDEN_FILES = {
+    "report.csv": "fd8cb2ac4465802577d03c888421adc6605f6884addb7914fa60cfccebb85cb8",
+    "landscape.csv": "af54e390dd42cd1fca8b2fab6408f6482b3c6ca8e36d76a6c73aab6f251a6c30",
+    "summary.json": "cc03055c0ff723f626d3c9fa2f4d7080de823153a5931c2d9ffd608080079483",
+}
+_GOLDEN_AUDITS = {
+    "uniform": "9684e239d4dfd42c6a188ea16a502f9ef398c8f4c7e83371f6eed8ec3d3d57e1",
+    "greedy": "f3790869c7a3be11ef4533d5428b3443839acc1d9e31a9e0622a7bdc1617f1b2",
+    "gou": "1d14c83f1b28d48e794ddb7904c98153e7a388b9d43428adf929bc15976dbe9a",
+    "gog": "69793821018f809607459aac9dbb89501709a99f76b427c7036a36f7c3b51d26",
+    "fgg_uniform": "2093cee05ee20dedc33f92abbbfd5080f388f137d5bacfe0b1ea0692a748ab5e",
+    "fgg_greedy": "08bae10e5b61523e1ee81564b397787518647155b96ddbfe6199cd3ce82129c1",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_run_experiment_artifacts_match_golden_digests(tmp_path):
+    cfg = _tiny_config(soups=_ALL_SOUPS)
+    store = Store(tmp_path)
+    summary = run_experiment(cfg, store)
+    exp = store.experiment_dir(cfg.name)
+    assert {f: _sha256(exp / f) for f in _GOLDEN_FILES} == _GOLDEN_FILES
+    audits = {name: _sha256(tmp_path / summary["soups"][name]["id"] / "audit.json")
+              for name in _GOLDEN_AUDITS}
+    assert audits == _GOLDEN_AUDITS
