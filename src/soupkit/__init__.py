@@ -72,7 +72,6 @@ from .soup import (
     SoupResult,
     greedy_soup,
     hierarchical_soup,
-    local_soup,
     uniform_soup,
 )
 from .store import ChecksumError, Store, StoreError

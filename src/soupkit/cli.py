@@ -25,7 +25,7 @@ from .analysis import (
     plane_basis,
 )
 from .data import AugmentLevel, TaskSpec, gen_task
-from .experiment import ExperimentConfig, cycle_schedule, run_experiment
+from .experiment import ExperimentConfig, build_soups, cycle_schedule, run_experiment
 from .nn import ArchSpec, MetricKind, evaluate
 from .pipeline import (
     HyperConfig,
@@ -35,7 +35,7 @@ from .pipeline import (
     linear_probe_warmup,
     pretrain_source,
 )
-from .soup import SoupMethod, SoupResult, greedy_soup, hierarchical_soup, uniform_soup
+from .soup import SoupMethod
 from .store import Store, StoreError
 
 _METRICS = [m.value for m in MetricKind]
@@ -149,33 +149,23 @@ def cmd_fission(args) -> dict:
 def cmd_soup(args) -> dict:
     store = _store(args)
     val = store.load_dataset(args.data, "val")
-    method = SoupMethod(args.method)
-    if method in (SoupMethod.UNIFORM, SoupMethod.GREEDY):
+    members, groups = [], []
+    if args.method in ("uniform", "greedy"):
         if not args.ids:
-            raise ValueError(f"--ids is required for method {method.value}")
+            raise ValueError(f"--ids is required for method {args.method}")
         members = [store.load_checkpoint(i) for i in _names(args.ids)]
         arch = members[0].arch
-        if method is SoupMethod.UNIFORM:
-            params = uniform_soup([c.params for c in members])
-            soup = SoupResult(params=params, method=method, members=[c.id for c in members],
-                              val_score=evaluate(params, arch, val, args.metric))
-        else:
-            soup = greedy_soup(members, args.metric, val=val)
     else:
         if not args.bases:
-            raise ValueError(f"--bases is required for method {method.value}")
-        groups = []
-        all_ids = _store(args).list_checkpoints()
-        for base_id in _names(args.bases):
-            base = store.load_checkpoint(base_id)
-            fissions = [store.load_checkpoint(i) for i in all_ids if i.startswith("fission-")]
-            fissions = [f for f in fissions if f.lineage.base_id == base_id]
-            fissions.sort(key=lambda f: f.lineage.cycle_index or 0)
-            groups.append((base, fissions))
-        arch = groups[0][0].arch
-        soup = hierarchical_soup(groups, method, args.metric, val=val)
-    store.save_soup(soup, arch, MetricKind(args.metric).value, exist_ok=True)
-    return {"command": "soup", "id": soup.id, "method": method.value,
+            raise ValueError(f"--bases is required for method {args.method}")
+        bases = [store.load_checkpoint(i) for i in _names(args.bases)]
+        snapshots = [store.load_checkpoint(i) for i in store.list_checkpoints() if i.startswith("fission-")]
+        snapshots.sort(key=lambda f: f.lineage.cycle_index or 0)
+        groups = [(b, [f for f in snapshots if f.lineage.base_id == b.id]) for b in bases]
+        arch = bases[0].arch
+    soup = build_soups([args.method], args.metric, arch, val, members, groups)[0][1]
+    store.save_soup(soup, arch, args.metric, exist_ok=True)
+    return {"command": "soup", "id": soup.id, "method": args.method,
             "members": soup.members, "val_score": soup.val_score}
 
 
@@ -393,3 +383,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .analysis import (
     DEFAULT_EXTENT_MARGIN,
@@ -38,16 +36,14 @@ from .optim import CyclicalSchedule
 from .pipeline import (
     Checkpoint,
     HyperConfig,
-    Lineage,
     fgg_base_generate,
     fgg_fission,
-    fine_tune,
     grid_generate,
     linear_probe_warmup,
     pretrain_source,
     steps_per_epoch,
 )
-from .soup import SoupMethod, SoupResult, greedy_soup, hierarchical_soup, uniform_soup
+from .soup import LineageError, SoupMethod, SoupResult, greedy_soup, hierarchical_soup, uniform_soup
 from .store import Store
 
 log = logging.getLogger(__name__)
@@ -329,63 +325,49 @@ def _fgg_stage(config: ExperimentConfig, theta0: Checkpoint, bundle: TaskBundle)
     return bases, groups, failures
 
 
-def _grouped_soup(groups: dict[str, list[Checkpoint]], lower: SoupMethod,
-                  method: SoupMethod, metric: str,
-                  eval_fn: Callable[[ParamVector], float]) -> SoupResult:
-    """Two-level soup over arbitrary named groups (no per-group anchor)."""
-    pseudo: list[Checkpoint] = []
-    level_members: dict[str, list[str]] = {}
-    for key in sorted(groups):
-        members = groups[key]
-        if lower is SoupMethod.UNIFORM:
-            params = uniform_soup([c.params for c in members])
-            member_ids = [c.id for c in members]
-        else:
-            local = greedy_soup(members, metric, evaluate_fn=eval_fn)
-            params, member_ids = local.params, list(local.members)
-        local_id = f"local-{key}"
-        first = members[0]
-        pseudo.append(Checkpoint(
-            id=local_id, arch=first.arch, params=params, config=first.config,
-            lineage=Lineage("soup", root_id=first.lineage.root_id),
-            val_metrics={metric: eval_fn(params)}, epochs_consumed=0.0,
-        ))
-        level_members[local_id] = member_ids
-    top = greedy_soup(pseudo, metric, evaluate_fn=eval_fn)
-    return SoupResult(params=top.params, method=method, members=top.members,
-                      val_score=top.val_score, audit=top.audit, level_members=level_members)
+def _base_groups(groups: Sequence[tuple[Checkpoint, Sequence[Checkpoint]]]) -> dict[str, list[Checkpoint]]:
+    """One group per base model, keyed by base id: the base, then its snapshots."""
+    out: dict[str, list[Checkpoint]] = {}
+    for base, snapshots in groups:
+        for s in snapshots:
+            if s.lineage.base_id != base.id:
+                raise LineageError(f"snapshot {s.id} descends from {s.lineage.base_id}, not {base.id}")
+        out[base.id] = [base, *snapshots]
+    return out
+
+
+def _lr_groups(grid: Sequence[Checkpoint]) -> dict[str, list[Checkpoint]]:
+    """The grid grouped by learning rate, keyed ``lr=<lr>`` in sorted key order."""
+    by_lr: dict[str, list[Checkpoint]] = {}
+    for c in grid:
+        by_lr.setdefault(f"lr={c.config.lr:g}", []).append(c)
+    return {key: by_lr[key] for key in sorted(by_lr)}
 
 
 def build_soups(methods: Sequence[str], metric: MetricKind | str, arch: ArchSpec,
                 val: LabeledDataset, grid: Sequence[Checkpoint],
                 groups: Sequence[tuple[Checkpoint, Sequence[Checkpoint]]]) -> list[tuple[str, SoupResult]]:
-    """Construct every requested soup from the grid pool and snapshot groups."""
+    """Construct every requested soup from the grid pool and snapshot groups.
+
+    This is the one soup dispatch: `run_experiment`, the in-memory recipes
+    and the CLI all build their soups here.
+    """
     metric_key = MetricKind(metric).value
     eval_fn = lambda p: evaluate(p, arch, val, metric_key)
+    snapshot_pool = [c for base, snapshots in groups for c in (base, *snapshots)]
     out: list[tuple[str, SoupResult]] = []
     for name in methods:
-        if name == "uniform":
-            params = uniform_soup([c.params for c in grid])
-            soup = SoupResult(params=params, method=SoupMethod.UNIFORM,
-                              members=[c.id for c in grid], val_score=eval_fn(params))
-        elif name == "greedy":
-            soup = greedy_soup(list(grid), metric_key, evaluate_fn=eval_fn)
-        elif name in ("gou", "gog"):
-            soup = hierarchical_soup(list(groups), name, metric_key, evaluate_fn=eval_fn)
-        elif name == "fgg_uniform":
-            pool = [c for base, fissions in groups for c in (base, *fissions)]
+        pool = snapshot_pool if name.startswith("fgg_") else grid
+        if name in ("uniform", "fgg_uniform"):
             params = uniform_soup([c.params for c in pool])
             soup = SoupResult(params=params, method=SoupMethod.UNIFORM,
                               members=[c.id for c in pool], val_score=eval_fn(params))
-        elif name == "fgg_greedy":
-            pool = [c for base, fissions in groups for c in (base, *fissions)]
+        elif name in ("greedy", "fgg_greedy"):
             soup = greedy_soup(pool, metric_key, evaluate_fn=eval_fn)
+        elif name in ("gou", "gog"):
+            soup = hierarchical_soup(_base_groups(groups), name, metric_key, eval_fn)
         elif name in ("gs_gou", "gs_gog"):
-            by_lr: dict[str, list[Checkpoint]] = {}
-            for c in grid:
-                by_lr.setdefault(f"lr={c.config.lr:g}", []).append(c)
-            lower = SoupMethod.UNIFORM if name == "gs_gou" else SoupMethod.GREEDY
-            soup = _grouped_soup(by_lr, lower, SoupMethod(name.removeprefix("gs_")), metric_key, eval_fn)
+            soup = hierarchical_soup(_lr_groups(grid), name.removeprefix("gs_"), metric_key, eval_fn)
         else:
             raise ValueError(f"unknown soup method {name!r}")
         out.append((name, soup))

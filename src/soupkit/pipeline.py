@@ -12,7 +12,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -282,10 +282,6 @@ def linear_probe_warmup(pretrained: Checkpoint, train: LabeledDataset, config: H
     )
 
 
-def _root_of(checkpoint: Checkpoint) -> str | None:
-    return checkpoint.lineage.root_id
-
-
 def fine_tune(theta0: Checkpoint, train: LabeledDataset, val: LabeledDataset,
               config: HyperConfig, stage: str = "grid") -> Checkpoint:
     """Full fine-tuning from a warmstart with per-epoch cosine decay."""
@@ -303,10 +299,25 @@ def fine_tune(theta0: Checkpoint, train: LabeledDataset, val: LabeledDataset,
     cid = checkpoint_id(stage, arch, config, theta0.id, None, _data_tag(train))
     return Checkpoint(
         id=cid, arch=arch, params=params, config=config,
-        lineage=Lineage(stage, base_id=theta0.id, root_id=_root_of(theta0) or theta0.id),
+        lineage=Lineage(stage, base_id=theta0.id, root_id=theta0.root_id or theta0.id),
         val_metrics=val_metric_map(params, arch, val),
         epochs_consumed=float(config.epochs), trained_on=_data_tag(train),
     )
+
+
+def _fine_tune_runs(theta0: Checkpoint, configs: list[HyperConfig], train: LabeledDataset,
+                    val: LabeledDataset, stage: str) -> tuple[list[Checkpoint], list[GridFailure]]:
+    """Fine-tune θ0 once per config, in order; diverged runs are recorded, not raised."""
+    checkpoints: list[Checkpoint] = []
+    failures: list[GridFailure] = []
+    for cfg in configs:
+        try:
+            checkpoints.append(fine_tune(theta0, train, val, cfg, stage=stage))
+        except TrainingDivergedError as exc:
+            log.warning("%s run diverged: lr=%g augment=%s seed=%d (%s)",
+                        stage, cfg.lr, cfg.augment.value, cfg.seed, exc)
+            failures.append(GridFailure(cfg, str(exc)))
+    return checkpoints, failures
 
 
 def grid_generate(
@@ -319,19 +330,10 @@ def grid_generate(
     template: HyperConfig,
 ) -> tuple[list[Checkpoint], list[GridFailure]]:
     """Fine-tune θ0 once per (lr, augment, seed) cell; diverged cells are recorded."""
-    checkpoints: list[Checkpoint] = []
-    failures: list[GridFailure] = []
-    for lr in lrs:
-        for aug in augments:
-            for seed in seeds:
-                cfg = replace(template, lr=lr, augment=AugmentLevel(aug), seed=seed,
-                              schedule="cosine", cyclical=None)
-                try:
-                    checkpoints.append(fine_tune(theta0, train, val, cfg, stage="grid"))
-                except TrainingDivergedError as exc:
-                    log.warning("grid cell diverged: lr=%g augment=%s seed=%d (%s)", lr, aug, seed, exc)
-                    failures.append(GridFailure(cfg, str(exc)))
-    return checkpoints, failures
+    configs = [replace(template, lr=lr, augment=AugmentLevel(aug), seed=seed,
+                       schedule="cosine", cyclical=None)
+               for lr in lrs for aug in augments for seed in seeds]
+    return _fine_tune_runs(theta0, configs, train, val, "grid")
 
 
 def fgg_base_generate(
@@ -342,16 +344,8 @@ def fgg_base_generate(
     template: HyperConfig,
 ) -> tuple[list[Checkpoint], list[GridFailure]]:
     """One base model per learning rate; augment and seed are held fixed."""
-    checkpoints: list[Checkpoint] = []
-    failures: list[GridFailure] = []
-    for lr in lrs:
-        cfg = replace(template, lr=lr, schedule="cosine", cyclical=None)
-        try:
-            checkpoints.append(fine_tune(theta0, train, val, cfg, stage="base"))
-        except TrainingDivergedError as exc:
-            log.warning("base run diverged: lr=%g (%s)", lr, exc)
-            failures.append(GridFailure(cfg, str(exc)))
-    return checkpoints, failures
+    configs = [replace(template, lr=lr, schedule="cosine", cyclical=None) for lr in lrs]
+    return _fine_tune_runs(theta0, configs, train, val, "base")
 
 
 def fission_total_steps(schedule: CyclicalSchedule, n_collect: int) -> int:
@@ -399,7 +393,7 @@ def fgg_fission(base: Checkpoint, schedule: CyclicalSchedule, n_collect: int,
             Checkpoint(
                 id=cid, arch=arch, params=params, config=config,
                 lineage=Lineage("fission", base_id=base.id, cycle_index=k,
-                                root_id=_root_of(base) or base.id),
+                                root_id=base.root_id or base.id),
                 val_metrics=val_metric_map(params, arch, val),
                 epochs_consumed=(step - prev) / spe, trained_on=_data_tag(train),
             )

@@ -1,10 +1,11 @@
-"""Weight-space model merging: uniform and greedy soups, per-base local
-soups over cyclical snapshots, and the two-level hierarchical variants.
+"""Weight-space model merging: uniform and greedy soups, and the two-level
+hierarchical variants.
 
-Hierarchical methods build one local soup per base model (uniform lower
-level for "gou", greedy for "gog"), score each on validation data, and run
-a greedy soup across the local results. Greedy acceptance keeps ties, so
-the final validation score never drops below the best single candidate.
+Hierarchical methods build one local soup per named group of checkpoints
+(uniform lower level for "gou", greedy for "gog"), score each on
+validation data, and run a greedy soup across the local results. Greedy
+acceptance keeps ties, so the final validation score never drops below the
+best single candidate.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .data import LabeledDataset
-from .nn import ArchSpec, MetricKind, ParamVector, evaluate
-from .pipeline import Checkpoint, HyperConfig, Lineage
+from .nn import MetricKind, ParamVector, evaluate
+from .pipeline import Checkpoint, Lineage
 
 
 class LineageError(ValueError):
@@ -114,17 +115,6 @@ def _check_roots(candidates: Sequence[Checkpoint]) -> None:
         raise LineageError(f"members descend from different warmstarts: {sorted(roots)}")
 
 
-def _make_evaluator(candidates: Sequence[Checkpoint], metric: MetricKind | str,
-                    val: LabeledDataset | None,
-                    evaluate_fn: Callable[[ParamVector], float] | None) -> Callable[[ParamVector], float]:
-    if evaluate_fn is not None:
-        return evaluate_fn
-    if val is None:
-        raise ValueError("need either evaluate_fn or a validation dataset")
-    arch = candidates[0].arch
-    return lambda p: evaluate(p, arch, val, metric)
-
-
 def greedy_soup(
     candidates: Sequence[Checkpoint],
     metric: MetricKind | str,
@@ -142,7 +132,12 @@ def greedy_soup(
         raise ValueError("cannot soup an empty candidate list")
     metric_key = MetricKind(metric).value
     _check_roots(candidates)
-    eval_fn = _make_evaluator(candidates, metric_key, val, evaluate_fn)
+    eval_fn = evaluate_fn
+    if eval_fn is None:
+        if val is None:
+            raise ValueError("need either evaluate_fn or a validation dataset")
+        arch = candidates[0].arch
+        eval_fn = lambda p: evaluate(p, arch, val, metric_key)
 
     def rank_score(c: Checkpoint) -> float:
         if metric_key in c.val_metrics:
@@ -170,82 +165,47 @@ def greedy_soup(
                       members=members, val_score=current, audit=audit)
 
 
-def local_soup(
-    theta_t: Checkpoint,
-    fissions: Sequence[Checkpoint],
-    lower_method: SoupMethod | str = SoupMethod.UNIFORM,
-    metric: MetricKind | str | None = None,
-    val: LabeledDataset | None = None,
-    evaluate_fn: Callable[[ParamVector], float] | None = None,
-) -> SoupResult:
-    """Merge one base model with its own cyclical snapshots.
-
-    Uniform averages the base together with all m snapshots (weight
-    1/(m+1) each); greedy treats the base as an ordinary candidate. With no
-    snapshots both collapse to the base model exactly.
-    """
-    lower = SoupMethod(lower_method)
-    if lower not in (SoupMethod.UNIFORM, SoupMethod.GREEDY):
-        raise ValueError(f"lower level must be uniform or greedy, got {lower.value}")
-    for f in fissions:
-        if f.lineage.base_id != theta_t.id:
-            raise LineageError(f"snapshot {f.id} descends from {f.lineage.base_id}, not {theta_t.id}")
-    group = [theta_t, *fissions]
-    if lower is SoupMethod.GREEDY:
-        result = greedy_soup(group, metric if metric is not None else MetricKind.ACCURACY,
-                             val=val, evaluate_fn=evaluate_fn)
-        return result
-    params = uniform_soup([c.params for c in group])
-    score = None
-    if evaluate_fn is not None:
-        score = evaluate_fn(params)
-    elif val is not None and metric is not None:
-        score = evaluate(params, theta_t.arch, val, metric)
-    return SoupResult(params=params, method=SoupMethod.UNIFORM,
-                      members=[c.id for c in group], val_score=score)
-
-
 def hierarchical_soup(
-    groups: Sequence[tuple[Checkpoint, Sequence[Checkpoint]]],
+    groups: Mapping[str, Sequence[Checkpoint]],
     method: SoupMethod | str,
     metric: MetricKind | str,
-    val: LabeledDataset | None = None,
-    evaluate_fn: Callable[[ParamVector], float] | None = None,
+    evaluate_fn: Callable[[ParamVector], float],
 ) -> SoupResult:
-    """Two-level soup over (base, snapshots) groups.
+    """Two-level soup over named groups of checkpoints.
 
-    Lower level: one local soup per group, uniform for gou, greedy for gog.
-    Top level: always a greedy soup across the scored local results.
+    Lower level: one local soup per group, named ``local-<key>``; uniform
+    over the whole group for gou, greedy for gog. Top level: always a
+    greedy soup across the scored local results.
     """
     method = SoupMethod(method)
-    if method not in (SoupMethod.GOU, SoupMethod.GOG):
+    lower = method.lower_level
+    if lower is None:
         raise ValueError(f"hierarchical method must be gou or gog, got {method.value}")
-    if not groups:
-        raise ValueError("need at least one (base, snapshots) group")
+    if not groups or not all(groups.values()):
+        raise ValueError("need at least one group, and no empty groups")
     metric_key = MetricKind(metric).value
-    bases = [g[0] for g in groups]
-    _check_roots(bases)
-    eval_fn = _make_evaluator(bases, metric_key, val, evaluate_fn)
+    _check_roots([c for members in groups.values() for c in members])
 
     pseudo: list[Checkpoint] = []
     level_members: dict[str, list[str]] = {}
     local_audits: dict[str, list[AuditEntry]] = {}
-    for theta_t, fissions in groups:
-        local = local_soup(theta_t, fissions, method.lower_level,
-                           metric=metric_key, evaluate_fn=eval_fn)
-        local_id = f"local-{theta_t.id}"
-        score = local.val_score if local.val_score is not None else eval_fn(local.params)
-        pseudo.append(
-            Checkpoint(
-                id=local_id, arch=theta_t.arch, params=local.params, config=theta_t.config,
-                lineage=Lineage("soup", base_id=theta_t.id, root_id=theta_t.lineage.root_id),
-                val_metrics={metric_key: score}, epochs_consumed=0.0,
-                trained_on=theta_t.trained_on,
-            )
-        )
+    for key, members in groups.items():
+        if lower is SoupMethod.GREEDY:
+            local = greedy_soup(members, metric_key, evaluate_fn=evaluate_fn)
+        else:
+            params = uniform_soup([c.params for c in members])
+            local = SoupResult(params=params, method=lower, members=[c.id for c in members],
+                               val_score=evaluate_fn(params))
+        local_id = f"local-{key}"
+        first = members[0]
+        pseudo.append(Checkpoint(
+            id=local_id, arch=first.arch, params=local.params, config=first.config,
+            lineage=Lineage("soup", root_id=first.lineage.root_id),
+            val_metrics={metric_key: local.val_score}, epochs_consumed=0.0,
+        ))
         level_members[local_id] = list(local.members)
         local_audits[local_id] = list(local.audit)
-    top = greedy_soup(pseudo, metric_key, evaluate_fn=eval_fn)
+    top = greedy_soup(pseudo, metric_key, evaluate_fn=evaluate_fn)
     return SoupResult(
         params=top.params, method=method, members=top.members,
         val_score=top.val_score, audit=top.audit,

@@ -32,7 +32,7 @@ from soupkit.pipeline import (
     linear_probe_warmup,
     pretrain_source,
 )
-from soupkit.soup import greedy_soup, hierarchical_soup, local_soup, uniform_soup
+from soupkit.soup import greedy_soup, hierarchical_soup, uniform_soup
 from soupkit.store import Store
 from soupkit.analysis import compute_budget
 
@@ -185,15 +185,17 @@ def test_criterion_3_soup_math_oracles():
         ok = ok and err <= 1e-12
     notes.append("uniform<=1e-12")
 
-    # local_soup m in {0, 1, 2, 5}, uniform lower
+    # local soup m in {0, 1, 2, 5}, uniform lower: one gou group, whose
+    # single local soup the top level returns unchanged
     base = _flat("base-0", 8.0, stage="base")
     snaps = [_flat(f"fission-{k}", 16.0 + 8 * k, stage="fission", base_id=base.id)
              for k in range(5)]
     for m in (0, 1, 2, 5):
-        local = local_soup(base, snaps[:m], "uniform")
+        local = hierarchical_soup({base.id: [base, *snaps[:m]]}, "gou", "accuracy",
+                                  evaluate_fn=lambda p: 0.0)
         want_members = [base.id] + [s.id for s in snaps[:m]]
         want = np.mean([c.params.values for c in [base, *snaps[:m]]], axis=0)
-        ok = ok and list(local.members) == want_members
+        ok = ok and local.level_members[f"local-{base.id}"] == want_members
         ok = ok and float(np.max(np.abs(local.params.values - want))) <= 1e-12
         if m == 0:  # no snapshots: collapse to the base exactly
             ok = ok and np.array_equal(local.params.values, base.params.values)
@@ -219,7 +221,8 @@ def test_criterion_3_soup_math_oracles():
     base_b = _flat("base-b", 48.0, stage="base")
     snaps_b = [_flat("fission-b1", 56.0, "fission", base_b.id),
                _flat("fission-b2", 64.0, "fission", base_b.id)]
-    gou = hierarchical_soup([(base_a, snaps_a), (base_b, snaps_b)], "gou", "accuracy",
+    groups = {"base-a": [base_a, *snaps_a], "base-b": [base_b, *snaps_b]}
+    gou = hierarchical_soup(groups, "gou", "accuracy",
                             evaluate_fn=_table_scorer({8.0: 0.8, 56.0: 0.7, 32.0: 0.85}))
     ok = ok and list(gou.members) == ["local-base-a", "local-base-b"]
     ok = ok and gou.level_members == {"local-base-a": ["base-a", "fission-a1", "fission-a2"],
@@ -227,7 +230,7 @@ def test_criterion_3_soup_math_oracles():
     ok = ok and float(np.max(np.abs(gou.params.values - 32.0))) <= 1e-12
     ok = ok and gou.val_score == 0.85
     # same groups, rejecting top trial: only the better local survives
-    gou_rej = hierarchical_soup([(base_a, snaps_a), (base_b, snaps_b)], "gou", "accuracy",
+    gou_rej = hierarchical_soup(groups, "gou", "accuracy",
                                 evaluate_fn=_table_scorer({8.0: 0.8, 56.0: 0.7, 32.0: 0.75}))
     ok = ok and list(gou_rej.members) == ["local-base-a"]
     ok = ok and float(np.max(np.abs(gou_rej.params.values - 8.0))) <= 1e-12
@@ -240,7 +243,7 @@ def test_criterion_3_soup_math_oracles():
     base_b = _flat("base-b", 48.0, stage="base", score=0.70)
     snaps_b = [_flat("fission-b1", 56.0, "fission", base_b.id, score=0.65)]
     gog = hierarchical_soup(
-        [(base_a, snaps_a), (base_b, snaps_b)], "gog", "accuracy",
+        {"base-a": [base_a, *snaps_a], "base-b": [base_b, *snaps_b]}, "gog", "accuracy",
         evaluate_fn=_table_scorer({4.0: 0.85, 12.0: 0.95, 52.0: 0.72, 32.0: 0.96}))
     # group a: seed fission-a1 (0.90); +base (mean 4) 0.85 rejected; +a2 (mean 12) 0.95 kept
     # group b: seed base-b (0.70); +b1 (mean 52) 0.72 kept

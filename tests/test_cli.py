@@ -7,10 +7,17 @@ contract are exercised exactly as a shell user would see them.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import soupkit
 from soupkit.cli import cli_dispatch
+from soupkit.experiment import build_soups
+from soupkit.store import Store
 
 
 def _run(*argv):
@@ -99,6 +106,29 @@ def test_soup_hierarchical_over_bases(pipe):
                   "--metric", "accuracy", "--bases", ",".join(pipe["bases"]))
         assert out["id"].startswith("soup-")
         assert out["val_score"] is not None
+
+
+def test_soup_hierarchical_matches_build_soups(pipe):
+    store = Store(pipe["store"])
+    val = store.load_dataset("demo", "val")
+    groups = [(store.load_checkpoint(b), [store.load_checkpoint(f) for f in pipe["fissions"][b]])
+              for b in pipe["bases"]]
+    arch = groups[0][0].arch
+    for method in ("gou", "gog"):
+        out = _ok("--store", pipe["store"], "soup", "--data", "demo", "--method", method,
+                  "--metric", "accuracy", "--bases", ",".join(pipe["bases"]))
+        [(_, soup)] = build_soups([method], "accuracy", arch, val, [], groups)
+        assert out["id"] == soup.id
+        assert store.load_audit(out["id"]) == json.loads(json.dumps(soup.audit_dict()))
+
+
+def test_module_entry_prints_usage():
+    src = str(Path(soupkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "soupkit.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: soupkit")
 
 
 def test_lmc_writes_curve(pipe, tmp_path):

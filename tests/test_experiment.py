@@ -137,6 +137,33 @@ def test_build_soups_names_and_membership():
         assert soup.val_score == pytest.approx(eval_fn(soup.params))
 
 
+def test_gs_gog_records_lower_level_decisions(tmp_path):
+    d = _tiny_config().to_dict()
+    d["grid"]["seeds"] = [0, 1]  # two members per lr group, so each local greedy decides
+    cfg = ExperimentConfig.from_dict(d)
+    bundle = gen_task(cfg.task, cfg.split_ratios)
+    from soupkit.experiment import _fit_stage, _grid_stage
+
+    _, theta0 = _fit_stage(cfg, bundle)
+    grid, _ = _grid_stage(cfg, theta0, bundle)
+    [(_, soup)] = build_soups(["gs_gog"], cfg.metric, cfg.arch, bundle.val, grid, [])
+    by_lr = {}
+    for c in grid:
+        by_lr.setdefault(f"local-lr={c.config.lr:g}", set()).add(c.id)
+    assert set(soup.local_audits) == set(by_lr)
+    for local_id, decisions in soup.local_audits.items():
+        assert {a.candidate_id for a in decisions} == by_lr[local_id]
+        assert len(decisions) == 2 and decisions[0].accepted
+        kept = [a.candidate_id for a in decisions if a.accepted]
+        assert kept == soup.level_members[local_id]
+    store = Store(tmp_path)
+    store.save_soup(soup, cfg.arch, cfg.metric.value)
+    audit = store.load_audit(soup.id)
+    assert audit["local_decisions"] == {
+        k: [a.to_dict() for a in v] for k, v in soup.local_audits.items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # run_experiment determinism
 

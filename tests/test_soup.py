@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from soupkit.experiment import build_soups
 from soupkit.nn import ArchSpec, MetricKind, ParamVector, init_params
 from soupkit.pipeline import Checkpoint, Lineage
 from soupkit.soup import (
@@ -12,7 +13,6 @@ from soupkit.soup import (
     SoupResult,
     greedy_soup,
     hierarchical_soup,
-    local_soup,
     uniform_soup,
 )
 
@@ -207,7 +207,7 @@ def test_greedy_needs_val_or_evaluator():
 
 
 # ---------------------------------------------------------------------------
-# local_soup
+# Local soups: the lower level of hierarchical_soup over a single group
 
 def _family(m):
     """A base plus m fission snapshots with valid lineage."""
@@ -225,10 +225,12 @@ def _family(m):
 @pytest.mark.parametrize("m", [0, 1, 2, 5])
 def test_local_uniform_weights_base_equally(m):
     base, fissions = _family(m)
-    result = local_soup(base, fissions, SoupMethod.UNIFORM)
+    # one group: the top level has a single candidate and returns it as is
+    result = hierarchical_soup({base.id: [base, *fissions]}, SoupMethod.GOU,
+                               MetricKind.ACCURACY, evaluate_fn=lambda p: 0.0)
     want = np.mean([base.params.values] + [f.params.values for f in fissions], axis=0)
     np.testing.assert_allclose(result.params.values, want, rtol=0, atol=1e-12)
-    assert result.members == [base.id] + [f.id for f in fissions]
+    assert result.level_members[f"local-{base.id}"] == [base.id] + [f.id for f in fissions]
     if m == 0:
         assert np.array_equal(result.params.values, base.params.values)
 
@@ -241,17 +243,19 @@ def test_local_greedy_base_is_ordinary_candidate():
     def fn(p):
         seen.append(p.values.tobytes())
         return 0.0  # reject every merge trial
-    result = local_soup(base, fissions, SoupMethod.GREEDY,
-                        metric=MetricKind.ACCURACY, evaluate_fn=fn)
-    assert result.members == [fissions[0].id]  # the snapshot won the seed slot
-    assert result.method is SoupMethod.GREEDY
+    result = hierarchical_soup({base.id: [base, *fissions]}, SoupMethod.GOG,
+                               MetricKind.ACCURACY, evaluate_fn=fn)
+    local_id = f"local-{base.id}"
+    assert result.level_members[local_id] == [fissions[0].id]  # the snapshot won the seed slot
+    assert result.method.lower_level is SoupMethod.GREEDY
+    assert [a.candidate_id for a in result.local_audits[local_id]] == [fissions[0].id, base.id, fissions[1].id]
 
 
 def test_local_greedy_empty_fissions_collapses_to_base():
     base, _ = _family(0)
-    result = local_soup(base, [], SoupMethod.GREEDY,
-                        metric=MetricKind.ACCURACY, evaluate_fn=lambda p: 0.0)
-    assert result.members == [base.id]
+    result = hierarchical_soup({base.id: [base]}, SoupMethod.GOG,
+                               MetricKind.ACCURACY, evaluate_fn=lambda p: 0.0)
+    assert result.level_members[f"local-{base.id}"] == [base.id]
     assert np.array_equal(result.params.values, base.params.values)
 
 
@@ -259,9 +263,11 @@ def test_local_soup_rejects_foreign_snapshots():
     base, fissions = _family(1)
     foreign = _ck("fission-ffffffffffff", _const(1.0), stage="fission", base_id="base-other")
     with pytest.raises(LineageError):
-        local_soup(base, [foreign], SoupMethod.UNIFORM)
+        # the lineage check runs before anything is scored, so no val split is needed
+        build_soups(["gou"], MetricKind.ACCURACY, ARCH, None, [], [(base, [foreign])])
     with pytest.raises(ValueError):
-        local_soup(base, fissions, SoupMethod.GOU)
+        hierarchical_soup({base.id: [base, *fissions]}, SoupMethod.UNIFORM,
+                          MetricKind.ACCURACY, evaluate_fn=lambda p: 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +288,11 @@ def _two_groups():
     return groups
 
 
+def _keyed(groups):
+    """(base, snapshots) pairs as the engine's groups: keyed by base id."""
+    return {base.id: [base, *fissions] for base, fissions in groups}
+
+
 def _expected_locals(groups):
     """Byte-exact expected local soups, built with the same averaging routine."""
     return {
@@ -299,7 +310,7 @@ def test_hierarchical_gou_membership_and_structure():
     table = {locals_[ids[0]].tobytes(): 0.7,
              locals_[ids[1]].tobytes(): 0.6,
              top_mean.tobytes(): 0.75}
-    result = hierarchical_soup(groups, SoupMethod.GOU, MetricKind.ACCURACY,
+    result = hierarchical_soup(_keyed(groups), SoupMethod.GOU, MetricKind.ACCURACY,
                                evaluate_fn=_byte_scorer(table))
     assert result.method is SoupMethod.GOU
     assert sorted(result.members) == ids
@@ -316,7 +327,7 @@ def test_hierarchical_gou_membership_and_structure():
 def test_hierarchical_gog_runs_local_greedy():
     groups = _two_groups()
     # every trial beats the recorded seeds (0.6), so local greedy accepts all
-    result = hierarchical_soup(groups, SoupMethod.GOG, MetricKind.ACCURACY,
+    result = hierarchical_soup(_keyed(groups), SoupMethod.GOG, MetricKind.ACCURACY,
                                evaluate_fn=lambda p: 0.7)
     assert result.method is SoupMethod.GOG
     for (base, fissions), local_id in zip(groups, sorted(result.level_members)):
@@ -335,7 +346,7 @@ def test_hierarchical_top_level_can_reject_a_local_soup():
     table = {locals_[ids[0]].tobytes(): 0.7,
              locals_[ids[1]].tobytes(): 0.6,
              top_mean.tobytes(): 0.1}  # merging hurts: reject
-    result = hierarchical_soup(groups, SoupMethod.GOU, MetricKind.ACCURACY,
+    result = hierarchical_soup(_keyed(groups), SoupMethod.GOU, MetricKind.ACCURACY,
                                evaluate_fn=_byte_scorer(table))
     assert result.members == [ids[0]]
     np.testing.assert_allclose(result.params.values, locals_[ids[0]], atol=0)
@@ -344,9 +355,9 @@ def test_hierarchical_top_level_can_reject_a_local_soup():
 def test_hierarchical_validation():
     groups = _two_groups()
     with pytest.raises(ValueError):
-        hierarchical_soup(groups, SoupMethod.UNIFORM, MetricKind.ACCURACY, evaluate_fn=lambda p: 0.0)
+        hierarchical_soup(_keyed(groups), SoupMethod.UNIFORM, MetricKind.ACCURACY, evaluate_fn=lambda p: 0.0)
     with pytest.raises(ValueError):
-        hierarchical_soup([], SoupMethod.GOU, MetricKind.ACCURACY, evaluate_fn=lambda p: 0.0)
+        hierarchical_soup({}, SoupMethod.GOU, MetricKind.ACCURACY, evaluate_fn=lambda p: 0.0)
 
 
 # ---------------------------------------------------------------------------
