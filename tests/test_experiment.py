@@ -222,3 +222,27 @@ def test_run_experiment_artifacts_match_golden_digests(tmp_path):
     audits = {name: _sha256(tmp_path / summary["soups"][name]["id"] / "audit.json")
               for name in _GOLDEN_AUDITS}
     assert audits == _GOLDEN_AUDITS
+
+
+# Golden digests of the default recipe (rough, seed 0): twelve-epoch stages,
+# heavy augmentation, the warmup head slice and fission collection at full
+# scale, none of which the tiny config reaches. The weights digest covers
+# every checkpoint's weights.bin, concatenated in summary order.
+_GOLDEN_DEFAULT_FILES = {
+    "report.csv": "909bc76797a63f7cba7f0c955dfbba93137297c291df03faa6e7706e221b6288",
+    "landscape.csv": "9922fb0cce8b86c293ac8b1682ad9360aed383e23dda221a8dda4548944b3661",
+    "summary.json": "d2b0f0c3bcdb319a18b14713467ef2b89d41424754634d683b5c2a4de55c22e7",
+}
+_GOLDEN_DEFAULT_WEIGHTS = "171c64d1d99425447daa00b7fc3179ec3424ed7e4b26f7e7df53bb9ed77d44d5"
+
+
+def test_default_recipe_artifacts_match_golden_digests(tmp_path):
+    cfg = default_experiment_config("pin", "rough", 0)
+    store = Store(tmp_path)
+    summary = run_experiment(cfg, store)
+    exp = store.experiment_dir(cfg.name)
+    assert {f: _sha256(exp / f) for f in _GOLDEN_DEFAULT_FILES} == _GOLDEN_DEFAULT_FILES
+    weights = hashlib.sha256()
+    for cid in summary["checkpoints"]:
+        weights.update((tmp_path / cid / "weights.bin").read_bytes())
+    assert weights.hexdigest() == _GOLDEN_DEFAULT_WEIGHTS
