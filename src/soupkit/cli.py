@@ -159,7 +159,11 @@ def cmd_soup(args) -> dict:
         if not args.bases:
             raise ValueError(f"--bases is required for method {args.method}")
         bases = [store.load_checkpoint(i) for i in _names(args.bases)]
-        snapshots = [store.load_checkpoint(i) for i in store.list_checkpoints() if i.startswith("fission-")]
+        # Lineage is read from the manifests, so only the requested bases'
+        # snapshots are loaded and checksummed.
+        base_ids = {b.id for b in bases}
+        snapshots = [store.load_checkpoint(i) for i in store.list_checkpoints()
+                     if i.startswith("fission-") and store.read_manifest(i)["lineage"]["base_id"] in base_ids]
         snapshots.sort(key=lambda f: f.lineage.cycle_index or 0)
         groups = [(b, [f for f in snapshots if f.lineage.base_id == b.id]) for b in bases]
         arch = bases[0].arch

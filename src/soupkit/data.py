@@ -256,16 +256,22 @@ def split(dataset: LabeledDataset, ratios: tuple[float, float, float], seed: int
 def augment(batch: Batch, level: AugmentLevel | str, rng: np.random.Generator,
             sigma: float | None = None, dropout_p: float | None = None) -> Batch:
     """Feature-space augmentation; labels pass through untouched."""
-    level = AugmentLevel(level)
-    base_sigma, base_p = AUGMENT_PARAMS[level]
+    base_sigma, base_p = AUGMENT_PARAMS[AugmentLevel(level)]
     sigma = base_sigma if sigma is None else sigma
     dropout_p = base_p if dropout_p is None else dropout_p
+    feats = _jitter(batch.features, sigma, dropout_p, rng)
+    return batch if feats is batch.features else Batch(feats, batch.labels)
+
+
+def _jitter(features: np.ndarray, sigma: float, dropout_p: float,
+            rng: np.random.Generator) -> np.ndarray:
+    """Gaussian jitter then feature dropout; the input itself when both are off."""
     if sigma == 0.0 and dropout_p == 0.0:
-        return batch
-    feats = batch.features + rng.normal(0.0, sigma, size=batch.features.shape)
+        return features
+    feats = features + rng.normal(0.0, sigma, size=features.shape)
     if dropout_p > 0.0:
-        feats = feats * (rng.random(batch.features.shape) >= dropout_p)
-    return Batch(feats, batch.labels)
+        feats = feats * (rng.random(features.shape) >= dropout_p)
+    return feats
 
 
 def save_csv(dataset: LabeledDataset, path: str | Path) -> None:

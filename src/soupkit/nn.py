@@ -147,15 +147,18 @@ def init_params(arch: ArchSpec, seed: int) -> ParamVector:
 
 def unpack_params(params: ParamVector, arch: ArchSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views of (W, b) per layer; W has shape (fan_in, fan_out)."""
-    _check_signature(params, arch)
-    if params.size != arch.param_count:
-        raise ValueError(f"expected {arch.param_count} parameters, got {params.size}")
+    _check_params(params, arch)
+    return _layer_views(params.values, arch)
+
+
+def _layer_views(values: np.ndarray, arch: ArchSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into a flat vector of the architecture's size, unchecked."""
     out = []
     offset = 0
     for fan_in, fan_out in arch.layer_shapes():
-        w = params.values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
         offset += fan_in * fan_out
-        b = params.values[offset : offset + fan_out]
+        b = values[offset : offset + fan_out]
         offset += fan_out
         out.append((w, b))
     return out
@@ -177,11 +180,13 @@ def last_layer_slice(arch: ArchSpec) -> slice:
     return slice(arch.param_count - (fan_in * fan_out + fan_out), arch.param_count)
 
 
-def _check_signature(params: ParamVector, arch: ArchSpec) -> None:
+def _check_params(params: ParamVector, arch: ArchSpec) -> None:
     if params.arch_signature != arch.signature:
         raise ValueError(
             f"parameter vector signature {params.arch_signature} does not match architecture {arch.signature}"
         )
+    if params.size != arch.param_count:
+        raise ValueError(f"expected {arch.param_count} parameters, got {params.size}")
 
 
 def _activation_fn(name: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -190,10 +195,9 @@ def _activation_fn(name: str) -> Callable[[np.ndarray], np.ndarray]:
     return np.tanh
 
 
-def _forward_cached(params: ParamVector, arch: ArchSpec, features: np.ndarray):
+def _forward_cached(layers: list[tuple[np.ndarray, np.ndarray]], activation: str, features: np.ndarray):
     """Forward pass keeping pre-activations and activations for backprop."""
-    layers = unpack_params(params, arch)
-    act = _activation_fn(arch.activation)
+    act = _activation_fn(activation)
     a = features
     pres: list[np.ndarray] = []
     acts: list[np.ndarray] = [a]
@@ -202,7 +206,7 @@ def _forward_cached(params: ParamVector, arch: ArchSpec, features: np.ndarray):
         pres.append(z)
         a = act(z) if idx < len(layers) - 1 else z
         acts.append(a)
-    return pres, acts, layers
+    return pres, acts
 
 
 def forward(params: ParamVector, arch: ArchSpec, batch: Batch) -> np.ndarray:
@@ -211,7 +215,7 @@ def forward(params: ParamVector, arch: ArchSpec, batch: Batch) -> np.ndarray:
         raise ValueError(f"feature dim {batch.features.shape[1]} does not match input dim {arch.input_dim}")
     if batch.n and (batch.labels.min() < 0 or batch.labels.max() >= arch.class_count):
         raise ValueError(f"labels out of range [0, {arch.class_count})")
-    _, acts, _ = _forward_cached(params, arch, batch.features)
+    _, acts = _forward_cached(unpack_params(params, arch), arch.activation, batch.features)
     return acts[-1]
 
 
@@ -250,23 +254,35 @@ def gradient(params: ParamVector, arch: ArchSpec, batch: Batch) -> ParamVector:
         raise ValueError(f"feature dim {batch.features.shape[1]} does not match input dim {arch.input_dim}")
     if batch.labels.min() < 0 or batch.labels.max() >= arch.class_count:
         raise ValueError(f"labels out of range [0, {arch.class_count})")
-    pres, acts, layers = _forward_cached(params, arch, batch.features)
-    n = batch.n
+    out = np.empty(arch.param_count)
+    _gradient_into(unpack_params(params, arch), arch.activation, batch.features, batch.labels,
+                   _layer_views(out, arch))
+    return ParamVector(out, arch.signature)
+
+
+def _gradient_into(layers: list[tuple[np.ndarray, np.ndarray]], activation: str,
+                   features: np.ndarray, labels: np.ndarray,
+                   out: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Backprop kernel: writes the gradient into the (W, b) views of `out`.
+
+    Unchecked: the caller guarantees a non-empty float64 batch whose feature
+    width and int64 labels fit the layers.
+    """
+    pres, acts = _forward_cached(layers, activation, features)
+    n = labels.shape[0]
     delta = softmax(acts[-1])
-    delta[np.arange(n), batch.labels] -= 1.0
+    delta[np.arange(n), labels] -= 1.0
     delta /= n
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
     for li in range(len(layers) - 1, -1, -1):
-        a_prev = acts[li]
-        grads[li] = (a_prev.T @ delta, delta.sum(axis=0))
+        gw, gb = out[li]
+        np.matmul(acts[li].T, delta, out=gw)
+        delta.sum(axis=0, out=gb)
         if li > 0:
-            w, _ = layers[li]
-            delta = delta @ w.T
-            if arch.activation == "relu":
+            delta = delta @ layers[li][0].T
+            if activation == "relu":
                 delta = delta * (pres[li - 1] > 0.0)
             else:
                 delta = delta * (1.0 - acts[li] ** 2)
-    return pack_params(grads, arch)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

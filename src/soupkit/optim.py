@@ -8,7 +8,7 @@ snapshot-collection points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,14 @@ class AdamWState:
     def fresh(cls, n_params: int, **kwargs) -> "AdamWState":
         return cls(m=np.zeros(n_params), v=np.zeros(n_params), step_count=0, **kwargs)
 
+    def _advanced(self, m: np.ndarray, v: np.ndarray, step_count: int) -> "AdamWState":
+        """The state after one update, built without __post_init__: the
+        hyperparameters are this state's, already checked, and a second moment
+        of beta2 * v + (1 - beta2) * g**2 over finite g stays non-negative."""
+        new = object.__new__(AdamWState)
+        new.__dict__.update(self.__dict__, m=m, v=v, step_count=step_count)
+        return new
+
 
 def adamw_step(params: ParamVector, grads: ParamVector, state: AdamWState, lr: float) -> tuple[ParamVector, AdamWState]:
     """One decoupled-weight-decay update; returns new params and state."""
@@ -56,7 +64,7 @@ def adamw_step(params: ParamVector, grads: ParamVector, state: AdamWState, lr: f
         )
     if params.arch_signature != grads.arch_signature:
         raise ValueError("gradient signature does not match parameters")
-    if not np.all(np.isfinite(grads.values)):
+    if not np.isfinite(grads.values).all():
         raise ValueError("non-finite gradient")
     t = state.step_count + 1
     m = state.beta1 * state.m + (1.0 - state.beta1) * grads.values
@@ -68,7 +76,7 @@ def adamw_step(params: ParamVector, grads: ParamVector, state: AdamWState, lr: f
         - lr * state.weight_decay * params.values
         - lr * m_hat / (np.sqrt(v_hat) + state.eps)
     )
-    return ParamVector(new_values, params.arch_signature), replace(state, m=m, v=v, step_count=t)
+    return ParamVector(new_values, params.arch_signature), state._advanced(m, v, t)
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,16 @@ from typing import Callable
 
 import numpy as np
 
-from .data import AugmentLevel, LabeledDataset, augment
+from .data import AUGMENT_PARAMS, AugmentLevel, LabeledDataset, _jitter
 from .nn import (
     ArchSpec,
-    Batch,
     MetricKind,
     MetricUndefinedError,
     ParamVector,
+    _check_params,
+    _gradient_into,
+    _layer_views,
     evaluate,
-    gradient,
     init_params,
     last_layer_slice,
 )
@@ -199,54 +200,71 @@ def _train_loop(
     slice alone, so weight decay cannot leak into frozen coordinates).
     Snapshots land in `collect_out` as they happen, so a caller that traps a
     divergence still sees everything collected before it.
+
+    Inputs are validated once, here at stage entry, not per step: the
+    parameters against the architecture, the split's feature width and label
+    range against its layers. Each step then runs on raw arrays (rows straight
+    from the split, the gradient into one preallocated buffer). The update is
+    still one `adamw_step` call per step, so the AdamW arithmetic and its
+    checks live in one place and each optimizer step stays one call;
+    `adamw_step` leaves its inputs alone, so its result is copied back.
     """
-    n = train.n
-    spe = steps_per_epoch(n, config.batch_size)
-    params = params.copy()
-    width = params.size if trainable is None else (trainable.stop - trainable.start)
-    state = AdamWState.fresh(width, weight_decay=config.weight_decay)
+    _check_params(params, arch)
+    if train.dims != arch.input_dim:
+        raise ValueError(f"feature dim {train.dims} does not match input dim {arch.input_dim}")
+    if train.labels.min() < 0 or train.labels.max() >= arch.class_count:
+        raise ValueError(f"labels out of range [0, {arch.class_count})")
+    n, bs = train.n, config.batch_size
+    spe = steps_per_epoch(n, bs)
+    sigma, dropout_p = AUGMENT_PARAMS[config.augment]
+    sig = arch.signature
+    values = params.values.copy()
+    grad = np.empty_like(values)
+    layers, grad_layers = _layer_views(values, arch), _layer_views(grad, arch)
+    part = slice(None) if trainable is None else trainable
+    # The optimizer sees views of the trainable part of both buffers.
+    sub_params = ParamVector(values[part], sig)
+    sub_grads = ParamVector(grad[part], sig)
+    state = AdamWState.fresh(sub_params.size, weight_decay=config.weight_decay)
     collected: list[tuple[int, ParamVector]] = [] if collect_out is None else collect_out
     step = 0
-    while step < total_steps:
-        perm = rng.permutation(n)
-        for b in range(spe):
-            if step >= total_steps:
-                break
-            step += 1
-            rows = perm[b * config.batch_size : (b + 1) * config.batch_size]
-            batch = augment(Batch(train.features[rows], train.labels[rows]), config.augment, rng)
-            # divergence is detected by the explicit checks below, so the
-            # transient overflow warnings on the way there are just noise
-            with np.errstate(over="ignore", invalid="ignore"):
-                grads = gradient(params, arch, batch)
-            if not np.all(np.isfinite(grads.values)):
-                raise TrainingDivergedError(f"non-finite gradient at step {step}/{total_steps}")
-            lr = lr_for_step(step)
-            if trainable is None:
-                params, state = adamw_step(params, grads, state, lr)
-            else:
-                sub_p = ParamVector(params.values[trainable], params.arch_signature)
-                sub_g = ParamVector(grads.values[trainable], grads.arch_signature)
-                sub_p, state = adamw_step(sub_p, sub_g, state, lr)
-                merged = params.values.copy()
-                merged[trainable] = sub_p.values
-                params = ParamVector(merged, params.arch_signature)
-            if not np.all(np.isfinite(params.values)):
-                raise TrainingDivergedError(f"non-finite parameters at step {step}/{total_steps}")
-            if step in collect_steps:
-                collected.append((step, params.copy()))
-    return params, collected
+    # divergence is detected by the explicit checks below, so the transient
+    # overflow warnings on the way there are just noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < total_steps:
+            perm = rng.permutation(n)
+            for b in range(min(spe, total_steps - step)):
+                step += 1
+                rows = perm[b * bs : (b + 1) * bs]
+                feats = _jitter(train.features[rows], sigma, dropout_p, rng)
+                _gradient_into(layers, arch.activation, feats, train.labels[rows], grad_layers)
+                if not np.isfinite(grad).all():
+                    raise TrainingDivergedError(f"non-finite gradient at step {step}/{total_steps}")
+                updated, state = adamw_step(sub_params, sub_grads, state, lr_for_step(step))
+                values[part] = updated.values
+                if not np.isfinite(values).all():
+                    raise TrainingDivergedError(f"non-finite parameters at step {step}/{total_steps}")
+                if step in collect_steps:
+                    collected.append((step, ParamVector(values.copy(), sig)))
+    return ParamVector(values, sig), collected
+
+
+def _cosine_by_step(base_lr: float, epochs: int, spe: int) -> Callable[[int], float]:
+    """Per-epoch cosine decay looked up by 1-based step; each epoch's rate is
+    computed once."""
+    sched = CosineSchedule(base_lr, max(epochs, 1))
+    rates = [cosine_lr(epoch, sched) for epoch in range(epochs)]
+    return lambda step: rates[(step - 1) // spe]
 
 
 def pretrain_source(arch: ArchSpec, source: LabeledDataset, config: HyperConfig) -> Checkpoint:
     """Train from a seeded init on the source distribution; 0 epochs = init only."""
     params = init_params(arch, config.seed)
     if config.epochs > 0:
-        sched = CosineSchedule(config.lr, config.epochs)
         spe = steps_per_epoch(source.n, config.batch_size)
         params, _ = _train_loop(
             params, arch, source, config,
-            lambda step: cosine_lr((step - 1) // spe, sched),
+            _cosine_by_step(config.lr, config.epochs, spe),
             config.epochs * spe,
             _rng(config.seed, _RNG_PRETRAIN),
         )
@@ -288,11 +306,10 @@ def fine_tune(theta0: Checkpoint, train: LabeledDataset, val: LabeledDataset,
     if stage in ("grid", "base") and config.schedule != "cosine":
         raise ValueError(f"{stage} runs use the cosine schedule, got {config.schedule!r}")
     arch = theta0.arch
-    sched = CosineSchedule(config.lr, max(config.epochs, 1))
     spe = steps_per_epoch(train.n, config.batch_size)
     params, _ = _train_loop(
         theta0.params, arch, train, config,
-        lambda step: cosine_lr((step - 1) // spe, sched),
+        _cosine_by_step(config.lr, config.epochs, spe),
         config.epochs * spe,
         _rng(config.seed, _RNG_TUNE),
     )

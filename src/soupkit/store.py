@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import uuid
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -52,9 +53,16 @@ def decode_weights(raw: bytes) -> np.ndarray:
 
 
 def _atomic_write(path: Path, raw: bytes) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(raw)
-    os.replace(tmp, path)
+    """Write through a temp file of a unique name in the same directory, then
+    rename over `path`, so concurrent writers never share a temp file."""
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with tmp.open("xb") as fh:
+            fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -89,10 +97,9 @@ class Store:
             if exist_ok and stored.get("weights_checksum") == digest:
                 return ck.id
             raise StoreError(f"checkpoint id {ck.id} already exists")
-        if d.exists():
-            # Leftovers from a crashed save; no manifest means nothing to keep.
-            for leftover in d.iterdir():
-                leftover.unlink()
+        # A directory without a manifest is debris of a crashed save or the
+        # work of a concurrent writer: the renames below replace its weights,
+        # and deleting its files could pull a temp file from under that writer.
         d.mkdir(parents=True, exist_ok=True)
         _atomic_write(d / "weights.bin", raw)
         manifest = {
@@ -111,9 +118,9 @@ class Store:
         _atomic_write(d / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True).encode("ascii"))
         return ck.id
 
-    def load_checkpoint(self, checkpoint_id: str) -> Checkpoint:
-        d = self._dir(checkpoint_id)
-        manifest_path = d / "manifest.json"
+    def read_manifest(self, checkpoint_id: str) -> dict:
+        """A checkpoint's manifest, schema-checked, without reading its weights."""
+        manifest_path = self._dir(checkpoint_id) / "manifest.json"
         if not manifest_path.is_file():
             raise StoreError(f"no checkpoint {checkpoint_id} in {self.root}")
         manifest = json.loads(manifest_path.read_text())
@@ -121,7 +128,11 @@ class Store:
             raise StoreError(
                 f"unsupported manifest schema {manifest.get('schema_version')} (expected {SCHEMA_VERSION})"
             )
-        raw = (d / manifest["weights_file"]).read_bytes()
+        return manifest
+
+    def load_checkpoint(self, checkpoint_id: str) -> Checkpoint:
+        manifest = self.read_manifest(checkpoint_id)
+        raw = (self._dir(checkpoint_id) / manifest["weights_file"]).read_bytes()
         if _checksum(raw) != manifest["weights_checksum"]:
             raise ChecksumError(f"checksum mismatch for {checkpoint_id}")
         arch = ArchSpec.from_dict(manifest["arch"])

@@ -122,6 +122,22 @@ def test_soup_hierarchical_matches_build_soups(pipe):
         assert store.load_audit(out["id"]) == json.loads(json.dumps(soup.audit_dict()))
 
 
+def test_soup_hierarchical_loads_only_requested_snapshots(pipe, monkeypatch):
+    base, other = pipe["bases"]
+    loaded = []
+    real_load = Store.load_checkpoint
+
+    def spy(self, checkpoint_id):
+        loaded.append(checkpoint_id)
+        return real_load(self, checkpoint_id)
+
+    monkeypatch.setattr(Store, "load_checkpoint", spy)
+    _ok("--store", pipe["store"], "soup", "--data", "demo", "--method", "gou",
+        "--metric", "accuracy", "--bases", base)
+    assert sorted(i for i in loaded if i.startswith("fission-")) == sorted(pipe["fissions"][base])
+    assert not set(loaded) & set(pipe["fissions"][other])
+
+
 def test_module_entry_prints_usage():
     src = str(Path(soupkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

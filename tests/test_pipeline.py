@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from soupkit.data import AugmentLevel, TaskKind, TaskSpec, gen_task
-from soupkit.nn import ArchSpec, MetricKind, init_params, last_layer_slice
-from soupkit.optim import CyclicalSchedule, cyclical_alpha, is_collection_point
+from soupkit.data import AugmentLevel, TaskKind, TaskSpec, augment, gen_task
+from soupkit.nn import ArchSpec, Batch, MetricKind, ParamVector, gradient, init_params, last_layer_slice
+from soupkit.optim import (
+    AdamWState,
+    CosineSchedule,
+    CyclicalSchedule,
+    adamw_step,
+    cosine_lr,
+    cyclical_alpha,
+    is_collection_point,
+)
 from soupkit.pipeline import (
     Checkpoint,
     FissionResult,
@@ -13,6 +21,8 @@ from soupkit.pipeline import (
     HyperConfig,
     Lineage,
     TrainingDivergedError,
+    _cosine_by_step,
+    _train_loop,
     checkpoint_id,
     fgg_base_generate,
     fgg_fission,
@@ -278,3 +288,126 @@ def test_val_metric_map_skips_undefined(bundle, theta0):
     metrics = val_metric_map(theta0.params, ARCH, single)
     assert "accuracy" in metrics
     assert "roc_auc_ovr" not in metrics
+
+
+# ---------------------------------------------------------------------------
+# Trainer parity with the per-step reference loop
+
+def _reference_train_loop(params, arch, train, config, lr_for_step, total_steps, rng,
+                          trainable=None, collect_steps=frozenset(), collect_out=None):
+    """The trainer as it was before its inputs were checked once per stage:
+    a validated Batch, augment, gradient and adamw_step on every step."""
+    n = train.n
+    spe = steps_per_epoch(n, config.batch_size)
+    params = params.copy()
+    width = params.size if trainable is None else (trainable.stop - trainable.start)
+    state = AdamWState.fresh(width, weight_decay=config.weight_decay)
+    collected = [] if collect_out is None else collect_out
+    step = 0
+    while step < total_steps:
+        perm = rng.permutation(n)
+        for b in range(spe):
+            if step >= total_steps:
+                break
+            step += 1
+            rows = perm[b * config.batch_size : (b + 1) * config.batch_size]
+            batch = augment(Batch(train.features[rows], train.labels[rows]), config.augment, rng)
+            with np.errstate(over="ignore", invalid="ignore"):
+                grads = gradient(params, arch, batch)
+            if not np.all(np.isfinite(grads.values)):
+                raise TrainingDivergedError(f"non-finite gradient at step {step}/{total_steps}")
+            lr = lr_for_step(step)
+            if trainable is None:
+                params, state = adamw_step(params, grads, state, lr)
+            else:
+                sub_p = ParamVector(params.values[trainable], params.arch_signature)
+                sub_g = ParamVector(grads.values[trainable], grads.arch_signature)
+                sub_p, state = adamw_step(sub_p, sub_g, state, lr)
+                merged = params.values.copy()
+                merged[trainable] = sub_p.values
+                params = ParamVector(merged, params.arch_signature)
+            if not np.all(np.isfinite(params.values)):
+                raise TrainingDivergedError(f"non-finite parameters at step {step}/{total_steps}")
+            if step in collect_steps:
+                collected.append((step, params.copy()))
+    return params, collected
+
+
+def _train_both(arch, train, config, lr_pair, total_steps, **kwargs):
+    """(final values or None, collected, divergence message or None) for the
+    trainer and the reference, from the same init and rng seed."""
+    outcomes = []
+    for loop, lr_for_step in zip((_train_loop, _reference_train_loop), lr_pair):
+        collected = []
+        final, error = None, None
+        # the reference leaves the overflow inside adamw_step on the way to
+        # a divergence unsilenced
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                params, _ = loop(init_params(arch, 5), arch, train, config, lr_for_step, total_steps,
+                                 np.random.default_rng(9), collect_out=collected, **kwargs)
+                final = params.values
+            except TrainingDivergedError as exc:
+                error = str(exc)
+        outcomes.append((final, [(s, p.values) for s, p in collected], error))
+    return outcomes
+
+
+def _assert_same_run(new, ref):
+    (final, collected, error), (ref_final, ref_collected, ref_error) = new, ref
+    assert error == ref_error
+    assert (final is None) == (ref_final is None)
+    if final is not None:
+        assert np.array_equal(final, ref_final)
+    assert [s for s, _ in collected] == [s for s, _ in ref_collected]
+    for (_, p), (_, q) in zip(collected, ref_collected):
+        assert np.array_equal(p, q)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("level", list(AugmentLevel))
+def test_trainer_matches_reference_loop(bundle, activation, level):
+    arch = ArchSpec((4, 8, 3), activation)
+    config = HyperConfig(lr=1e-2, seed=0, epochs=3, augment=level)
+    spe = steps_per_epoch(bundle.train.n, config.batch_size)
+    sched = CosineSchedule(config.lr, config.epochs)
+    lr_pair = (_cosine_by_step(config.lr, config.epochs, spe),
+               lambda step: cosine_lr((step - 1) // spe, sched))
+    # the last epoch stops part-way through
+    new, ref = _train_both(arch, bundle.train, config, lr_pair, 2 * spe + 3)
+    assert new[2] is None
+    _assert_same_run(new, ref)
+
+
+def test_trainer_matches_reference_on_trainable_slice(bundle):
+    config = HyperConfig(lr=1e-2, seed=0, warmup_epochs=2, augment=AugmentLevel.HEAVY)
+    spe = steps_per_epoch(bundle.train.n, config.batch_size)
+    lr = lambda step: config.lr
+    new, ref = _train_both(ARCH, bundle.train, config, (lr, lr), 2 * spe,
+                           trainable=last_layer_slice(ARCH))
+    _assert_same_run(new, ref)
+
+
+def test_trainer_matches_reference_on_fission_snapshots(bundle):
+    sched = CyclicalSchedule(4, 1e-2, 1e-5)
+    config = HyperConfig(lr=1e-2, seed=0, augment=AugmentLevel.MEDIUM,
+                         schedule="cyclical", cyclical=sched)
+    lr = lambda step: cyclical_alpha(step, sched)
+    new, ref = _train_both(ARCH, bundle.train, config, (lr, lr), fission_total_steps(sched, 3),
+                           collect_steps=frozenset({2, 6, 10}))
+    assert [s for s, _ in new[1]] == [2, 6, 10]
+    _assert_same_run(new, ref)
+
+
+@pytest.mark.parametrize("activation, lr, kind", [("relu", 1e30, "gradient"),
+                                                  ("tanh", 1e300, "parameters")])
+def test_trainer_diverges_like_reference(bundle, activation, lr, kind):
+    arch = ArchSpec((4, 8, 3), activation)
+    sched = CyclicalSchedule(4, lr, 1e-6)
+    config = HyperConfig(lr=1e-2, seed=0, augment=AugmentLevel.HEAVY,
+                         schedule="cyclical", cyclical=sched)
+    rate = lambda step: cyclical_alpha(step, sched)
+    new, ref = _train_both(arch, bundle.train, config, (rate, rate), 40,
+                           collect_steps=frozenset(range(2, 41, 4)))
+    assert new[2] is not None and new[2].startswith(f"non-finite {kind} at step ")
+    _assert_same_run(new, ref)

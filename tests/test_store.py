@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -200,6 +202,50 @@ def test_crash_before_weights_rename_leaves_nothing_loadable(tmp_path, monkeypat
     with pytest.raises(OSError):
         store.save_checkpoint(ck)
     assert not store.exists(ck.id)
+
+
+def test_save_survives_another_writers_temp_directory(tmp_path):
+    # the fixed temp name of an older writer, left as a directory
+    store = Store(tmp_path)
+    ck = _checkpoint()
+    (tmp_path / ck.id / "weights.bin.tmp").mkdir(parents=True)
+    store.save_checkpoint(ck)
+    assert store.load_checkpoint(ck.id).params.values.tobytes() == ck.params.values.tobytes()
+
+
+def test_concurrent_saves_of_one_checkpoint_all_succeed(tmp_path):
+    # Writers race on each id in turn: all of them find no manifest and write
+    # the same files into the same directory.
+    store = Store(tmp_path)
+    checkpoints = [_checkpoint(f"grid-{k:012x}", seed=k) for k in range(30)]
+    writers = 4
+    barrier = threading.Barrier(writers, timeout=30)
+    errors = []
+
+    def save():
+        try:
+            for ck in checkpoints:
+                barrier.wait()
+                store.save_checkpoint(ck, exist_ok=True)
+        except Exception as exc:
+            errors.append(repr(exc))
+            barrier.abort()
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=save) for _ in range(writers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for ck in checkpoints:
+        assert store.load_checkpoint(ck.id).params.values.tobytes() == ck.params.values.tobytes()
+        assert sorted(p.name for p in (tmp_path / ck.id).iterdir()) == ["manifest.json", "weights.bin"]
 
 
 # ---------------------------------------------------------------------------
