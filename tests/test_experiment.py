@@ -26,8 +26,8 @@ from soupkit.nn import MetricKind, evaluate
 from soupkit.store import Store
 
 
-def _tiny_config(name="tiny", seed=1, soups=("uniform", "greedy", "gou", "gog")):
-    cfg = default_experiment_config(name, "rough", seed, soups=soups)
+def _tiny_config(name="tiny", seed=1, soups=("uniform", "greedy", "gou", "gog"), kind="rough"):
+    cfg = default_experiment_config(name, kind, seed, soups=soups)
     d = cfg.to_dict()
     d["task"]["n_samples"] = 240
     d["task"]["dims"] = 4
@@ -246,3 +246,42 @@ def test_default_recipe_artifacts_match_golden_digests(tmp_path):
     for cid in summary["checkpoints"]:
         weights.update((tmp_path / cid / "weights.bin").read_bytes())
     assert weights.hexdigest() == _GOLDEN_DEFAULT_WEIGHTS
+
+
+# Golden digests of every checkpoint's val_metrics (accuracy, macro F1,
+# macro recall and ROC-AUC as stored in its manifest), hashed in summary
+# order. The digests above see macro recall alone: the pinned recipes are
+# rough, so the other metrics reach the artifacts only through manifests.
+_GOLDEN_TINY_VAL_METRICS = "99e2c06f450da32fac8e3b510c7b6ce7661a2438b93a2872e9bdbc6da1f8c729"
+_GOLDEN_DEFAULT_VAL_METRICS = "8712714fab1a6548faa98fc5e80d713cc4676734ade5c9c2c1b057db782a0f2c"
+# The smooth task family scores by accuracy, so its report pins that path
+# (seed 0: its nine soups and baselines spread over seven accuracy values).
+_GOLDEN_SMOOTH_REPORT = "ca198a0501da4fee772b44457c927730c6fb0ab4279e4461d5a344f04bcacb61"
+
+
+def _val_metrics_digest(store, summary):
+    digest = hashlib.sha256()
+    for cid in summary["checkpoints"]:
+        metrics = store.read_manifest(cid)["val_metrics"]
+        digest.update(json.dumps(metrics, sort_keys=True).encode("ascii"))
+    return digest.hexdigest()
+
+
+def test_tiny_val_metrics_match_golden_digest(tmp_path):
+    store = Store(tmp_path)
+    summary = run_experiment(_tiny_config(soups=_ALL_SOUPS), store)
+    assert _val_metrics_digest(store, summary) == _GOLDEN_TINY_VAL_METRICS
+
+
+def test_default_recipe_val_metrics_match_golden_digest(tmp_path):
+    store = Store(tmp_path)
+    summary = run_experiment(default_experiment_config("pin", "rough", 0), store)
+    assert _val_metrics_digest(store, summary) == _GOLDEN_DEFAULT_VAL_METRICS
+
+
+def test_smooth_accuracy_report_matches_golden_digest(tmp_path):
+    cfg = _tiny_config(name="tiny-smooth", seed=0, soups=_ALL_SOUPS, kind="smooth")
+    assert cfg.metric is MetricKind.ACCURACY
+    store = Store(tmp_path)
+    run_experiment(cfg, store)
+    assert _sha256(store.experiment_dir(cfg.name) / "report.csv") == _GOLDEN_SMOOTH_REPORT

@@ -373,3 +373,62 @@ def test_evaluate_accepts_metric_name_string():
     arch = ArchSpec((3, 3))
     ds = _dataset(np.eye(3), [0, 1, 2], 3)
     assert evaluate(_rigged_params(arch), arch, ds, "accuracy") == 1.0
+
+
+# Reference per-class loops, kept here to pin the scorer's macro metrics
+# bit for bit: average over the classes present in the labels, and a class
+# with no predictions (or no hits) scores an F1 of zero.
+def _reference_macro_recall(labels, preds):
+    recalls = []
+    for c in np.unique(labels):
+        mask = labels == c
+        recalls.append(float((preds[mask] == c).sum()) / float(mask.sum()))
+    return float(np.mean(recalls))
+
+
+def _reference_macro_f1(labels, preds):
+    f1s = []
+    for c in np.unique(labels):
+        tp = float(((preds == c) & (labels == c)).sum())
+        fp = float(((preds == c) & (labels != c)).sum())
+        fn = float(((preds != c) & (labels == c)).sum())
+        prec = tp / (tp + fp) if tp + fp > 0 else 0.0
+        rec = tp / (tp + fn) if tp + fn > 0 else 0.0
+        f1s.append(2.0 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0)
+    return float(np.mean(f1s))
+
+
+def test_class_metrics_match_reference_loops_exactly():
+    rng = np.random.default_rng(10)
+    for trial in range(300):
+        k = int(rng.integers(2, 12))
+        n = int(rng.integers(1, 60))
+        # draw labels and predictions from random class subsets, so some
+        # classes are absent from the labels and some are never predicted;
+        # every tenth trial has a single class in the labels
+        label_classes = rng.choice(k, size=1 if trial % 10 == 0 else int(rng.integers(1, k + 1)),
+                                   replace=False)
+        pred_classes = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+        labels = rng.choice(label_classes, size=n)
+        preds = rng.choice(pred_classes, size=n)
+        arch = ArchSpec((k, k))
+        ds = _dataset(np.eye(k)[preds], labels, k)
+        params = _rigged_params(arch)
+        assert evaluate(params, arch, ds, MetricKind.ACCURACY) == int((preds == labels).sum()) / n
+        assert evaluate(params, arch, ds, MetricKind.MACRO_RECALL) == _reference_macro_recall(labels, preds)
+        assert evaluate(params, arch, ds, MetricKind.MACRO_F1) == _reference_macro_f1(labels, preds)
+
+
+def test_evaluate_rejects_wrong_feature_width():
+    arch = ArchSpec((3, 3))
+    ds = _dataset(np.eye(4), [0, 1, 2, 0], 3)
+    with pytest.raises(ValueError, match=r"feature dim 4 does not match input dim 3"):
+        evaluate(_rigged_params(arch), arch, ds, MetricKind.ACCURACY)
+
+
+def test_evaluate_rejects_labels_outside_the_architecture():
+    arch = ArchSpec((3, 3))
+    ds = _dataset(np.eye(3), [0, 1, 4], 5)  # valid for the dataset, not for a 3-class head
+    for metric in MetricKind:
+        with pytest.raises(ValueError, match=r"labels out of range \[0, 3\)"):
+            evaluate(_rigged_params(arch), arch, ds, metric)

@@ -290,6 +290,14 @@ def test_val_metric_map_skips_undefined(bundle, theta0):
     assert "roc_auc_ovr" not in metrics
 
 
+def test_val_metric_map_equals_separate_evaluations(bundle, theta0):
+    from soupkit.nn import evaluate
+    for split in (bundle.val, bundle.test, bundle.ood):
+        metrics = val_metric_map(theta0.params, ARCH, split)
+        assert metrics == {kind.value: evaluate(theta0.params, ARCH, split, kind) for kind in MetricKind}
+        assert list(metrics) == [kind.value for kind in MetricKind]
+
+
 # ---------------------------------------------------------------------------
 # Trainer parity with the per-step reference loop
 
