@@ -155,20 +155,17 @@ def landscape_grid(basis: PlaneBasis, extent: tuple[float, float, float, float],
 
 
 def count_local_minima(values: np.ndarray | LandscapeGrid) -> int:
-    """Interior cells strictly below all eight neighbours."""
+    """Interior cells strictly below all eight neighbours: the cell is the only
+    one of its 3x3 block at or below it. A NaN cell never counts (it is not
+    even <= itself) and a NaN neighbour never blocks."""
     if isinstance(values, LandscapeGrid):
         values = values.values
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 3 or values.shape[1] < 3:
         return 0
-    count = 0
-    for i in range(1, values.shape[0] - 1):
-        for j in range(1, values.shape[1] - 1):
-            cell = values[i, j]
-            block = values[i - 1 : i + 2, j - 1 : j + 2]
-            if np.sum(block < cell) == 0 and np.sum(block == cell) == 1:
-                count += 1
-    return count
+    blocks = np.lib.stride_tricks.sliding_window_view(values, (3, 3))
+    at_or_below = (blocks <= values[1:-1, 1:-1, None, None]).sum(axis=(2, 3))
+    return int((at_or_below == 1).sum())
 
 
 @dataclass
@@ -196,11 +193,6 @@ class ReportTable:
                 w.writerow(cells)
 
 
-def _entry_parts(entry) -> tuple[str, ParamVector]:
-    # Checkpoints and soup results both expose id and params.
-    return entry.id, entry.params
-
-
 def ood_report(entries: Sequence[tuple[str, object]], id_test: LabeledDataset,
                ood_sets: Sequence[LabeledDataset], metric: MetricKind | str,
                arch: ArchSpec) -> ReportTable:
@@ -217,15 +209,14 @@ def ood_report(entries: Sequence[tuple[str, object]], id_test: LabeledDataset,
             seen[name] = 0
         columns.append(name)
     rows = []
-    for label, entry in entries:
-        entry_id, params = _entry_parts(entry)
+    for label, entry in entries:  # checkpoints and soup results alike
         scores: dict[str, float | None] = {}
         for col, ds in zip(columns, [id_test, *ood_sets]):
             try:
-                scores[col] = evaluate(params, arch, ds, metric)
+                scores[col] = evaluate(entry.params, arch, ds, metric)
             except MetricUndefinedError:
                 scores[col] = None
-        rows.append(ReportRow(label, entry_id, scores))
+        rows.append(ReportRow(label, entry.id, scores))
     return ReportTable(metric.value, columns, rows)
 
 

@@ -5,6 +5,10 @@ gradients of the cross-entropy loss, and the classification metrics used for
 model selection. Parameters travel as a single flat vector so that
 weight-space operations (averaging, interpolation, plane slices) stay
 trivial and exact.
+
+Inputs are checked once per public call (and once per training stage), never
+in the kernels: `_check_params` and `_check_fit`. Scoring is one checked
+forward (`_logits`), then any number of metrics from its logits (`_score`).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -189,15 +193,9 @@ def _check_params(params: ParamVector, arch: ArchSpec) -> None:
         raise ValueError(f"expected {arch.param_count} parameters, got {params.size}")
 
 
-def _activation_fn(name: str) -> Callable[[np.ndarray], np.ndarray]:
-    if name == "relu":
-        return lambda z: np.maximum(z, 0.0)
-    return np.tanh
-
-
 def _forward_cached(layers: list[tuple[np.ndarray, np.ndarray]], activation: str, features: np.ndarray):
     """Forward pass keeping pre-activations and activations for backprop."""
-    act = _activation_fn(activation)
+    act = (lambda z: np.maximum(z, 0.0)) if activation == "relu" else np.tanh
     a = features
     pres: list[np.ndarray] = []
     acts: list[np.ndarray] = [a]
@@ -209,14 +207,24 @@ def _forward_cached(layers: list[tuple[np.ndarray, np.ndarray]], activation: str
     return pres, acts
 
 
+def _check_fit(arch: ArchSpec, features: np.ndarray, labels: np.ndarray) -> None:
+    """Feature width and label range against the architecture; no rows pass."""
+    if features.shape[1] != arch.input_dim:
+        raise ValueError(f"feature dim {features.shape[1]} does not match input dim {arch.input_dim}")
+    if labels.size and (labels.min() < 0 or labels.max() >= arch.class_count):
+        raise ValueError(f"labels out of range [0, {arch.class_count})")
+
+
+def _logits(params: ParamVector, arch: ArchSpec, rows: "Batch | LabeledDataset") -> np.ndarray:
+    """One checked forward over a batch or a whole split."""
+    _check_fit(arch, rows.features, rows.labels)
+    _, acts = _forward_cached(unpack_params(params, arch), arch.activation, rows.features)
+    return acts[-1]
+
+
 def forward(params: ParamVector, arch: ArchSpec, batch: Batch) -> np.ndarray:
     """Logits for a batch; activation on hidden layers only, none on the last."""
-    if batch.features.shape[1] != arch.input_dim:
-        raise ValueError(f"feature dim {batch.features.shape[1]} does not match input dim {arch.input_dim}")
-    if batch.n and (batch.labels.min() < 0 or batch.labels.max() >= arch.class_count):
-        raise ValueError(f"labels out of range [0, {arch.class_count})")
-    _, acts = _forward_cached(unpack_params(params, arch), arch.activation, batch.features)
-    return acts[-1]
+    return _logits(params, arch, batch)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -250,10 +258,7 @@ def gradient(params: ParamVector, arch: ArchSpec, batch: Batch) -> ParamVector:
     """Analytic gradient of the mean cross-entropy over the batch."""
     if batch.n == 0:
         raise ValueError("cannot take gradient of an empty batch")
-    if batch.features.shape[1] != arch.input_dim:
-        raise ValueError(f"feature dim {batch.features.shape[1]} does not match input dim {arch.input_dim}")
-    if batch.labels.min() < 0 or batch.labels.max() >= arch.class_count:
-        raise ValueError(f"labels out of range [0, {arch.class_count})")
+    _check_fit(arch, batch.features, batch.labels)
     out = np.empty(arch.param_count)
     _gradient_into(unpack_params(params, arch), arch.activation, batch.features, batch.labels,
                    _layer_views(out, arch))
@@ -311,44 +316,36 @@ def binary_roc_auc(scores: np.ndarray, positives: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def _macro_recall(labels: np.ndarray, preds: np.ndarray) -> float:
-    recalls = []
-    for c in np.unique(labels):
-        mask = labels == c
-        recalls.append(float((preds[mask] == c).sum()) / float(mask.sum()))
-    return float(np.mean(recalls))
-
-
-def _macro_f1(labels: np.ndarray, preds: np.ndarray) -> float:
-    f1s = []
-    for c in np.unique(labels):
-        tp = float(((preds == c) & (labels == c)).sum())
-        fp = float(((preds == c) & (labels != c)).sum())
-        fn = float(((preds != c) & (labels == c)).sum())
-        prec = tp / (tp + fp) if tp + fp > 0 else 0.0
-        rec = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1s.append(2.0 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0)
-    return float(np.mean(f1s))
+def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind) -> float:
+    """One metric from logits and checked labels. Accuracy, macro recall and
+    macro F1 come from one confusion[true, predicted] matrix; the macro
+    averages run over the classes present, and F1 is 0 for a class never hit."""
+    if metric is MetricKind.ROC_AUC_OVR:
+        present = np.unique(labels)
+        if present.size < 2:
+            raise MetricUndefinedError("ROC-AUC is undefined with a single class present")
+        probs = softmax(logits)
+        return float(np.mean([binary_roc_auc(probs[:, c], labels == c) for c in present]))
+    k = logits.shape[1]
+    confusion = np.bincount(labels * k + np.argmax(logits, axis=1), minlength=k * k).reshape(k, k)
+    if metric is MetricKind.ACCURACY:
+        return int(np.trace(confusion)) / labels.size
+    support = confusion.sum(axis=1)
+    present = support > 0
+    hits = np.diagonal(confusion)[present].astype(np.float64)
+    recall = hits / support[present]
+    if metric is MetricKind.MACRO_RECALL:
+        return float(np.mean(recall))
+    predicted = confusion.sum(axis=0)[present]
+    precision = np.divide(hits, predicted, out=np.zeros_like(hits), where=predicted > 0)
+    both = precision + recall
+    f1 = np.divide(2.0 * precision * recall, both, out=np.zeros_like(hits), where=both > 0)
+    return float(np.mean(f1))
 
 
 def evaluate(params: ParamVector, arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> float:
-    """Score in [0, 1] for the dataset under the given metric (higher is better)."""
+    """Score in [0, 1] for the dataset under the given metric (higher is better).
+
+    The split is used as given; its fit and the parameters are checked once."""
     metric = MetricKind(metric)
-    if dataset.n == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    batch = Batch(dataset.features, dataset.labels)
-    logits = forward(params, arch, batch)
-    labels = batch.labels
-    preds = np.argmax(logits, axis=1)
-    if metric is MetricKind.ACCURACY:
-        return int((preds == labels).sum()) / int(labels.size)
-    if metric is MetricKind.MACRO_RECALL:
-        return _macro_recall(labels, preds)
-    if metric is MetricKind.MACRO_F1:
-        return _macro_f1(labels, preds)
-    present = np.unique(labels)
-    if present.size < 2:
-        raise MetricUndefinedError("ROC-AUC is undefined with a single class present")
-    probs = softmax(logits)
-    aucs = [binary_roc_auc(probs[:, c], labels == c) for c in present]
-    return float(np.mean(aucs))
+    return _score(_logits(params, arch, dataset), dataset.labels, metric)

@@ -23,10 +23,12 @@ from .nn import (
     MetricKind,
     MetricUndefinedError,
     ParamVector,
+    _check_fit,
     _check_params,
     _gradient_into,
     _layer_views,
-    evaluate,
+    _logits,
+    _score,
     init_params,
     last_layer_slice,
 )
@@ -163,11 +165,13 @@ def checkpoint_id(stage: str, arch: ArchSpec, config: HyperConfig | None,
 
 
 def val_metric_map(params: ParamVector, arch: ArchSpec, val: LabeledDataset) -> dict[str, float]:
-    """All supported metrics on the validation split; undefined ones are omitted."""
+    """All supported metrics on the validation split from one forward;
+    undefined ones are omitted."""
+    logits = _logits(params, arch, val)
     out = {}
     for kind in MetricKind:
         try:
-            out[kind.value] = evaluate(params, arch, val, kind)
+            out[kind.value] = _score(logits, val.labels, kind)
         except MetricUndefinedError:
             pass
     return out
@@ -201,19 +205,13 @@ def _train_loop(
     Snapshots land in `collect_out` as they happen, so a caller that traps a
     divergence still sees everything collected before it.
 
-    Inputs are validated once, here at stage entry, not per step: the
-    parameters against the architecture, the split's feature width and label
-    range against its layers. Each step then runs on raw arrays (rows straight
-    from the split, the gradient into one preallocated buffer). The update is
-    still one `adamw_step` call per step, so the AdamW arithmetic and its
-    checks live in one place and each optimizer step stays one call;
-    `adamw_step` leaves its inputs alone, so its result is copied back.
+    Inputs are checked once, here at stage entry, not per step. Each step runs
+    on raw arrays (rows straight from the split, the gradient into one
+    preallocated buffer) and makes one `adamw_step` call, whose result is
+    copied back.
     """
     _check_params(params, arch)
-    if train.dims != arch.input_dim:
-        raise ValueError(f"feature dim {train.dims} does not match input dim {arch.input_dim}")
-    if train.labels.min() < 0 or train.labels.max() >= arch.class_count:
-        raise ValueError(f"labels out of range [0, {arch.class_count})")
+    _check_fit(arch, train.features, train.labels)
     n, bs = train.n, config.batch_size
     spe = steps_per_epoch(n, bs)
     sigma, dropout_p = AUGMENT_PARAMS[config.augment]

@@ -229,6 +229,42 @@ def test_count_minima_tiny_grids():
     assert count_local_minima(np.zeros((3, 2))) == 0
 
 
+def _reference_count_minima(values):
+    """The cell-by-cell scan: no neighbour below the cell, and the cell the
+    only one of its 3x3 block equal to it."""
+    count = 0
+    for i in range(1, values.shape[0] - 1):
+        for j in range(1, values.shape[1] - 1):
+            cell = values[i, j]
+            block = values[i - 1 : i + 2, j - 1 : j + 2]
+            if np.sum(block < cell) == 0 and np.sum(block == cell) == 1:
+                count += 1
+    return count
+
+
+def test_count_minima_matches_reference_scan_with_ties_nan_and_inf():
+    rng = np.random.default_rng(12)
+    specials = np.array([np.nan, np.inf, -np.inf])
+    for trial in range(400):
+        shape = tuple(int(d) for d in rng.integers(3, 12, size=2))
+        # few distinct levels force ties; NaN and +-inf land on random cells
+        surface = rng.integers(0, 4, size=shape).astype(np.float64)
+        if trial % 2:
+            surface = rng.normal(size=shape)
+        mask = rng.random(shape) < rng.choice([0.0, 0.05, 0.3])
+        surface[mask] = rng.choice(specials, size=int(mask.sum()))
+        assert count_local_minima(surface) == _reference_count_minima(surface), trial
+
+
+def test_count_minima_nan_cell_never_counts_and_never_blocks():
+    surface = np.ones((3, 3))
+    surface[1, 1] = np.nan
+    assert count_local_minima(surface) == 0
+    surface = np.full((3, 3), np.nan)
+    surface[1, 1] = 0.5
+    assert count_local_minima(surface) == 1
+
+
 def test_count_minima_accepts_grid_object(ds):
     basis = plane_basis(*_three_anchors())
     grid = landscape_grid(basis, default_extent(basis.anchor_coords), (4, 4), ds, MetricKind.ACCURACY)
