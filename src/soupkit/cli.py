@@ -8,6 +8,7 @@ between commands lives in a checkpoint store directory (``--store``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,6 +30,7 @@ from .experiment import ExperimentConfig, build_soups, cycle_schedule, run_exper
 from .nn import ArchSpec, MetricKind, evaluate
 from .pipeline import (
     HyperConfig,
+    TrainingDivergedError,
     fgg_base_generate,
     fgg_fission,
     grid_generate,
@@ -373,12 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process, built at the first dispatch
+
+
 def cli_dispatch(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
+    # the --store default follows SOUPKIT_STORE as it is now, not at build time
+    parser.set_defaults(store=os.environ.get("SOUPKIT_STORE", "store"))
     args = parser.parse_args(argv)
     try:
         summary = args.func(args)
-    except (ValueError, LookupError, StoreError, OSError) as exc:
+    except (ValueError, LookupError, StoreError, OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(summary, sort_keys=True))

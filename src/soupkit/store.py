@@ -186,12 +186,18 @@ class Store:
         return self.root / "datasets" / name
 
     def save_task_bundle(self, name: str, bundle: TaskBundle, spec: TaskSpec | None = None) -> Path:
+        """Write the splits and spec; a name taken by a different spec is refused."""
         d = self.dataset_dir(name)
+        spec_path = d / "task.json"
+        if spec is not None and spec_path.is_file():
+            stored = TaskSpec.from_dict(json.loads(spec_path.read_text()))
+            if stored != spec:
+                raise StoreError(f"dataset {name!r} already exists with a different task spec")
         d.mkdir(parents=True, exist_ok=True)
         for role, ds in bundle.splits().items():
             save_csv(ds, d / f"{role}.csv")
         if spec is not None:
-            _atomic_write(d / "task.json", json.dumps(spec.to_dict(), indent=2, sort_keys=True).encode("ascii"))
+            _atomic_write(spec_path, json.dumps(spec.to_dict(), indent=2, sort_keys=True).encode("ascii"))
         return d
 
     def load_dataset(self, name: str, role: str) -> LabeledDataset:

@@ -251,3 +251,22 @@ def test_soup_requires_member_flags(pipe):
     rc, _, err = _run("--store", pipe["store"], "soup", "--data", "demo",
                       "--method", "gog", "--metric", "accuracy")
     assert rc == 1 and "--bases" in err
+
+
+def test_diverging_stage_is_a_one_line_error(tmp_path):
+    s = ("--store", str(tmp_path))
+    _ok(*s, "gen-data", "--name", "e", "--seed", "0")
+    rc, out, err = _run(*s, "pretrain", "--data", "e", "--lr", "1e6", "--epochs", "3")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: non-finite") and err.count("\n") == 1
+
+
+def test_gen_data_refuses_a_different_spec_under_a_taken_name(tmp_path):
+    s = ("--store", str(tmp_path))
+    _ok(*s, "gen-data", "--name", "e", "--seed", "0")
+    train = (tmp_path / "datasets" / "e" / "train.csv").read_bytes()
+    rc, out, err = _run(*s, "gen-data", "--name", "e", "--seed", "5", "--samples", "300")
+    assert rc == 1 and out == "" and "different task spec" in err
+    assert (tmp_path / "datasets" / "e" / "train.csv").read_bytes() == train
+    _ok(*s, "gen-data", "--name", "e", "--seed", "0")

@@ -296,3 +296,17 @@ def test_task_bundle_roundtrip(tmp_path):
 def test_load_dataset_missing_split(tmp_path):
     with pytest.raises(StoreError, match="no train split"):
         Store(tmp_path).load_dataset("nope", "train")
+
+
+def test_task_bundle_refuses_a_different_spec_under_a_taken_name(tmp_path):
+    store = Store(tmp_path)
+    spec = TaskSpec(kind="rough", seed=0, dims=4, class_count=3, n_samples=240)
+    store.save_task_bundle("data", gen_task(spec), spec)
+    before = {f.name: f.read_bytes() for f in store.dataset_dir("data").iterdir()}
+    other = TaskSpec(kind="rough", seed=5, dims=4, class_count=3, n_samples=300)
+    with pytest.raises(StoreError, match="different task spec"):
+        store.save_task_bundle("data", gen_task(other), other)
+    assert {f.name: f.read_bytes() for f in store.dataset_dir("data").iterdir()} == before
+    # the same spec again is a re-run, not a conflict
+    store.save_task_bundle("data", gen_task(spec), spec)
+    assert {f.name: f.read_bytes() for f in store.dataset_dir("data").iterdir()} == before
