@@ -155,9 +155,8 @@ def landscape_grid(basis: PlaneBasis, extent: tuple[float, float, float, float],
 
 
 def count_local_minima(values: np.ndarray | LandscapeGrid) -> int:
-    """Interior cells strictly below all eight neighbours: the cell is the only
-    one of its 3x3 block at or below it. A NaN cell never counts (it is not
-    even <= itself) and a NaN neighbour never blocks."""
+    """Interior cells strictly below all eight neighbours, i.e. the only cell of their
+    3x3 block at or below them: a NaN cell never counts and a NaN neighbour never blocks."""
     if isinstance(values, LandscapeGrid):
         values = values.values
     values = np.asarray(values, dtype=np.float64)

@@ -490,8 +490,11 @@ def method_comparison(seed: int, kind: TaskKind | str = TaskKind.ROUGH) -> Compa
     scores: dict[str, dict[str, float]] = {}
 
     def score_params(params: ParamVector) -> dict[str, float]:
-        return {split: evaluate(params, config.arch, getattr(bundle, split), config.metric)
-                for split in ("val", "test", "ood")}
+        return {
+            "val": evaluate(params, config.arch, bundle.val, config.metric),
+            "test": evaluate(params, config.arch, bundle.test, config.metric),
+            "ood": evaluate(params, config.arch, bundle.ood, config.metric),
+        }
 
     best = max(grid_cks, key=lambda c: (c.val_metrics.get(metric_key, float("-inf")), c.id))
     scores["best_grid"] = score_params(best.params)

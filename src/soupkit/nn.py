@@ -208,7 +208,7 @@ def _forward_cached(layers: list[tuple[np.ndarray, np.ndarray]], activation: str
 
 
 def _check_fit(arch: ArchSpec, features: np.ndarray, labels: np.ndarray) -> None:
-    """Feature width and label range against the architecture; no rows pass."""
+    """Feature width and label range against the architecture (empty labels pass)."""
     if features.shape[1] != arch.input_dim:
         raise ValueError(f"feature dim {features.shape[1]} does not match input dim {arch.input_dim}")
     if labels.size and (labels.min() < 0 or labels.max() >= arch.class_count):
@@ -317,21 +317,20 @@ def binary_roc_auc(scores: np.ndarray, positives: np.ndarray) -> float:
 
 
 def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind) -> float:
-    """One metric from logits and checked labels. Accuracy, macro recall and
-    macro F1 come from one confusion[true, predicted] matrix; the macro
-    averages run over the classes present, and F1 is 0 for a class never hit."""
-    if metric is MetricKind.ROC_AUC_OVR:
-        present = np.unique(labels)
-        if present.size < 2:
-            raise MetricUndefinedError("ROC-AUC is undefined with a single class present")
-        probs = softmax(logits)
-        return float(np.mean([binary_roc_auc(probs[:, c], labels == c) for c in present]))
+    """One metric from logits and checked labels, read from one confusion[true,
+    predicted] matrix (ROC-AUC takes only its classes present). Macro averages
+    run over the classes present in the labels; F1 is 0 for a class never hit."""
     k = logits.shape[1]
     confusion = np.bincount(labels * k + np.argmax(logits, axis=1), minlength=k * k).reshape(k, k)
     if metric is MetricKind.ACCURACY:
         return int(np.trace(confusion)) / labels.size
     support = confusion.sum(axis=1)
     present = support > 0
+    if metric is MetricKind.ROC_AUC_OVR:
+        if present.sum() < 2:
+            raise MetricUndefinedError("ROC-AUC is undefined with a single class present")
+        probs = softmax(logits)
+        return float(np.mean([binary_roc_auc(probs[:, c], labels == c) for c in np.flatnonzero(present)]))
     hits = np.diagonal(confusion)[present].astype(np.float64)
     recall = hits / support[present]
     if metric is MetricKind.MACRO_RECALL:

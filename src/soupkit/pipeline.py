@@ -165,8 +165,7 @@ def checkpoint_id(stage: str, arch: ArchSpec, config: HyperConfig | None,
 
 
 def val_metric_map(params: ParamVector, arch: ArchSpec, val: LabeledDataset) -> dict[str, float]:
-    """All supported metrics on the validation split from one forward;
-    undefined ones are omitted."""
+    """All supported metrics on the validation split, from one forward; undefined ones are omitted."""
     logits = _logits(params, arch, val)
     out = {}
     for kind in MetricKind:
@@ -207,8 +206,9 @@ def _train_loop(
 
     Inputs are checked once, here at stage entry, not per step. Each step runs
     on raw arrays (rows straight from the split, the gradient into one
-    preallocated buffer) and makes one `adamw_step` call, whose result is
-    copied back.
+    preallocated buffer) and makes one `adamw_step` call, so the AdamW
+    arithmetic and its checks live in one place; `adamw_step` leaves its
+    inputs alone, so its result is copied back.
     """
     _check_params(params, arch)
     _check_fit(arch, train.features, train.labels)
