@@ -60,6 +60,7 @@ from .pipeline import (
     TrainingDivergedError,
     fgg_base_generate,
     fgg_fission,
+    fgg_fission_many,
     fine_tune,
     grid_generate,
     linear_probe_warmup,

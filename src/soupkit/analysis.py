@@ -8,14 +8,13 @@ cells hold validation error, i.e. one minus the score.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, _write_csv_rows
 from .nn import ArchSpec, MetricKind, MetricUndefinedError, ParamVector, evaluate
 from .pipeline import Checkpoint
 
@@ -41,11 +40,8 @@ class LmcCurve:
         return float(min(self.scores[0], self.scores[-1]) - self.scores.min())
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "score"])
-            for lam, s in zip(self.lambdas, self.scores):
-                w.writerow([repr(float(lam)), repr(float(s))])
+        _write_csv_rows(path, [["lambda", "score"],
+                               *([repr(float(lam)), repr(float(s))] for lam, s in zip(self.lambdas, self.scores))])
 
 
 def lmc_sweep(a: Checkpoint, b: Checkpoint, n_points: int,
@@ -125,12 +121,9 @@ class LandscapeGrid:
     values: np.ndarray  # error surface, shape (len(ys), len(xs))
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "y", "error"])
-            for i, y in enumerate(self.ys):
-                for j, x in enumerate(self.xs):
-                    w.writerow([repr(float(x)), repr(float(y)), repr(float(self.values[i, j]))])
+        _write_csv_rows(path, [["x", "y", "error"],
+                               *([repr(float(x)), repr(float(y)), repr(float(self.values[i, j]))]
+                                 for i, y in enumerate(self.ys) for j, x in enumerate(self.xs))])
 
 
 def landscape_grid(basis: PlaneBasis, extent: tuple[float, float, float, float],
@@ -181,15 +174,12 @@ class ReportTable:
     rows: list[ReportRow]
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["method", "id", *self.columns])
-            for row in self.rows:
-                cells = [row.label, row.entry_id]
-                for col in self.columns:
-                    s = row.scores.get(col)
-                    cells.append("undefined" if s is None else repr(float(s)))
-                w.writerow(cells)
+        rows = [["method", "id", *self.columns]]
+        for row in self.rows:
+            scores = [row.scores.get(col) for col in self.columns]
+            rows.append([row.label, row.entry_id,
+                         *("undefined" if s is None else repr(float(s)) for s in scores)])
+        _write_csv_rows(path, rows)
 
 
 def ood_report(entries: Sequence[tuple[str, object]], id_test: LabeledDataset,
@@ -227,14 +217,13 @@ class BudgetReport:
     ratio: float | None
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["quantity", "epochs"])
-            for stage, total in sorted(self.stage_epochs.items()):
-                w.writerow([f"stage:{stage}", repr(total)])
-            w.writerow(["grid_total", repr(self.grid_total)])
-            w.writerow(["fgg_total", repr(self.fgg_total)])
-            w.writerow(["fgg_over_grid_ratio", "undefined" if self.ratio is None else repr(self.ratio)])
+        _write_csv_rows(path, [
+            ["quantity", "epochs"],
+            *([f"stage:{stage}", repr(total)] for stage, total in sorted(self.stage_epochs.items())),
+            ["grid_total", repr(self.grid_total)],
+            ["fgg_total", repr(self.fgg_total)],
+            ["fgg_over_grid_ratio", "undefined" if self.ratio is None else repr(self.ratio)],
+        ])
 
 
 def compute_budget(checkpoints: Sequence[Checkpoint]) -> BudgetReport:

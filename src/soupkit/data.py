@@ -11,9 +11,13 @@ shift, and label noise. Everything is deterministic in the task seed.
 from __future__ import annotations
 
 import csv
+import io
+import os
+import uuid
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -274,14 +278,35 @@ def _jitter(features: np.ndarray, sigma: float, dropout_p: float,
     return feats
 
 
+def _atomic_write(path: Path, raw: bytes) -> None:
+    """Write through a temp file of a unique name in the same directory, then
+    rename over `path`: readers see the old file or the new one, never a
+    partial one, and concurrent writers never share a temp file."""
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with tmp.open("xb") as fh:
+            fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """Rows in the `csv.writer` dialect (CRLF lines, minimal quoting), written atomically."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    _atomic_write(Path(path), buf.getvalue().encode("utf-8"))
+
+
 def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
-    """Feature columns then the label column; floats as shortest round-trip repr."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dataset.dims)] + ["label"])
-        for row, lab in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(x)) for x in row] + [int(lab)])
+    """Feature columns then the label column; floats as shortest round-trip
+    repr. The bytes are those of `csv.writer`: no cell needs quoting."""
+    lines = [",".join([f"f{i}" for i in range(dataset.dims)] + ["label"])]
+    lines += [",".join(map(repr, row)) + f",{label}"
+              for row, label in zip(dataset.features.tolist(), dataset.labels.tolist())]
+    lines.append("")
+    _atomic_write(Path(path), "\r\n".join(lines).encode("ascii"))
 
 
 def _is_number(cell: str) -> bool:

@@ -13,7 +13,6 @@ defaults; they back the headline empirical claims.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -30,14 +29,14 @@ from .analysis import (
     ood_report,
     plane_basis,
 )
-from .data import AugmentLevel, LabeledDataset, TaskBundle, TaskKind, TaskSpec, gen_task
+from .data import AugmentLevel, LabeledDataset, TaskBundle, TaskKind, TaskSpec, _atomic_write, gen_task
 from .nn import ArchSpec, MetricKind, ParamVector, evaluate
 from .optim import CyclicalSchedule
 from .pipeline import (
     Checkpoint,
     HyperConfig,
     fgg_base_generate,
-    fgg_fission,
+    fgg_fission_many,
     grid_generate,
     linear_probe_warmup,
     pretrain_source,
@@ -45,8 +44,6 @@ from .pipeline import (
 )
 from .soup import LineageError, SoupMethod, SoupResult, greedy_soup, hierarchical_soup, uniform_soup
 from .store import Store
-
-log = logging.getLogger(__name__)
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -316,12 +313,8 @@ def _fgg_stage(config: ExperimentConfig, theta0: Checkpoint, bundle: TaskBundle)
     bases, failures = fgg_base_generate(theta0, list(fgg.lrs), bundle.train, bundle.val, template)
     sched = cycle_schedule(fgg.cycle_epochs, bundle.train.n, config.batch_size,
                            fgg.alpha1, fgg.alpha2)
-    groups = []
-    for base in bases:
-        result = fgg_fission(base, sched, fgg.n_collect, bundle.train, bundle.val)
-        if result.truncated:
-            log.warning("fission from %s truncated at %d snapshots", base.id, len(result.checkpoints))
-        groups.append((base, result.checkpoints))
+    results = fgg_fission_many(bases, sched, fgg.n_collect, bundle.train, bundle.val)
+    groups = [(base, result.checkpoints) for base, result in zip(bases, results)]
     return bases, groups, failures
 
 
@@ -440,7 +433,7 @@ def run_experiment(config: ExperimentConfig | dict, store: Store) -> dict:
             files.append("landscape.csv")
             local_minima = count_local_minima(surface)
 
-    (exp_dir / "config.json").write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True))
+    _atomic_write(exp_dir / "config.json", json.dumps(config.to_dict(), indent=2, sort_keys=True).encode("ascii"))
     summary = {
         "name": config.name,
         "metric": metric_key,
@@ -457,7 +450,7 @@ def run_experiment(config: ExperimentConfig | dict, store: Store) -> dict:
         "local_minima": local_minima,
         "files": files,
     }
-    (exp_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    _atomic_write(exp_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True).encode("ascii"))
     return summary
 
 

@@ -72,6 +72,17 @@ class ArchSpec:
         """(fan_in, fan_out) per linear layer."""
         return list(zip(self.layer_dims[:-1], self.layer_dims[1:]))
 
+    @cached_property
+    def _layout(self) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
+        """(weight slice, (fan_in, fan_out), bias slice) of each layer in the flat vector."""
+        out = []
+        offset = 0
+        for fan_in, fan_out in self.layer_shapes():
+            end = offset + fan_in * fan_out
+            out.append((slice(offset, end), (fan_in, fan_out), slice(end, end + fan_out)))
+            offset = end + fan_out
+        return tuple(out)
+
     @property
     def param_count(self) -> int:
         return sum(i * o + o for i, o in self.layer_shapes())
@@ -156,16 +167,13 @@ def unpack_params(params: ParamVector, arch: ArchSpec) -> list[tuple[np.ndarray,
 
 
 def _layer_views(values: np.ndarray, arch: ArchSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(W, b) views into a flat vector of the architecture's size, unchecked."""
-    out = []
-    offset = 0
-    for fan_in, fan_out in arch.layer_shapes():
-        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = values[offset : offset + fan_out]
-        offset += fan_out
-        out.append((w, b))
-    return out
+    """(W, b) views into flat vectors of the architecture's size, unchecked.
+
+    Leading axes carry over: a (P,) vector gives W (fan_in, fan_out) and b
+    (fan_out,); a (K, P) member stack gives W (K, fan_in, fan_out) and b
+    (K, fan_out)."""
+    lead = values.shape[:-1]
+    return [(values[..., w].reshape(lead + shape), values[..., b]) for w, shape, b in arch._layout]
 
 
 def pack_params(layers: Sequence[tuple[np.ndarray, np.ndarray]], arch: ArchSpec) -> ParamVector:
@@ -194,13 +202,17 @@ def _check_params(params: ParamVector, arch: ArchSpec) -> None:
 
 
 def _forward_cached(layers: list[tuple[np.ndarray, np.ndarray]], activation: str, features: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop."""
+    """Forward pass keeping pre-activations and activations for backprop.
+
+    Works on one model (rows (n, d)) or a member stack (rows (K, n, d)); each
+    member's matmul is the same BLAS call either way, so results agree bit
+    for bit."""
     act = (lambda z: np.maximum(z, 0.0)) if activation == "relu" else np.tanh
     a = features
     pres: list[np.ndarray] = []
     acts: list[np.ndarray] = [a]
     for idx, (w, b) in enumerate(layers):
-        z = a @ w + b
+        z = a @ w + b[..., None, :]
         pres.append(z)
         a = act(z) if idx < len(layers) - 1 else z
         acts.append(a)
@@ -228,9 +240,10 @@ def forward(params: ParamVector, arch: ArchSpec, batch: Batch) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Over the last axis, so a (K, n, classes) stack is K row-wise softmaxes."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -258,32 +271,37 @@ def gradient(params: ParamVector, arch: ArchSpec, batch: Batch) -> ParamVector:
     """Analytic gradient of the mean cross-entropy over the batch."""
     if batch.n == 0:
         raise ValueError("cannot take gradient of an empty batch")
+    _check_params(params, arch)
     _check_fit(arch, batch.features, batch.labels)
-    out = np.empty(arch.param_count)
-    _gradient_into(unpack_params(params, arch), arch.activation, batch.features, batch.labels,
-                   _layer_views(out, arch))
-    return ParamVector(out, arch.signature)
+    out = np.empty((1, arch.param_count))
+    _gradient_into(_layer_views(params.values[None], arch), arch.activation,
+                   batch.features[None], batch.labels[None], _layer_views(out, arch))
+    return ParamVector(out[0], arch.signature)
 
 
 def _gradient_into(layers: list[tuple[np.ndarray, np.ndarray]], activation: str,
                    features: np.ndarray, labels: np.ndarray,
                    out: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """Backprop kernel: writes the gradient into the (W, b) views of `out`.
+    """Backprop kernel over a stack of K members: writes each member's
+    gradient into the (W, b) views of `out`.
 
-    Unchecked: the caller guarantees a non-empty float64 batch whose feature
-    width and int64 labels fit the layers.
+    `layers` and `out` are `_layer_views` of (K, P) stacks, `features` is
+    (K, n, d) and `labels` is (K, n): member k's batch, loss and gradient
+    involve only slice k. Unchecked: the caller guarantees a non-empty
+    float64 batch whose feature width and int64 labels fit the layers.
     """
     pres, acts = _forward_cached(layers, activation, features)
-    n = labels.shape[0]
+    n = labels.shape[-1]
     delta = softmax(acts[-1])
-    delta[np.arange(n), labels] -= 1.0
+    flat = delta.reshape(-1, delta.shape[-1])
+    flat[np.arange(flat.shape[0]), labels.ravel()] -= 1.0
     delta /= n
     for li in range(len(layers) - 1, -1, -1):
         gw, gb = out[li]
-        np.matmul(acts[li].T, delta, out=gw)
-        delta.sum(axis=0, out=gb)
+        np.matmul(acts[li].swapaxes(-1, -2), delta, out=gw)
+        delta.sum(axis=-2, out=gb)
         if li > 0:
-            delta = delta @ layers[li][0].T
+            delta = delta @ layers[li][0].swapaxes(-1, -2)
             if activation == "relu":
                 delta = delta * (pres[li - 1] > 0.0)
             else:

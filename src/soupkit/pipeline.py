@@ -12,7 +12,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -184,6 +184,103 @@ def steps_per_epoch(n_rows: int, batch_size: int) -> int:
     return math.ceil(n_rows / batch_size)
 
 
+@dataclass
+class _Member:
+    """One run of a population: where it starts, its config, its rate and its
+    own rng stream. Snapshots land in `collected` as they happen; `error`
+    holds the divergence that froze it, if any."""
+
+    start: ParamVector
+    config: HyperConfig
+    lr_for_step: Callable[[int], float]
+    rng: np.random.Generator
+    collected: list[tuple[int, ParamVector]] = field(default_factory=list)
+    error: str | None = None
+
+
+def _train_population(
+    members: list[_Member],
+    arch: ArchSpec,
+    train: LabeledDataset,
+    total_steps: int,
+    trainable: slice | None = None,
+    collect_steps: frozenset[int] = frozenset(),
+) -> np.ndarray:
+    """Minibatch AdamW for every member at once over a (K, P) parameter stack;
+    steps are 1-based. Returns the final stack, one row per member.
+
+    Each member draws its epoch permutation and augmentation noise from its
+    own rng, in the order a solo run would, and gets exactly one `adamw_step`
+    call per step on row views of the stack (so the AdamW arithmetic and its
+    checks live in one place). Rows, the forward and backward pass, and the
+    finiteness checks are shared: one gather, one backprop over the stack,
+    one `isfinite` per check. Every member's weights are bit-identical to its
+    solo run.
+
+    A member whose gradient or parameters turn non-finite is frozen: it gets
+    no more updates or snapshots, and its `error` records why. The others
+    carry on. When `trainable` is given, only that flat slice is updated and
+    the rest of each row is left bitwise untouched (the optimizer state
+    covers the slice alone, so weight decay cannot leak into frozen
+    coordinates).
+
+    Inputs are checked once, here at stage entry, not per step.
+    """
+    for m in members:
+        _check_params(m.start, arch)
+    _check_fit(arch, train.features, train.labels)
+    batch_sizes = {m.config.batch_size for m in members}
+    if len(batch_sizes) != 1:
+        raise ValueError(f"population members must share one batch size, got {sorted(batch_sizes)}")
+    n, bs = train.n, batch_sizes.pop()
+    spe = steps_per_epoch(n, bs)
+    sig = arch.signature
+    values = np.stack([m.start.values for m in members])
+    grad = np.empty_like(values)
+    layers, grad_layers = _layer_views(values, arch), _layer_views(grad, arch)
+    part = slice(None) if trainable is None else trainable
+    # The optimizer sees views of each member's trainable part of both stacks.
+    views = [(ParamVector(v, sig), ParamVector(g, sig)) for v, g in zip(values[:, part], grad[:, part])]
+    states = [AdamWState.fresh(p.size, weight_decay=m.config.weight_decay) for (p, _), m in zip(views, members)]
+    noise = [AUGMENT_PARAMS[m.config.augment] for m in members]
+    alive = list(range(len(members)))
+
+    def freeze(finite: np.ndarray, error: str) -> None:
+        """Freeze every live member whose row of the stack is not all finite."""
+        nonlocal alive
+        if finite[alive].all():
+            return
+        for i in alive:
+            if not finite[i]:
+                members[i].error = error
+        alive = [i for i in alive if finite[i]]
+
+    step = 0
+    # divergence is detected by the explicit checks below, so the transient
+    # overflow warnings on the way there are just noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < total_steps and alive:
+            perms = np.stack([m.rng.permutation(n) for m in members])
+            for b in range(min(spe, total_steps - step)):
+                step += 1
+                rows = perms[:, b * bs : (b + 1) * bs]
+                feats = train.features[rows]
+                for i in alive:
+                    feats[i] = _jitter(feats[i], *noise[i], members[i].rng)
+                _gradient_into(layers, arch.activation, feats, train.labels[rows], grad_layers)
+                freeze(np.isfinite(grad).all(axis=1), f"non-finite gradient at step {step}/{total_steps}")
+                for i in alive:
+                    updated, states[i] = adamw_step(*views[i], states[i], members[i].lr_for_step(step))
+                    values[i, part] = updated.values
+                freeze(np.isfinite(values).all(axis=1), f"non-finite parameters at step {step}/{total_steps}")
+                if step in collect_steps:
+                    for i in alive:
+                        members[i].collected.append((step, ParamVector(values[i].copy(), sig)))
+                if not alive:
+                    break
+    return values
+
+
 def _train_loop(
     params: ParamVector,
     arch: ArchSpec,
@@ -196,55 +293,17 @@ def _train_loop(
     collect_steps: frozenset[int] = frozenset(),
     collect_out: list[tuple[int, ParamVector]] | None = None,
 ) -> tuple[ParamVector, list[tuple[int, ParamVector]]]:
-    """Minibatch AdamW over shuffled epochs; steps are 1-based.
+    """One run: the population trainer with a single member.
 
-    When `trainable` is given, only that flat slice is updated and the rest
-    of the vector is left bitwise untouched (the optimizer state covers the
-    slice alone, so weight decay cannot leak into frozen coordinates).
+    Raises `TrainingDivergedError` on a non-finite gradient or parameters.
     Snapshots land in `collect_out` as they happen, so a caller that traps a
     divergence still sees everything collected before it.
-
-    Inputs are checked once, here at stage entry, not per step. Each step runs
-    on raw arrays (rows straight from the split, the gradient into one
-    preallocated buffer) and makes one `adamw_step` call, so the AdamW
-    arithmetic and its checks live in one place; `adamw_step` leaves its
-    inputs alone, so its result is copied back.
     """
-    _check_params(params, arch)
-    _check_fit(arch, train.features, train.labels)
-    n, bs = train.n, config.batch_size
-    spe = steps_per_epoch(n, bs)
-    sigma, dropout_p = AUGMENT_PARAMS[config.augment]
-    sig = arch.signature
-    values = params.values.copy()
-    grad = np.empty_like(values)
-    layers, grad_layers = _layer_views(values, arch), _layer_views(grad, arch)
-    part = slice(None) if trainable is None else trainable
-    # The optimizer sees views of the trainable part of both buffers.
-    sub_params = ParamVector(values[part], sig)
-    sub_grads = ParamVector(grad[part], sig)
-    state = AdamWState.fresh(sub_params.size, weight_decay=config.weight_decay)
-    collected: list[tuple[int, ParamVector]] = [] if collect_out is None else collect_out
-    step = 0
-    # divergence is detected by the explicit checks below, so the transient
-    # overflow warnings on the way there are just noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        while step < total_steps:
-            perm = rng.permutation(n)
-            for b in range(min(spe, total_steps - step)):
-                step += 1
-                rows = perm[b * bs : (b + 1) * bs]
-                feats = _jitter(train.features[rows], sigma, dropout_p, rng)
-                _gradient_into(layers, arch.activation, feats, train.labels[rows], grad_layers)
-                if not np.isfinite(grad).all():
-                    raise TrainingDivergedError(f"non-finite gradient at step {step}/{total_steps}")
-                updated, state = adamw_step(sub_params, sub_grads, state, lr_for_step(step))
-                values[part] = updated.values
-                if not np.isfinite(values).all():
-                    raise TrainingDivergedError(f"non-finite parameters at step {step}/{total_steps}")
-                if step in collect_steps:
-                    collected.append((step, ParamVector(values.copy(), sig)))
-    return ParamVector(values, sig), collected
+    member = _Member(params, config, lr_for_step, rng, [] if collect_out is None else collect_out)
+    values = _train_population([member], arch, train, total_steps, trainable, collect_steps)
+    if member.error is not None:
+        raise TrainingDivergedError(member.error)
+    return ParamVector(values[0], arch.signature), member.collected
 
 
 def _cosine_by_step(base_lr: float, epochs: int, spe: int) -> Callable[[int], float]:
@@ -298,19 +357,14 @@ def linear_probe_warmup(pretrained: Checkpoint, train: LabeledDataset, config: H
     )
 
 
-def fine_tune(theta0: Checkpoint, train: LabeledDataset, val: LabeledDataset,
-              config: HyperConfig, stage: str = "grid") -> Checkpoint:
-    """Full fine-tuning from a warmstart with per-epoch cosine decay."""
-    if stage in ("grid", "base") and config.schedule != "cosine":
-        raise ValueError(f"{stage} runs use the cosine schedule, got {config.schedule!r}")
+def _tuned_member(theta0: Checkpoint, config: HyperConfig, spe: int) -> _Member:
+    return _Member(theta0.params, config, _cosine_by_step(config.lr, config.epochs, spe),
+                   _rng(config.seed, _RNG_TUNE))
+
+
+def _tuned_checkpoint(theta0: Checkpoint, config: HyperConfig, params: ParamVector,
+                      train: LabeledDataset, val: LabeledDataset, stage: str) -> Checkpoint:
     arch = theta0.arch
-    spe = steps_per_epoch(train.n, config.batch_size)
-    params, _ = _train_loop(
-        theta0.params, arch, train, config,
-        _cosine_by_step(config.lr, config.epochs, spe),
-        config.epochs * spe,
-        _rng(config.seed, _RNG_TUNE),
-    )
     cid = checkpoint_id(stage, arch, config, theta0.id, None, _data_tag(train))
     return Checkpoint(
         id=cid, arch=arch, params=params, config=config,
@@ -320,18 +374,42 @@ def fine_tune(theta0: Checkpoint, train: LabeledDataset, val: LabeledDataset,
     )
 
 
+def fine_tune(theta0: Checkpoint, train: LabeledDataset, val: LabeledDataset,
+              config: HyperConfig, stage: str = "grid") -> Checkpoint:
+    """Full fine-tuning from a warmstart with per-epoch cosine decay."""
+    if stage in ("grid", "base") and config.schedule != "cosine":
+        raise ValueError(f"{stage} runs use the cosine schedule, got {config.schedule!r}")
+    spe = steps_per_epoch(train.n, config.batch_size)
+    member = _tuned_member(theta0, config, spe)
+    params, _ = _train_loop(theta0.params, theta0.arch, train, config, member.lr_for_step,
+                            config.epochs * spe, member.rng)
+    return _tuned_checkpoint(theta0, config, params, train, val, stage)
+
+
 def _fine_tune_runs(theta0: Checkpoint, configs: list[HyperConfig], train: LabeledDataset,
                     val: LabeledDataset, stage: str) -> tuple[list[Checkpoint], list[GridFailure]]:
-    """Fine-tune θ0 once per config, in order; diverged runs are recorded, not raised."""
+    """Fine-tune θ0 once per config as one population; each run equals its solo
+    `fine_tune` bit for bit. Diverged runs are recorded, in config order, not raised."""
+    if not configs:
+        return [], []
+    shapes = {(c.epochs, c.batch_size) for c in configs}
+    if len(shapes) != 1:
+        raise ValueError(f"{stage} runs must share epochs and batch size, got {sorted(shapes)}")
+    epochs, batch_size = shapes.pop()
+    spe = steps_per_epoch(train.n, batch_size)
+    members = [_tuned_member(theta0, cfg, spe) for cfg in configs]
+    values = _train_population(members, theta0.arch, train, epochs * spe)
     checkpoints: list[Checkpoint] = []
     failures: list[GridFailure] = []
-    for cfg in configs:
-        try:
-            checkpoints.append(fine_tune(theta0, train, val, cfg, stage=stage))
-        except TrainingDivergedError as exc:
+    for m, row in zip(members, values):
+        cfg = m.config
+        if m.error is None:
+            params = ParamVector(row, theta0.arch.signature)
+            checkpoints.append(_tuned_checkpoint(theta0, cfg, params, train, val, stage))
+        else:
             log.warning("%s run diverged: lr=%g augment=%s seed=%d (%s)",
-                        stage, cfg.lr, cfg.augment.value, cfg.seed, exc)
-            failures.append(GridFailure(cfg, str(exc)))
+                        stage, cfg.lr, cfg.augment.value, cfg.seed, m.error)
+            failures.append(GridFailure(cfg, m.error))
     return checkpoints, failures
 
 
@@ -370,48 +448,55 @@ def fission_total_steps(schedule: CyclicalSchedule, n_collect: int) -> int:
     return (n_collect - 1) * schedule.cycle_steps + schedule.cycle_steps // 2
 
 
+def fgg_fission_many(bases: list[Checkpoint], schedule: CyclicalSchedule, n_collect: int,
+                     train: LabeledDataset, val: LabeledDataset) -> list[FissionResult]:
+    """Continue training each base model under the triangular cyclical
+    schedule, snapshotting at every mid-cycle trough; one result per base, in
+    order. The runs train as one population, each equal to its solo run bit
+    for bit. Optimizer state starts fresh.
+
+    A run that diverges mid-way keeps the snapshots collected so far and has
+    its truncated flag set; the others are unaffected.
+    """
+    for base in bases:
+        if base.config is None:
+            raise ValueError(f"base checkpoint {base.id} has no config to derive the fission run from")
+    total = fission_total_steps(schedule, n_collect)
+    if not bases:
+        return []
+    arch = bases[0].arch
+    c = schedule.cycle_steps
+    targets = [c // 2 + k * c for k in range(n_collect)]
+    rate = lambda step: cyclical_alpha(step, schedule)
+    members = [_Member(base.params, replace(base.config, schedule="cyclical", cyclical=schedule),
+                       rate, _rng(base.config.seed, _RNG_FISSION)) for base in bases]
+    _train_population(members, arch, train, total, collect_steps=frozenset(targets))
+    spe = steps_per_epoch(train.n, members[0].config.batch_size)
+    results = []
+    for base, m in zip(bases, members):
+        if m.error is not None:
+            log.warning("fission from %s truncated after %d snapshots: %s",
+                        base.id, len(m.collected), m.error)
+        checkpoints = []
+        prev = 0
+        for k, (step, params) in enumerate(m.collected, start=1):
+            cid = checkpoint_id("fission", arch, m.config, base.id, k, _data_tag(train))
+            checkpoints.append(
+                Checkpoint(
+                    id=cid, arch=arch, params=params, config=m.config,
+                    lineage=Lineage("fission", base_id=base.id, cycle_index=k,
+                                    root_id=base.root_id or base.id),
+                    val_metrics=val_metric_map(params, arch, val),
+                    epochs_consumed=(step - prev) / spe, trained_on=_data_tag(train),
+                )
+            )
+            prev = step
+        results.append(FissionResult(checkpoints, m.error is not None, [s for s, _ in m.collected]))
+    return results
+
+
 def fgg_fission(base: Checkpoint, schedule: CyclicalSchedule, n_collect: int,
                 train: LabeledDataset, val: LabeledDataset) -> FissionResult:
-    """Continue training a base model under the triangular cyclical schedule,
-    snapshotting at every mid-cycle trough. Optimizer state starts fresh.
-
-    On mid-run divergence the snapshots collected so far are returned with
-    the truncated flag set.
-    """
-    if base.config is None:
-        raise ValueError("base checkpoint has no config to derive the fission run from")
-    config = replace(base.config, schedule="cyclical", cyclical=schedule)
-    arch = base.arch
-    c = schedule.cycle_steps
-    total = fission_total_steps(schedule, n_collect)
-    targets = [c // 2 + k * c for k in range(n_collect)]
-    spe = steps_per_epoch(train.n, config.batch_size)
-    truncated = False
-    collected: list[tuple[int, ParamVector]] = []
-    try:
-        _train_loop(
-            base.params, arch, train, config,
-            lambda step: cyclical_alpha(step, schedule),
-            total,
-            _rng(config.seed, _RNG_FISSION),
-            collect_steps=frozenset(targets),
-            collect_out=collected,
-        )
-    except TrainingDivergedError as exc:
-        log.warning("fission from %s truncated after %d snapshots: %s", base.id, len(collected), exc)
-        truncated = True
-    checkpoints = []
-    prev = 0
-    for k, (step, params) in enumerate(collected, start=1):
-        cid = checkpoint_id("fission", arch, config, base.id, k, _data_tag(train))
-        checkpoints.append(
-            Checkpoint(
-                id=cid, arch=arch, params=params, config=config,
-                lineage=Lineage("fission", base_id=base.id, cycle_index=k,
-                                root_id=base.root_id or base.id),
-                val_metrics=val_metric_map(params, arch, val),
-                epochs_consumed=(step - prev) / spe, trained_on=_data_tag(train),
-            )
-        )
-        prev = step
-    return FissionResult(checkpoints, truncated, [s for s, _ in collected])
+    """`fgg_fission_many` for one base: on mid-run divergence the snapshots
+    collected so far are returned with the truncated flag set."""
+    return fgg_fission_many([base], schedule, n_collect, train, val)[0]

@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import uuid
+import os  # noqa: F401  crash tests reach os.replace through this module
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledDataset, TaskBundle, TaskSpec, load_csv, save_csv
+from .data import LabeledDataset, TaskBundle, TaskSpec, _atomic_write, load_csv, save_csv
 from .nn import ArchSpec, ParamVector
 from .pipeline import Checkpoint, HyperConfig, Lineage
 from .soup import SoupResult
@@ -50,19 +49,6 @@ def decode_weights(raw: bytes) -> np.ndarray:
     if len(raw) % 8 != 0:
         raise StoreError(f"weight payload of {len(raw)} bytes is not a whole number of float64s")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-
-def _atomic_write(path: Path, raw: bytes) -> None:
-    """Write through a temp file of a unique name in the same directory, then
-    rename over `path`, so concurrent writers never share a temp file."""
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with tmp.open("xb") as fh:
-            fh.write(raw)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 @dataclass

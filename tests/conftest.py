@@ -1,0 +1,45 @@
+"""Shared fixtures."""
+
+import errno
+from pathlib import Path
+
+import pytest
+
+
+class _FullDisk:
+    """A writable file that takes half of the first write, then fails the way
+    a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def close(self):
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """`full_disk(name)`: from then on, every file opened for writing whose
+    name starts with `name` (a temp file beside it included) fails mid-write."""
+    names = []
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        if any(c in mode for c in "wxa") and self.name.startswith(tuple(names)):
+            return _FullDisk(fh)
+        return fh
+
+    monkeypatch.setattr(Path, "open", open_)
+    return names.append

@@ -347,3 +347,23 @@ def test_report_table_write_csv(tmp_path):
     table.write_csv(path)
     rows = list(csv.reader(path.open()))
     assert rows == [["method", "id", "id_test"], ["uniform", "soup-abc", "0.5"]]
+
+
+def test_csv_writers_failing_mid_write_keep_previous_file(tmp_path, full_disk):
+    budget = BudgetReport({"grid": 2.0}, 2.0, 0.0, 0.0)
+    curve = LmcCurve("a", "b", "accuracy", np.array([0.0, 1.0]), np.array([0.5, 0.75]))
+    table = ReportTable("accuracy", ["id_test"], [ReportRow("best", "grid-x", {"id_test": 0.5})])
+    surface = landscape_grid(plane_basis(_identity_ck("grid-a"), _ck("grid-b", np.arange(12.0)),
+                                         _ck("grid-c", np.arange(12.0) ** 2)),
+                             (-1.0, 1.0, -1.0, 1.0), (2, 2),
+                             _dataset([[1, 0, 0], [0, 1, 0]], [0, 1]), MetricKind.ACCURACY)
+    writers = {"budget.csv": budget, "curve.csv": curve, "report.csv": table, "landscape.csv": surface}
+    for name, obj in writers.items():
+        obj.write_csv(tmp_path / name)
+    before = {name: (tmp_path / name).read_bytes() for name in writers}
+    for name, obj in writers.items():
+        full_disk(name)
+        with pytest.raises(OSError):
+            obj.write_csv(tmp_path / name)
+    assert {name: (tmp_path / name).read_bytes() for name in writers} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)

@@ -294,3 +294,43 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), class_count=2, role="train", task_id="t")
     with pytest.raises(ValueError):
         LabeledDataset(np.array([[np.nan, 0.0]]), np.array([0]), class_count=2, role="train", task_id="t")
+
+
+def _csv_writer_save(dataset, path):
+    """`save_csv` as it was, one `csv.writer` row at a time: the byte reference."""
+    import csv
+
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(dataset.dims)] + ["label"])
+        for row, lab in zip(dataset.features, dataset.labels):
+            writer.writerow([repr(float(x)) for x in row] + [int(lab)])
+
+
+def test_save_csv_bytes_match_csv_writer(tmp_path):
+    tiny = np.finfo(np.float64).smallest_subnormal
+    feats = np.array([[-0.0, 0.0, 1.0, -3.0],
+                      [tiny, -tiny, 2.5e-310, 1e-300],
+                      [1e300, -1e300, 1e16, 123456789.0],
+                      [0.1, 1 / 3, -2.0 ** 60, np.finfo(np.float64).max]])
+    odd = LabeledDataset(feats, np.array([0, 2, 1, 11]), class_count=12, role="train", task_id="t")
+    bundle = gen_task(_spec(label_noise_rate=0.1))
+    for name, ds in [("odd", odd), *bundle.splits().items()]:
+        save_csv(ds, tmp_path / f"{name}.csv")
+        _csv_writer_save(ds, tmp_path / f"{name}.ref.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}.ref.csv").read_bytes()
+    back = load_csv(tmp_path / "odd.csv", class_count=12)
+    assert np.array_equal(back.features, feats)
+    assert np.signbit(back.features[0, 0])
+
+
+def test_save_csv_failing_mid_write_keeps_previous_file(tmp_path, full_disk):
+    bundle = gen_task(_spec())
+    path = tmp_path / "train.csv"
+    save_csv(bundle.train, path)
+    before = path.read_bytes()
+    full_disk("train.csv")
+    with pytest.raises(OSError):
+        save_csv(bundle.val, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]

@@ -285,3 +285,36 @@ def test_smooth_accuracy_report_matches_golden_digest(tmp_path):
     store = Store(tmp_path)
     run_experiment(cfg, store)
     assert _sha256(store.experiment_dir(cfg.name) / "report.csv") == _GOLDEN_SMOOTH_REPORT
+
+
+def test_truncated_fission_warns_once_with_its_reason(caplog):
+    import logging
+
+    from soupkit.experiment import _fgg_stage, _fit_stage
+
+    d = _tiny_config().to_dict()
+    d["fgg"].update(lrs=[0.01], alpha1=1e30)
+    cfg = ExperimentConfig.from_dict(d)
+    bundle = gen_task(cfg.task, cfg.split_ratios)
+    _, theta0 = _fit_stage(cfg, bundle)
+    with caplog.at_level(logging.WARNING, logger="soupkit"):
+        bases, groups, failures = _fgg_stage(cfg, theta0, bundle)
+    assert len(bases) == 1 and failures == []
+    assert len(groups[0][1]) < cfg.fgg.n_collect
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1, warnings
+    assert bases[0].id in warnings[0] and "truncated" in warnings[0] and "non-finite" in warnings[0]
+
+
+def test_summary_and_config_survive_a_crash_mid_write(tmp_path, full_disk):
+    cfg = _tiny_config(soups=("uniform",))
+    store = Store(tmp_path)
+    run_experiment(cfg, store)
+    exp = store.experiment_dir(cfg.name)
+    before = {f: (exp / f).read_bytes() for f in ("config.json", "summary.json")}
+    full_disk("config.json")
+    full_disk("summary.json")
+    with pytest.raises(OSError):
+        run_experiment(cfg, store)
+    assert {f: (exp / f).read_bytes() for f in before} == before
+    assert not [p.name for p in exp.iterdir() if p.name.endswith(".tmp")]

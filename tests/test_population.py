@@ -1,0 +1,185 @@
+"""The population trainer: a (K, P) stack trains every member exactly as its
+solo run would, bit for bit, and a member that diverges freezes alone."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from soupkit.data import AugmentLevel, TaskKind, TaskSpec, gen_task
+from soupkit.nn import ArchSpec, init_params
+from soupkit.optim import CyclicalSchedule, cyclical_alpha
+from soupkit.pipeline import (
+    HyperConfig,
+    TrainingDivergedError,
+    _cosine_by_step,
+    _Member,
+    _train_loop,
+    _train_population,
+    fgg_base_generate,
+    fgg_fission,
+    fgg_fission_many,
+    fine_tune,
+    grid_generate,
+    linear_probe_warmup,
+    pretrain_source,
+    steps_per_epoch,
+)
+
+ARCH = ArchSpec((4, 8, 3), "relu")
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    spec = TaskSpec(kind=TaskKind.ROUGH, seed=3, dims=4, class_count=3, n_samples=200,
+                    imbalance_ratio=3.0, label_noise_rate=0.1, cluster_heterogeneity=1.0,
+                    shift_magnitude=1.0)
+    return gen_task(spec, ratios=(0.6, 0.2, 0.2))
+
+
+@pytest.fixture(scope="module")
+def theta0(bundle):
+    pre = pretrain_source(ARCH, bundle.source, HyperConfig(lr=1e-2, seed=1, epochs=2))
+    return linear_probe_warmup(pre, bundle.train, HyperConfig(lr=1e-2, seed=1, warmup_epochs=1),
+                               val=bundle.val)
+
+
+def _spec(arch, init_seed, lr, seed, level):
+    """(start, config) of one member: a cosine run from a seeded init."""
+    config = HyperConfig(lr=lr, seed=seed, epochs=3, augment=level)
+    return init_params(arch, init_seed), config
+
+
+def _rate(config, spe):
+    if config.schedule == "cyclical":
+        return lambda step: cyclical_alpha(step, config.cyclical)
+    return _cosine_by_step(config.lr, config.epochs, spe)
+
+
+def _solo(arch, train, start, config, total, rng_seed, collect_steps):
+    """(final values or None, snapshots, error or None) of one `_train_loop` run."""
+    spe = steps_per_epoch(train.n, config.batch_size)
+    collected = []
+    try:
+        params, _ = _train_loop(start, arch, train, config, _rate(config, spe), total,
+                                np.random.default_rng(rng_seed), collect_steps=collect_steps,
+                                collect_out=collected)
+        final, error = params.values, None
+    except TrainingDivergedError as exc:
+        final, error = None, str(exc)
+    return final, [(s, p.values) for s, p in collected], error
+
+
+def _population(arch, train, specs, total, rng_seeds, collect_steps):
+    spe = steps_per_epoch(train.n, specs[0][1].batch_size)
+    members = [_Member(start, config, _rate(config, spe), np.random.default_rng(seed))
+               for (start, config), seed in zip(specs, rng_seeds)]
+    values = _train_population(members, arch, train, total, collect_steps=collect_steps)
+    return [(None if m.error else row, [(s, p.values) for s, p in m.collected], m.error)
+            for m, row in zip(members, values)]
+
+
+def _assert_same(run, ref):
+    (final, collected, error), (ref_final, ref_collected, ref_error) = run, ref
+    assert error == ref_error
+    assert (final is None) == (ref_final is None)
+    if final is not None:
+        assert np.array_equal(final, ref_final)
+    assert [s for s, _ in collected] == [s for s, _ in ref_collected]
+    for (_, p), (_, q) in zip(collected, ref_collected):
+        assert np.array_equal(p, q)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_population_equals_solo_runs(bundle, activation):
+    arch = ArchSpec((4, 8, 3), activation)
+    specs = [_spec(arch, init_seed, lr, seed, level)
+             for init_seed, (lr, seed, level) in enumerate(
+                 [(1e-2, 0, AugmentLevel.MINIMAL), (3e-3, 1, AugmentLevel.MEDIUM),
+                  (1e-2, 2, AugmentLevel.HEAVY), (3e-2, 0, AugmentLevel.HEAVY),
+                  (1e-3, 0, AugmentLevel.MEDIUM)])]
+    spe = steps_per_epoch(bundle.train.n, 32)
+    total = 2 * spe + 3  # the last epoch stops part-way through
+    collect = frozenset({1, spe, spe + 1, total})
+    rng_seeds = [10, 11, 12, 13, 13]  # two members may share a stream's seed
+    runs = _population(arch, bundle.train, specs, total, rng_seeds, collect)
+    for (start, config), seed, run in zip(specs, rng_seeds, runs):
+        assert run[2] is None and [s for s, _ in run[1]] == sorted(collect)
+        _assert_same(run, _solo(arch, bundle.train, start, config, total, seed, collect))
+
+
+def test_diverging_member_freezes_alone(bundle):
+    spe = steps_per_epoch(bundle.train.n, 32)
+    blowup = CyclicalSchedule(2 * spe, 1e30, 1e-6)
+    wild = HyperConfig(lr=1e-2, seed=0, augment=AugmentLevel.HEAVY,
+                       schedule="cyclical", cyclical=blowup)
+    specs = [_spec(ARCH, 0, 1e-2, 0, AugmentLevel.MEDIUM), (init_params(ARCH, 1), wild),
+             _spec(ARCH, 2, 3e-3, 1, AugmentLevel.HEAVY)]
+    total = 3 * spe
+    # the wild member's rate is near 1e30 only around its cycle boundary, so
+    # it collects a few snapshots before blowing up mid-run
+    collect = frozenset(range(1, total + 1, 3))
+    runs = _population(ARCH, bundle.train, specs, total, [5, 6, 7], collect)
+    assert runs[1][2] is not None and runs[1][2].startswith("non-finite ")
+    assert runs[1][1], "the diverging member should have snapshots from before its divergence"
+    for (start, config), seed, run in zip(specs, [5, 6, 7], runs):
+        _assert_same(run, _solo(ARCH, bundle.train, start, config, total, seed, collect))
+    assert runs[0][2] is None and runs[2][2] is None
+
+
+def test_population_rejects_mixed_batch_sizes(bundle):
+    specs = [_spec(ARCH, 0, 1e-2, 0, AugmentLevel.MINIMAL),
+             (init_params(ARCH, 1), HyperConfig(lr=1e-2, seed=0, batch_size=16))]
+    with pytest.raises(ValueError, match="batch size"):
+        _population(ARCH, bundle.train, specs, 4, [0, 1], frozenset())
+
+
+@settings(max_examples=12, deadline=None)
+@given(order=st.permutations(range(4)))
+def test_member_order_permutes_results(bundle, order):
+    specs = [_spec(ARCH, i, lr, i % 2, level)
+             for i, (lr, level) in enumerate([(1e-2, AugmentLevel.MINIMAL), (3e-3, AugmentLevel.HEAVY),
+                                              (3e-2, AugmentLevel.MEDIUM), (1e-3, AugmentLevel.HEAVY)])]
+    seeds = [20, 21, 22, 23]
+    collect = frozenset({2, 7})
+    base = _population(ARCH, bundle.train, specs, 9, seeds, collect)
+    permuted = _population(ARCH, bundle.train, [specs[i] for i in order], 9,
+                           [seeds[i] for i in order], collect)
+    for i, run in zip(order, permuted):
+        _assert_same(run, base[i])
+
+
+# ---------------------------------------------------------------------------
+# The stages that train populations equal their one-run forms
+
+def test_grid_equals_solo_fine_tunes(bundle, theta0):
+    template = HyperConfig(lr=1.0, seed=0, epochs=2)
+    cks, failures = grid_generate(theta0, [1e30, 1e-2, 3e-3], list(AugmentLevel), [0, 1],
+                                  bundle.train, bundle.val, template)
+    assert len(cks) == 12 and len(failures) == 6
+    for ck in cks:
+        solo = fine_tune(theta0, bundle.train, bundle.val, ck.config)
+        assert ck.id == solo.id
+        assert np.array_equal(ck.params.values, solo.params.values)
+        assert ck.val_metrics == solo.val_metrics
+    for failure in failures:
+        with pytest.raises(TrainingDivergedError) as exc:
+            fine_tune(theta0, bundle.train, bundle.val, failure.config)
+        assert str(exc.value) == failure.error
+
+
+def test_fission_population_equals_solo_fissions(bundle, theta0):
+    template = HyperConfig(lr=1.0, seed=0, epochs=1, augment=AugmentLevel.HEAVY)
+    bases, _ = fgg_base_generate(theta0, [1e-2, 3e-3, 1e-3], bundle.train, bundle.val, template)
+    spe = steps_per_epoch(bundle.train.n, 32)
+    sched = CyclicalSchedule(2 * spe, 3e-3, 1e-6)
+    results = fgg_fission_many(bases, sched, 3, bundle.train, bundle.val)
+    for base, result in zip(bases, results):
+        solo = fgg_fission(base, sched, 3, bundle.train, bundle.val)
+        assert result.truncated is solo.truncated is False
+        assert result.capture_steps == solo.capture_steps
+        assert [c.id for c in result.checkpoints] == [c.id for c in solo.checkpoints]
+        for a, b in zip(result.checkpoints, solo.checkpoints):
+            assert np.array_equal(a.params.values, b.params.values)
+            assert a.val_metrics == b.val_metrics
+            assert a.epochs_consumed == b.epochs_consumed
