@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import LabeledDataset, _write_csv_rows
-from .nn import ArchSpec, MetricKind, MetricUndefinedError, ParamVector, evaluate
+from .nn import ArchSpec, MetricKind, MetricUndefinedError, ParamVector, _check_params, _scores
 from .pipeline import Checkpoint
 
 DEFAULT_LMC_POINTS = 11
@@ -56,10 +56,8 @@ def lmc_sweep(a: Checkpoint, b: Checkpoint, n_points: int,
         raise ValueError("endpoints have different architectures")
     metric = MetricKind(metric)
     lambdas = np.linspace(0.0, 1.0, n_points)
-    scores = np.empty(n_points)
-    for i, lam in enumerate(lambdas):
-        mixed = ParamVector(lam * a.params.values + (1.0 - lam) * b.params.values, a.params.arch_signature)
-        scores[i] = evaluate(mixed, a.arch, dataset, metric)
+    lam = lambdas[:, None]
+    scores = _scores(lam * a.params.values + (1.0 - lam) * b.params.values, a.arch, dataset, metric)
     return LmcCurve(a.id, b.id, metric.value, lambdas, scores)
 
 
@@ -141,9 +139,9 @@ def landscape_grid(basis: PlaneBasis, extent: tuple[float, float, float, float],
     xs = np.linspace(xmin, xmax, nx)
     ys = np.linspace(ymin, ymax, ny)
     values = np.empty((ny, nx))
+    along_x = basis.origin + xs[:, None] * basis.u  # cell = origin + x*u + y*v, as in PlaneBasis.point
     for i, y in enumerate(ys):
-        for j, x in enumerate(xs):
-            values[i, j] = 1.0 - evaluate(basis.point(x, y), basis.arch, dataset, metric)
+        values[i] = 1.0 - _scores(along_x + y * basis.v, basis.arch, dataset, metric)
     return LandscapeGrid(basis, tuple(extent), (nx, ny), metric.value, xs, ys, values)
 
 
@@ -185,7 +183,8 @@ class ReportTable:
 def ood_report(entries: Sequence[tuple[str, object]], id_test: LabeledDataset,
                ood_sets: Sequence[LabeledDataset], metric: MetricKind | str,
                arch: ArchSpec) -> ReportTable:
-    """Score every entry on the in-distribution test set and each OOD set."""
+    """Score every entry on the in-distribution test set and each OOD set; a
+    column whose labels leave the metric undefined is None in every row."""
     metric = MetricKind(metric)
     columns = ["id_test"]
     seen: dict[str, int] = {}
@@ -197,15 +196,18 @@ def ood_report(entries: Sequence[tuple[str, object]], id_test: LabeledDataset,
         else:
             seen[name] = 0
         columns.append(name)
-    rows = []
-    for label, entry in entries:  # checkpoints and soup results alike
-        scores: dict[str, float | None] = {}
-        for col, ds in zip(columns, [id_test, *ood_sets]):
-            try:
-                scores[col] = evaluate(entry.params, arch, ds, metric)
-            except MetricUndefinedError:
-                scores[col] = None
-        rows.append(ReportRow(label, entry.id, scores))
+    stack = np.empty((len(entries), arch.param_count))
+    for row, (_, entry) in zip(stack, entries):  # checkpoints and soup results alike
+        _check_params(entry.params, arch)
+        row[:] = entry.params.values
+    by_column: dict[str, np.ndarray | None] = {}
+    for col, ds in zip(columns, [id_test, *ood_sets]):
+        try:
+            by_column[col] = _scores(stack, arch, ds, metric)
+        except MetricUndefinedError:
+            by_column[col] = None
+    rows = [ReportRow(label, entry.id, {col: None if s is None else float(s[i]) for col, s in by_column.items()})
+            for i, (label, entry) in enumerate(entries)]
     return ReportTable(metric.value, columns, rows)
 
 

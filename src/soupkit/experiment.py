@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .analysis import (
     DEFAULT_EXTENT_MARGIN,
     DEFAULT_LMC_POINTS,
@@ -30,7 +32,7 @@ from .analysis import (
     plane_basis,
 )
 from .data import AugmentLevel, LabeledDataset, TaskBundle, TaskKind, TaskSpec, _atomic_write, gen_task
-from .nn import ArchSpec, MetricKind, ParamVector, evaluate
+from .nn import ArchSpec, MetricKind, _scores, evaluate
 from .optim import CyclicalSchedule
 from .pipeline import (
     Checkpoint,
@@ -480,20 +482,13 @@ def method_comparison(seed: int, kind: TaskKind | str = TaskKind.ROUGH) -> Compa
     bases, groups, _ = _fgg_stage(config, theta0, bundle)
     metric_key = config.metric.value
 
-    scores: dict[str, dict[str, float]] = {}
-
-    def score_params(params: ParamVector) -> dict[str, float]:
-        return {
-            "val": evaluate(params, config.arch, bundle.val, config.metric),
-            "test": evaluate(params, config.arch, bundle.test, config.metric),
-            "ood": evaluate(params, config.arch, bundle.ood, config.metric),
-        }
-
     best = max(grid_cks, key=lambda c: (c.val_metrics.get(metric_key, float("-inf")), c.id))
-    scores["best_grid"] = score_params(best.params)
-    for name, soup in build_soups(("uniform", "greedy", "gou", "gog"), config.metric,
-                                  config.arch, bundle.val, grid_cks, groups):
-        scores[name] = score_params(soup.params)
+    models = [("best_grid", best.params), *((name, soup.params) for name, soup in build_soups(
+        ("uniform", "greedy", "gou", "gog"), config.metric, config.arch, bundle.val, grid_cks, groups))]
+    stack = np.stack([params.values for _, params in models])
+    by_split = {split: _scores(stack, config.arch, ds, config.metric)
+                for split, ds in (("val", bundle.val), ("test", bundle.test), ("ood", bundle.ood))}
+    scores = {name: {split: float(s[i]) for split, s in by_split.items()} for i, (name, _) in enumerate(models)}
     return ComparisonRun(seed, kind, config.metric, bundle, theta0, grid_cks, bases, groups, scores)
 
 

@@ -7,8 +7,10 @@ weight-space operations (averaging, interpolation, plane slices) stay
 trivial and exact.
 
 Inputs are checked once per public call (and once per training stage), never
-in the kernels: `_check_params` and `_check_fit`. Scoring is one checked
-forward (`_logits`), then any number of metrics from its logits (`_score`).
+in the kernels: `_check_params` and `_check_fit`. Callers that score many
+models on one split pass a (K, P) stack to `_scores`, which checks once and
+runs one forward per bounded chunk of models; `evaluate` is its one-model
+case. Every metric has one implementation, `_score`, over a stack of logits.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class ArchSpec:
             offset = end + fan_out
         return tuple(out)
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         return sum(i * o + o for i, o in self.layer_shapes())
 
@@ -309,16 +311,31 @@ def _gradient_into(layers: list[tuple[np.ndarray, np.ndarray]], activation: str,
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the average rank of their group."""
-    order = np.argsort(x, kind="mergesort")
-    s = x[order]
-    n = s.size
-    starts = np.r_[0, np.flatnonzero(s[1:] != s[:-1]) + 1]
-    ends = np.r_[starts[1:], n]
-    avg = (starts + ends + 1) / 2.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(avg, ends - starts)
+    """1-based ranks along each row of an (R, n) array, ties sharing the
+    average rank of their group."""
+    r, n = x.shape
+    rows = np.arange(r)[:, None]
+    order = np.argsort(x, axis=1, kind="mergesort")
+    s = x[rows, order]
+    new = np.ones((r, n), dtype=bool)
+    new[:, 1:] = s[:, 1:] != s[:, :-1]
+    # tie groups are runs of the flattened rows, and every row starts one
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], r * n)
+    offset = starts - starts % n
+    ranks = np.empty((r, n))
+    ranks[rows, order] = np.repeat((starts + ends + 1 - 2 * offset) / 2.0, ends - starts).reshape(r, n)
     return ranks
+
+
+def _auc(ranks: np.ndarray, positives: np.ndarray) -> np.ndarray:
+    """Rank-statistic AUC from average ranks (..., n) and a positive mask that
+    broadcasts against them, both classes present. A rank sum adds
+    half-integers, so it is exact in any order."""
+    n_pos = positives.sum(axis=-1)
+    n_neg = positives.shape[-1] - n_pos
+    u = (ranks * positives).sum(axis=-1) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
 
 
 def binary_roc_auc(scores: np.ndarray, positives: np.ndarray) -> float:
@@ -329,40 +346,77 @@ def binary_roc_auc(scores: np.ndarray, positives: np.ndarray) -> float:
     n_neg = int(positives.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("ROC-AUC needs both positive and negative rows")
-    ranks = _average_ranks(scores)
-    u = ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    return float(_auc(_average_ranks(scores[None])[0], positives))
 
 
-def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind) -> float:
-    """One metric from logits and checked labels, read from one confusion[true,
-    predicted] matrix (ROC-AUC takes only its classes present). Macro averages
-    run over the classes present in the labels; F1 is 0 for a class never hit."""
-    k = logits.shape[1]
-    confusion = np.bincount(labels * k + np.argmax(logits, axis=1), minlength=k * k).reshape(k, k)
-    if metric is MetricKind.ACCURACY:
-        return int(np.trace(confusion)) / labels.size
-    support = confusion.sum(axis=1)
+def _support(labels: np.ndarray, k: int, metric: MetricKind) -> np.ndarray:
+    """Rows per class in checked labels; raises `MetricUndefinedError` when the
+    labels alone leave the metric undefined (ROC-AUC with one class present)."""
+    support = np.bincount(labels, minlength=k)
+    if metric is MetricKind.ROC_AUC_OVR and np.count_nonzero(support) < 2:
+        raise MetricUndefinedError("ROC-AUC is undefined with a single class present")
+    return support
+
+
+def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind) -> np.ndarray:
+    """One metric per model from a (K, n, classes) logit stack and checked
+    labels: (K,). ROC-AUC is one-vs-rest over the softmax, from one ranking of
+    every (model, class present) row; macro recall and F1 are read from one
+    confusion[model, true, predicted] cube. Macro averages run over the
+    classes present in the labels; F1 is 0 for a class never hit."""
+    models, n, k = logits.shape
+    support = _support(labels, k, metric)
     present = support > 0
     if metric is MetricKind.ROC_AUC_OVR:
-        if present.sum() < 2:
-            raise MetricUndefinedError("ROC-AUC is undefined with a single class present")
-        probs = softmax(logits)
-        return float(np.mean([binary_roc_auc(probs[:, c], labels == c) for c in np.flatnonzero(present)]))
-    hits = np.diagonal(confusion)[present].astype(np.float64)
+        classes = np.flatnonzero(present)
+        probs = softmax(logits)[..., classes].swapaxes(1, 2)
+        ranks = _average_ranks(probs.reshape(-1, n)).reshape(probs.shape)
+        return np.mean(_auc(ranks, labels == classes[:, None]), axis=-1)
+    preds = np.argmax(logits, axis=-1)
+    if metric is MetricKind.ACCURACY:
+        return (preds == labels).sum(axis=-1) / labels.size
+    cells = (np.arange(models)[:, None] * k + labels) * k + preds
+    confusion = np.bincount(cells.ravel(), minlength=models * k * k).reshape(models, k, k)
+    # C order, so each model's average below is a reduction over one contiguous row
+    hits = np.diagonal(confusion, axis1=1, axis2=2)[:, present].astype(np.float64, order="C")
     recall = hits / support[present]
     if metric is MetricKind.MACRO_RECALL:
-        return float(np.mean(recall))
-    predicted = confusion.sum(axis=0)[present]
+        return np.mean(recall, axis=-1)
+    predicted = confusion.sum(axis=1)[:, present]
     precision = np.divide(hits, predicted, out=np.zeros_like(hits), where=predicted > 0)
     both = precision + recall
     f1 = np.divide(2.0 * precision * recall, both, out=np.zeros_like(hits), where=both > 0)
-    return float(np.mean(f1))
+    return np.mean(f1, axis=-1)
+
+
+# Float budget of one activation when scoring a stack (about 0.5 MB of float64):
+# a forward takes budget // (rows x widest layer) models at a time.
+_CHUNK_FLOATS = 1 << 16
+
+
+def _scores(stack: np.ndarray, arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> np.ndarray:
+    """Scores of every model of a (K, P) parameter stack on one split: (K,).
+
+    Checked once per call (metric, the split's fit, the stack width, and
+    whether the labels leave the metric undefined, before any forward); then
+    one forward per chunk of models, each scored by `_score`."""
+    metric = MetricKind(metric)
+    features, labels = dataset.features, dataset.labels
+    _check_fit(arch, features, labels)
+    if stack.ndim != 2 or stack.shape[1] != arch.param_count:
+        raise ValueError(f"expected a (K, {arch.param_count}) parameter stack, got shape {stack.shape}")
+    _support(labels, arch.class_count, metric)
+    chunk = max(1, _CHUNK_FLOATS // (labels.size * max(arch.layer_dims)))
+    out = np.empty(stack.shape[0])
+    for lo in range(0, stack.shape[0], chunk):
+        _, acts = _forward_cached(_layer_views(stack[lo : lo + chunk], arch), arch.activation, features)
+        out[lo : lo + chunk] = _score(acts[-1], labels, metric)
+    return out
 
 
 def evaluate(params: ParamVector, arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> float:
     """Score in [0, 1] for the dataset under the given metric (higher is better).
 
-    The split is used as given; its fit and the parameters are checked once."""
-    metric = MetricKind(metric)
-    return _score(_logits(params, arch, dataset), dataset.labels, metric)
+    The split is used as given; this is the one-model case of `_scores`."""
+    _check_params(params, arch)
+    return float(_scores(params.values[None], arch, dataset, metric)[0])

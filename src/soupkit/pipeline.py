@@ -166,11 +166,11 @@ def checkpoint_id(stage: str, arch: ArchSpec, config: HyperConfig | None,
 
 def val_metric_map(params: ParamVector, arch: ArchSpec, val: LabeledDataset) -> dict[str, float]:
     """All supported metrics on the validation split, from one forward; undefined ones are omitted."""
-    logits = _logits(params, arch, val)
+    logits = _logits(params, arch, val)[None]
     out = {}
     for kind in MetricKind:
         try:
-            out[kind.value] = _score(logits, val.labels, kind)
+            out[kind.value] = float(_score(logits, val.labels, kind)[0])
         except MetricUndefinedError:
             pass
     return out
@@ -244,6 +244,9 @@ def _train_population(
     states = [AdamWState.fresh(p.size, weight_decay=m.config.weight_decay) for (p, _), m in zip(views, members)]
     noise = [AUGMENT_PARAMS[m.config.augment] for m in members]
     alive = list(range(len(members)))
+    # one row per member, refilled each epoch: shuffling arange(n) in place
+    # draws exactly what `rng.permutation(n)` draws
+    perms = np.empty((len(members), n), dtype=np.int64)
 
     def freeze(finite: np.ndarray, error: str) -> None:
         """Freeze every live member whose row of the stack is not all finite."""
@@ -260,7 +263,9 @@ def _train_population(
     # overflow warnings on the way there are just noise
     with np.errstate(over="ignore", invalid="ignore"):
         while step < total_steps and alive:
-            perms = np.stack([m.rng.permutation(n) for m in members])
+            for i, m in enumerate(members):
+                perms[i] = np.arange(n)
+                m.rng.shuffle(perms[i])
             for b in range(min(spe, total_steps - step)):
                 step += 1
                 rows = perms[:, b * bs : (b + 1) * bs]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os  # noqa: F401  crash tests reach os.replace through this module
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path

@@ -433,11 +433,11 @@ def test_criterion_10_determinism_and_persistence(tmp_path, monkeypatch):
 
     other = Checkpoint(id="grid-faulted0000", arch=arch, params=init_params(arch, 4),
                        config=None, lineage=Lineage("grid"), val_metrics={}, epochs_consumed=1.0)
-    monkeypatch.setattr("soupkit.store.os.replace", explode_on_manifest)
+    monkeypatch.setattr("soupkit.data.os.replace", explode_on_manifest)
     with pytest.raises(OSError):
         store.save_checkpoint(other)
     clean = not store.exists(other.id) and store.list_checkpoints() == [ck.id]
-    monkeypatch.setattr("soupkit.store.os.replace", real_replace)
+    monkeypatch.setattr("soupkit.data.os.replace", real_replace)
     store.save_checkpoint(other)  # retry succeeds once the fault clears
     clean = clean and store.exists(other.id)
 

@@ -20,6 +20,7 @@ from soupkit.analysis import (
     plane_basis,
 )
 from soupkit.data import LabeledDataset
+from soupkit import nn
 from soupkit.nn import ArchSpec, MetricKind, ParamVector, evaluate, pack_params
 from soupkit.pipeline import Checkpoint, HyperConfig, Lineage
 
@@ -367,3 +368,60 @@ def test_csv_writers_failing_mid_write_keep_previous_file(tmp_path, full_disk):
             obj.write_csv(tmp_path / name)
     assert {name: (tmp_path / name).read_bytes() for name in writers} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
+
+
+# ---------------------------------------------------------------------------
+# The many-model callers equal one `evaluate` per model
+
+WIDE = ArchSpec((3, 64, 3), "tanh")  # 200 rows x 64 wide: five models per scoring chunk
+
+
+def _wide_ck(cid, values):
+    return Checkpoint(id=cid, arch=WIDE, params=ParamVector(values, WIDE.signature),
+                      config=None, lineage=Lineage("grid"), val_metrics={}, epochs_consumed=1.0)
+
+
+@pytest.fixture()
+def wide():
+    rng = np.random.default_rng(11)
+    labels = rng.integers(0, 3, size=200)
+    feats = rng.normal(size=(200, 3))
+    feats[np.arange(200), labels] += 1.0
+    cks = [_wide_ck(f"grid-w{i}", rng.normal(size=WIDE.param_count) * 0.5) for i in range(3)]
+    assert nn._CHUNK_FLOATS // (200 * 64) == 5
+    return _dataset(feats, labels), cks
+
+
+@pytest.mark.parametrize("metric", list(MetricKind))
+def test_landscape_grid_cells_equal_evaluate_across_chunks(wide, metric):
+    ds, cks = wide
+    basis = plane_basis(*cks)
+    grid = landscape_grid(basis, default_extent(basis.anchor_coords), (12, 3), ds, metric)
+    for i, y in enumerate(grid.ys):
+        for j, x in enumerate(grid.xs):
+            assert grid.values[i, j] == 1.0 - evaluate(basis.point(x, y), WIDE, ds, metric), (i, j)
+
+
+@pytest.mark.parametrize("metric", list(MetricKind))
+def test_lmc_points_equal_evaluate_of_the_interpolated_vector(wide, metric):
+    ds, (a, b, _) = wide
+    curve = lmc_sweep(a, b, 13, ds, metric)
+    for lam, score in zip(curve.lambdas, curve.scores):
+        mixed = ParamVector(lam * a.params.values + (1.0 - lam) * b.params.values, WIDE.signature)
+        assert score == evaluate(mixed, WIDE, ds, metric), lam
+
+
+def test_ood_report_single_class_split_undefines_only_roc_auc(ds):
+    rng = np.random.default_rng(12)
+    entries = [(f"m{i}", _ck(f"grid-m{i}", rng.normal(size=ARCH.param_count))) for i in range(3)]
+    single = _dataset(rng.normal(size=(8, 3)), [2] * 8)
+    table = ood_report(entries, ds, [single], MetricKind.ROC_AUC_OVR, ARCH)
+    for row, (_, ck) in zip(table.rows, entries):
+        assert row.scores["id_test"] == evaluate(ck.params, ARCH, ds, MetricKind.ROC_AUC_OVR)
+        assert row.scores["t:test"] is None
+    for metric in (MetricKind.ACCURACY, MetricKind.MACRO_RECALL, MetricKind.MACRO_F1):
+        table = ood_report(entries, ds, [single], metric, ARCH)
+        for row, (_, ck) in zip(table.rows, entries):
+            assert row.scores == {"id_test": evaluate(ck.params, ARCH, ds, metric),
+                                  "t:test": evaluate(ck.params, ARCH, single, metric)}
+

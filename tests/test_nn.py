@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soupkit import nn
 from soupkit.nn import (
     ArchSpec,
     Batch,
@@ -432,3 +435,157 @@ def test_evaluate_rejects_labels_outside_the_architecture():
     for metric in MetricKind:
         with pytest.raises(ValueError, match=r"labels out of range \[0, 3\)"):
             evaluate(_rigged_params(arch), arch, ds, metric)
+
+
+# ---------------------------------------------------------------------------
+# Stack scoring: `_scores` of a (K, P) stack against per-model `evaluate`
+
+def _assert_stack_parity(stack, arch, ds):
+    """Every metric: `_scores` equals per-model `evaluate` with `==` (NaN
+    equal to NaN), or both raise MetricUndefinedError."""
+    for metric in MetricKind:
+        try:
+            want = [evaluate(ParamVector(row, arch.signature), arch, ds, metric) for row in stack]
+        except MetricUndefinedError:
+            with pytest.raises(MetricUndefinedError):
+                nn._scores(stack, arch, ds, metric)
+            continue
+        got = nn._scores(stack, arch, ds, metric)
+        assert got.shape == (len(stack),)
+        assert np.array_equal(got, want, equal_nan=True), metric
+
+
+def _random_stack(arch, k_models, rng, scale=1.0):
+    return rng.normal(size=(k_models, arch.param_count)) * scale
+
+
+def test_scores_match_evaluate_with_ties():
+    rng = np.random.default_rng(20)
+    for arch in (ArchSpec((4, 5)), ArchSpec((4, 3, 5), "relu"), ArchSpec((4, 3, 5), "tanh")):
+        # small-integer weights over 0/1 features tie many logits and probabilities
+        stack = rng.integers(-1, 2, size=(7, arch.param_count)).astype(np.float64)
+        ds = _dataset(rng.integers(0, 2, size=(40, 4)), rng.integers(0, 5, size=40), 5)
+        _assert_stack_parity(stack, arch, ds)
+
+
+def test_scores_match_evaluate_with_absent_and_never_predicted_classes():
+    rng = np.random.default_rng(21)
+    k = 12
+    arch = ArchSpec((k, k))
+    feats = rng.normal(size=(90, k))
+    # ten classes present, so each model's class average sums more than numpy's
+    # eight-term block (a pairwise sum), and two absent
+    labels = rng.choice(rng.choice(k, size=10, replace=False), size=90)
+    stack = np.stack([_rigged_params(arch).values] * 40) + _random_stack(arch, 40, rng, 0.3)
+    for row in stack:  # a different set of classes is never predicted by each model
+        _, b = nn._layer_views(row, arch)[0]
+        b[rng.choice(k, size=int(rng.integers(1, 5)), replace=False)] = -1e3
+    _assert_stack_parity(stack, arch, _dataset(feats, labels, k))
+
+
+def test_scores_single_class_labels_leave_only_roc_auc_undefined():
+    rng = np.random.default_rng(22)
+    arch = ArchSpec((3, 4, 3))
+    ds = _dataset(rng.normal(size=(12, 3)), [1] * 12, 3)
+    stack = _random_stack(arch, 5, rng)
+    with pytest.raises(MetricUndefinedError):
+        nn._scores(stack, arch, ds, MetricKind.ROC_AUC_OVR)
+    # decided from the labels alone, before any forward
+    with pytest.raises(MetricUndefinedError):
+        nn._scores(stack[:0], arch, ds, MetricKind.ROC_AUC_OVR)
+    for metric in (MetricKind.ACCURACY, MetricKind.MACRO_RECALL, MetricKind.MACRO_F1):
+        assert np.all(np.isfinite(nn._scores(stack, arch, ds, metric)))
+    _assert_stack_parity(stack, arch, ds)
+
+
+def test_scores_match_evaluate_with_infinite_and_nan_logits():
+    rng = np.random.default_rng(23)
+    arch = ArchSpec((3, 4, 3))
+    ds = _dataset(rng.normal(size=(30, 3)), rng.integers(0, 3, size=30), 3)
+    stack = _random_stack(arch, 6, rng)
+    bias = slice(arch.param_count - 3, arch.param_count)
+    stack[0, bias] = [np.inf, 0.0, 0.0]
+    stack[1, bias] = [0.0, -np.inf, 0.0]
+    stack[2, bias] = [np.nan, 0.0, 0.0]
+    stack[3, bias] = [np.inf, np.inf, -np.inf]
+    stack[4] *= 1e306  # overflows to +-inf inside the forward
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_stack_parity(stack, arch, ds)
+
+
+@pytest.mark.parametrize("k_models", [1, 97])
+def test_scores_match_evaluate_across_chunks(k_models):
+    rng = np.random.default_rng(24)
+    arch = ArchSpec((6, 32, 4), "tanh")
+    ds = _dataset(rng.normal(size=(50, 6)), rng.integers(0, 4, size=50), 4)
+    chunk = nn._CHUNK_FLOATS // (50 * 32)
+    if k_models > 1:
+        assert k_models > chunk and k_models % chunk != 0
+    _assert_stack_parity(_random_stack(arch, k_models, rng), arch, ds)
+
+
+def test_scores_reject_a_stack_of_the_wrong_width():
+    arch = ArchSpec((3, 3))
+    ds = _dataset(np.eye(3), [0, 1, 2], 3)
+    for bad in (np.zeros(arch.param_count), np.zeros((2, arch.param_count + 1))):
+        with pytest.raises(ValueError, match="parameter stack"):
+            nn._scores(bad, arch, ds, MetricKind.ACCURACY)
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.permutations(range(9)), seed=st.integers(0, 2**16), metric=st.sampled_from(list(MetricKind)))
+def test_permuting_the_stack_permutes_the_scores(order, seed, metric):
+    rng = np.random.default_rng(seed)
+    arch = ArchSpec((3, 32, 4))
+    # 300 rows: six models per chunk, so the nine models span two chunks
+    ds = _dataset(rng.integers(-2, 3, size=(300, 3)), rng.integers(0, 4, size=300), 4)
+    stack = _random_stack(arch, 9, rng)
+    order = list(order)
+    assert np.array_equal(nn._scores(stack[order], arch, ds, metric), nn._scores(stack, arch, ds, metric)[order])
+
+
+# Reference one-model ROC-AUC: per-class rank loop, kept here to pin the
+# row-wise ranks of the stack scorer bit for bit.
+def _reference_average_ranks(x):
+    order = np.argsort(x, kind="mergesort")
+    s = x[order]
+    n = s.size
+    starts = np.r_[0, np.flatnonzero(s[1:] != s[:-1]) + 1]
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _reference_roc_auc_ovr(logits, labels):
+    probs = softmax(logits)
+    aucs = []
+    for c in np.unique(labels):
+        positives = labels == c
+        n_pos = int(positives.sum())
+        n_neg = int(positives.size - n_pos)
+        u = _reference_average_ranks(probs[:, c])[positives].sum() - n_pos * (n_pos + 1) / 2.0
+        aucs.append(float(u / (n_pos * n_neg)))
+    return float(np.mean(aucs))
+
+
+def test_stack_roc_auc_matches_reference_rank_loop_exactly():
+    rng = np.random.default_rng(25)
+    for trial in range(300):
+        k = int(rng.integers(2, 12))
+        n = int(rng.integers(2, 200))
+        labels = rng.integers(0, k, size=n)
+        if np.unique(labels).size < 2:
+            continue
+        if trial % 3 == 0:
+            logits = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(4, n, k))  # ties
+        else:
+            logits = rng.normal(size=(4, n, k))
+        if trial % 5 == 0:
+            odd = rng.random(logits.shape) < 0.05
+            logits[odd] = rng.choice([np.inf, -np.inf, np.nan], size=int(odd.sum()))
+        with np.errstate(invalid="ignore"):
+            got = nn._score(logits, labels, MetricKind.ROC_AUC_OVR)
+            want = [_reference_roc_auc_ovr(x, labels) for x in logits]
+        assert np.array_equal(got, want, equal_nan=True), trial
+

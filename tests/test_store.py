@@ -178,7 +178,7 @@ def test_crash_before_manifest_rename_leaves_no_manifest(tmp_path, monkeypatch):
             raise OSError("simulated crash")
         return real_replace(src, dst)
 
-    monkeypatch.setattr("soupkit.store.os.replace", explode_on_manifest)
+    monkeypatch.setattr("soupkit.data.os.replace", explode_on_manifest)
     with pytest.raises(OSError, match="simulated crash"):
         store.save_checkpoint(ck)
     assert not store.exists(ck.id)
@@ -186,7 +186,7 @@ def test_crash_before_manifest_rename_leaves_no_manifest(tmp_path, monkeypatch):
     with pytest.raises(StoreError):
         store.load_checkpoint(ck.id)
 
-    monkeypatch.setattr("soupkit.store.os.replace", real_replace)
+    monkeypatch.setattr("soupkit.data.os.replace", real_replace)
     store.save_checkpoint(ck)
     assert store.load_checkpoint(ck.id).params.values.tobytes() == ck.params.values.tobytes()
 
@@ -198,7 +198,7 @@ def test_crash_before_weights_rename_leaves_nothing_loadable(tmp_path, monkeypat
     def explode(src, dst):
         raise OSError("simulated crash")
 
-    monkeypatch.setattr("soupkit.store.os.replace", explode)
+    monkeypatch.setattr("soupkit.data.os.replace", explode)
     with pytest.raises(OSError):
         store.save_checkpoint(ck)
     assert not store.exists(ck.id)
