@@ -20,6 +20,8 @@ from soupkit.experiment import (
     default_experiment_config,
     default_task_spec,
     headline_metric,
+    landscape_contrast,
+    method_comparison,
     run_experiment,
 )
 from soupkit.nn import MetricKind, evaluate
@@ -285,6 +287,23 @@ def test_smooth_accuracy_report_matches_golden_digest(tmp_path):
     store = Store(tmp_path)
     run_experiment(cfg, store)
     assert _sha256(store.experiment_dir(cfg.name) / "report.csv") == _GOLDEN_SMOOTH_REPORT
+
+
+# The in-memory recipes behind the acceptance criteria: every method's
+# val/test/ood scores on rough seed 0 (its best grid model has no tie), and
+# the (smooth, rough) strict-minima counts at the default resolution.
+_GOLDEN_COMPARISON_SCORES = "4a50c7453cf7b198b3b6f9282b9ce4a283c000907a56842d0176b5ebba6fe481"
+_GOLDEN_LANDSCAPE_CONTRAST = [(0, 9), (0, 17), (1, 4)]
+
+
+def test_method_comparison_scores_match_golden_digest():
+    scores = method_comparison(0, "rough").scores
+    digest = hashlib.sha256(json.dumps(scores, sort_keys=True).encode("ascii")).hexdigest()
+    assert digest == _GOLDEN_COMPARISON_SCORES
+
+
+def test_landscape_contrast_matches_golden_counts():
+    assert [landscape_contrast(seed) for seed in range(3)] == _GOLDEN_LANDSCAPE_CONTRAST
 
 
 def test_truncated_fission_warns_once_with_its_reason(caplog):
