@@ -405,10 +405,10 @@ def run_experiment(config: ExperimentConfig | dict, store: Store) -> dict:
         store.save_checkpoint(ck, exist_ok=True)
 
     metric_key = config.metric.value
+    ranked = sorted(grid_cks, key=lambda c: (-c.val_metrics.get(metric_key, float("-inf")), c.id))
     entries: list[tuple[str, object]] = []
-    if grid_cks:
-        best = max(grid_cks, key=lambda c: (c.val_metrics.get(metric_key, float("-inf")), c.id))
-        entries.append(("best_grid", best))
+    if ranked:
+        entries.append(("best_grid", ranked[0]))
     soups = build_soups(config.soups, config.metric, config.arch, bundle.val, grid_cks, groups)
     for name, soup in soups:
         store.save_soup(soup, config.arch, metric_key, exist_ok=True)
@@ -422,7 +422,6 @@ def run_experiment(config: ExperimentConfig | dict, store: Store) -> dict:
     files = ["report.csv", "budget.csv"]
     local_minima = None
     if config.analysis and grid_cks:
-        ranked = sorted(grid_cks, key=lambda c: (-c.val_metrics.get(metric_key, float("-inf")), c.id))
         curve = lmc_sweep(ranked[0], ranked[1], config.analysis.lmc_points, bundle.val, config.metric)
         curve.write_csv(exp_dir / "lmc_curve.csv")
         files.append("lmc_curve.csv")
@@ -482,7 +481,7 @@ def method_comparison(seed: int, kind: TaskKind | str = TaskKind.ROUGH) -> Compa
     bases, groups, _ = _fgg_stage(config, theta0, bundle)
     metric_key = config.metric.value
 
-    best = max(grid_cks, key=lambda c: (c.val_metrics.get(metric_key, float("-inf")), c.id))
+    best = sorted(grid_cks, key=lambda c: (-c.val_metrics.get(metric_key, float("-inf")), c.id))[0]
     models = [("best_grid", best.params), *((name, soup.params) for name, soup in build_soups(
         ("uniform", "greedy", "gou", "gog"), config.metric, config.arch, bundle.val, grid_cks, groups))]
     stack = np.stack([params.values for _, params in models])

@@ -5,12 +5,14 @@ landscape contrast, barrier ordering) are exercised in test_acceptance.py;
 here we only cover the config surface and the cheap invariants.
 """
 
+import csv
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from soupkit import experiment
 from soupkit.data import TaskKind, gen_task
 from soupkit.experiment import (
     DEFAULT_ARCH,
@@ -197,9 +199,9 @@ def test_run_experiment_is_rerunnable_in_place(tmp_path):
 # shows up here, so a re-baseline has to be made, and logged, on purpose.
 _ALL_SOUPS = ("uniform", "greedy", "gou", "gog", "fgg_uniform", "fgg_greedy", "gs_gou", "gs_gog")
 _GOLDEN_FILES = {
-    "report.csv": "fd8cb2ac4465802577d03c888421adc6605f6884addb7914fa60cfccebb85cb8",
+    "report.csv": "8432ad84b0ab54fc3c05b7ffd05e4f7e4d636ba37791a65fdea75b11c9301d6f",
     "landscape.csv": "af54e390dd42cd1fca8b2fab6408f6482b3c6ca8e36d76a6c73aab6f251a6c30",
-    "summary.json": "cc03055c0ff723f626d3c9fa2f4d7080de823153a5931c2d9ffd608080079483",
+    "summary.json": "50a0ff4458891ad2cf097268ff336ce94eec1d880fece0c6441ce2f210ce363f",
 }
 _GOLDEN_AUDITS = {
     "uniform": "9684e239d4dfd42c6a188ea16a502f9ef398c8f4c7e83371f6eed8ec3d3d57e1",
@@ -224,6 +226,30 @@ def test_run_experiment_artifacts_match_golden_digests(tmp_path):
     audits = {name: _sha256(tmp_path / summary["soups"][name]["id"] / "audit.json")
               for name in _GOLDEN_AUDITS}
     assert audits == _GOLDEN_AUDITS
+
+
+def test_best_grid_breaks_ties_like_greedy_and_lmc(tmp_path, monkeypatch):
+    endpoints = []
+    real_sweep = experiment.lmc_sweep
+
+    def spy(a, b, *args):
+        endpoints.append(a.id)
+        return real_sweep(a, b, *args)
+
+    monkeypatch.setattr(experiment, "lmc_sweep", spy)
+    cfg = _tiny_config(soups=("greedy",))
+    store = Store(tmp_path)
+    summary = run_experiment(cfg, store)
+    scores = {cid: store.read_manifest(cid)["val_metrics"][cfg.metric.value]
+              for cid in summary["checkpoints"] if cid.startswith("grid-")}
+    top = max(scores.values())
+    assert sum(s == top for s in scores.values()) >= 2  # the grid has a tie at the top
+    with open(store.experiment_dir(cfg.name) / "report.csv", newline="") as fh:
+        best = next(row["id"] for row in csv.DictReader(fh) if row["method"] == "best_grid")
+    greedy = store.load_audit(summary["soups"]["greedy"]["id"])
+    assert best == min(cid for cid, s in scores.items() if s == top)
+    assert best == greedy["decisions"][0]["candidate_id"]
+    assert endpoints == [best]
 
 
 # Golden digests of the default recipe (rough, seed 0): twelve-epoch stages,
