@@ -1,19 +1,18 @@
 """End-to-end experiment orchestration and the calibrated default recipes.
 
-`run_experiment` drives the whole pipeline from a versioned JSON config
-(generate task, pretrain, warmup, grid, cyclical snapshot generation,
-soups, reports) against a checkpoint store, deterministically enough that
-running the same config twice emits byte-identical CSVs.
-
-The `method_comparison`, `landscape_contrast`, and `lmc_barriers` helpers
-run the same recipe in memory with the package's calibrated desk-scale
-defaults; they back the headline empirical claims.
+`run_recipe` runs a versioned config's recipe in memory (pretrain, warmup,
+grid, cyclical snapshot generation, soups) and returns a `Recipe`, whose
+`ranked_grid` is the one grid ranking. `run_experiment` runs it and persists
+the checkpoints, soups and reports to a store, deterministically enough that
+running the same config twice emits byte-identical CSVs. `method_comparison`
+and `landscape_contrast` run it with the package's calibrated desk-scale
+defaults; with `lmc_barriers` they back the headline empirical claims.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -36,6 +35,7 @@ from .nn import ArchSpec, MetricKind, _scores, evaluate
 from .optim import CyclicalSchedule
 from .pipeline import (
     Checkpoint,
+    GridFailure,
     HyperConfig,
     fgg_base_generate,
     fgg_fission_many,
@@ -285,41 +285,6 @@ def cycle_schedule(cycle_epochs: int, train_rows: int, batch_size: int,
     return CyclicalSchedule(c, alpha1, alpha2)
 
 
-def _fit_stage(config: ExperimentConfig, bundle: TaskBundle):
-    """Pretrain on source, then linear-probe warmup on the target train set."""
-    pre_cfg = HyperConfig(lr=config.pretrain_lr, seed=config.pretrain_seed,
-                          epochs=config.pretrain_epochs, batch_size=config.batch_size,
-                          weight_decay=config.weight_decay)
-    pretrained = pretrain_source(config.arch, bundle.source, pre_cfg)
-    warm_cfg = HyperConfig(lr=config.warmup_lr, seed=config.pretrain_seed,
-                           warmup_epochs=config.warmup_epochs, batch_size=config.batch_size,
-                           weight_decay=config.weight_decay)
-    theta0 = linear_probe_warmup(pretrained, bundle.train, warm_cfg, bundle.val)
-    return pretrained, theta0
-
-
-def _grid_stage(config: ExperimentConfig, theta0: Checkpoint, bundle: TaskBundle):
-    assert config.grid is not None
-    template = HyperConfig(lr=config.grid.lrs[0], seed=0, epochs=config.grid.epochs,
-                           batch_size=config.batch_size, weight_decay=config.weight_decay)
-    return grid_generate(theta0, list(config.grid.lrs), list(config.grid.augments),
-                         list(config.grid.seeds), bundle.train, bundle.val, template)
-
-
-def _fgg_stage(config: ExperimentConfig, theta0: Checkpoint, bundle: TaskBundle):
-    assert config.fgg is not None
-    fgg = config.fgg
-    template = HyperConfig(lr=fgg.lrs[0], seed=fgg.seed, augment=fgg.augment,
-                           epochs=fgg.epochs, batch_size=config.batch_size,
-                           weight_decay=config.weight_decay)
-    bases, failures = fgg_base_generate(theta0, list(fgg.lrs), bundle.train, bundle.val, template)
-    sched = cycle_schedule(fgg.cycle_epochs, bundle.train.n, config.batch_size,
-                           fgg.alpha1, fgg.alpha2)
-    results = fgg_fission_many(bases, sched, fgg.n_collect, bundle.train, bundle.val)
-    groups = [(base, result.checkpoints) for base, result in zip(bases, results)]
-    return bases, groups, failures
-
-
 def _base_groups(groups: Sequence[tuple[Checkpoint, Sequence[Checkpoint]]]) -> dict[str, list[Checkpoint]]:
     """One group per base model, keyed by base id: the base, then its snapshots."""
     out: dict[str, list[Checkpoint]] = {}
@@ -370,10 +335,62 @@ def build_soups(methods: Sequence[str], metric: MetricKind | str, arch: ArchSpec
 
 
 # ---------------------------------------------------------------------------
-# Full persisted run
+# The recipe runner and the persisted run
+
+@dataclass
+class Recipe:
+    """Every model one run of a config trained, and the soups built from them."""
+    bundle: TaskBundle
+    pretrained: Checkpoint
+    theta0: Checkpoint
+    grid: list[Checkpoint]
+    bases: list[Checkpoint]
+    groups: list[tuple[Checkpoint, list[Checkpoint]]]  # (base, its snapshots)
+    failures: list[GridFailure]
+    soups: list[tuple[str, SoupResult]]
+
+    @property
+    def checkpoints(self) -> list[Checkpoint]:
+        """Every trained checkpoint, in the order `summary.json` lists them."""
+        return [self.pretrained, self.theta0, *self.grid, *self.bases,
+                *(c for _, snapshots in self.groups for c in snapshots)]
+
+    def ranked_grid(self, metric: MetricKind | str) -> list[Checkpoint]:
+        """The grid best first by recorded validation score; ties go to the smaller id."""
+        key = MetricKind(metric).value
+        return sorted(self.grid, key=lambda c: (-c.val_metrics.get(key, float("-inf")), c.id))
+
+
+def run_recipe(config: ExperimentConfig, bundle: TaskBundle) -> Recipe:
+    """Pretrain on source, warm up the head, train the configured grid and
+    fgg stages on `bundle`, and build `config.soups`. Nothing is persisted."""
+    common = dict(batch_size=config.batch_size, weight_decay=config.weight_decay)
+    pretrained = pretrain_source(config.arch, bundle.source, HyperConfig(
+        lr=config.pretrain_lr, seed=config.pretrain_seed, epochs=config.pretrain_epochs, **common))
+    theta0 = linear_probe_warmup(pretrained, bundle.train, HyperConfig(
+        lr=config.warmup_lr, seed=config.pretrain_seed, warmup_epochs=config.warmup_epochs, **common),
+        bundle.val)
+    grid, failures = [], []
+    if config.grid:
+        g = config.grid
+        grid, failures = grid_generate(theta0, list(g.lrs), list(g.augments), list(g.seeds),
+                                       bundle.train, bundle.val,
+                                       HyperConfig(lr=g.lrs[0], seed=0, epochs=g.epochs, **common))
+    bases, groups = [], []
+    if config.fgg:
+        f = config.fgg
+        bases, base_failures = fgg_base_generate(theta0, list(f.lrs), bundle.train, bundle.val, HyperConfig(
+            lr=f.lrs[0], seed=f.seed, augment=f.augment, epochs=f.epochs, **common))
+        failures += base_failures
+        schedule = cycle_schedule(f.cycle_epochs, bundle.train.n, config.batch_size, f.alpha1, f.alpha2)
+        results = fgg_fission_many(bases, schedule, f.n_collect, bundle.train, bundle.val)
+        groups = [(base, result.checkpoints) for base, result in zip(bases, results)]
+    soups = build_soups(config.soups, config.metric, config.arch, bundle.val, grid, groups)
+    return Recipe(bundle, pretrained, theta0, grid, bases, groups, failures, soups)
+
 
 def run_experiment(config: ExperimentConfig | dict, store: Store) -> dict:
-    """Execute the configured pipeline, persist checkpoints and CSV reports.
+    """Run the config's recipe, persist its checkpoints, soups and CSV reports.
 
     Returns a summary dict (also written to the experiment directory). Safe
     to re-run: existing identical checkpoints are verified, not rewritten.
@@ -382,46 +399,26 @@ def run_experiment(config: ExperimentConfig | dict, store: Store) -> dict:
         config = ExperimentConfig.from_dict(config)
     exp_dir = store.experiment_dir(config.name)
     bundle = gen_task(config.task, config.split_ratios)
-    store.save_task_bundle(config.name, bundle, config.task)
+    store.save_task_bundle(config.name, bundle, config.task)  # a taken name fails before training
 
-    pretrained, theta0 = _fit_stage(config, bundle)
-    store.save_checkpoint(pretrained, exist_ok=True)
-    store.save_checkpoint(theta0, exist_ok=True)
-    saved = [pretrained, theta0]
-
-    grid_cks: list[Checkpoint] = []
-    grid_failures = []
-    if config.grid:
-        grid_cks, grid_failures = _grid_stage(config, theta0, bundle)
-        saved.extend(grid_cks)
-    bases: list[Checkpoint] = []
-    groups: list[tuple[Checkpoint, list[Checkpoint]]] = []
-    if config.fgg:
-        bases, groups, fgg_failures = _fgg_stage(config, theta0, bundle)
-        grid_failures.extend(fgg_failures)
-        saved.extend(bases)
-        saved.extend(c for _, fissions in groups for c in fissions)
-    for ck in saved[2:]:
+    recipe = run_recipe(config, bundle)
+    checkpoints = recipe.checkpoints
+    for ck in checkpoints:
         store.save_checkpoint(ck, exist_ok=True)
-
     metric_key = config.metric.value
-    ranked = sorted(grid_cks, key=lambda c: (-c.val_metrics.get(metric_key, float("-inf")), c.id))
-    entries: list[tuple[str, object]] = []
-    if ranked:
-        entries.append(("best_grid", ranked[0]))
-    soups = build_soups(config.soups, config.metric, config.arch, bundle.val, grid_cks, groups)
-    for name, soup in soups:
+    for _, soup in recipe.soups:
         store.save_soup(soup, config.arch, metric_key, exist_ok=True)
-        entries.append((name, soup))
 
-    report = ood_report(entries, bundle.test, [bundle.ood], config.metric, config.arch)
+    ranked = recipe.ranked_grid(config.metric)
+    best = [("best_grid", ranked[0])] if ranked else []
+    report = ood_report([*best, *recipe.soups], bundle.test, [bundle.ood], config.metric, config.arch)
     report.write_csv(exp_dir / "report.csv")
-    budget = compute_budget(saved)
+    budget = compute_budget(checkpoints)
     budget.write_csv(exp_dir / "budget.csv")
 
     files = ["report.csv", "budget.csv"]
     local_minima = None
-    if config.analysis and grid_cks:
+    if config.analysis and ranked:
         curve = lmc_sweep(ranked[0], ranked[1], config.analysis.lmc_points, bundle.val, config.metric)
         curve.write_csv(exp_dir / "lmc_curve.csv")
         files.append("lmc_curve.csv")
@@ -438,10 +435,10 @@ def run_experiment(config: ExperimentConfig | dict, store: Store) -> dict:
     summary = {
         "name": config.name,
         "metric": metric_key,
-        "checkpoints": [c.id for c in saved],
-        "soups": {name: {"id": soup.id, "val_score": soup.val_score} for name, soup in soups},
+        "checkpoints": [c.id for c in checkpoints],
+        "soups": {name: {"id": soup.id, "val_score": soup.val_score} for name, soup in recipe.soups},
         "failures": [{"lr": f.config.lr, "seed": f.config.seed, "augment": f.config.augment.value,
-                      "error": f.error} for f in grid_failures],
+                      "error": f.error} for f in recipe.failures],
         "budget": {"grid_total": budget.grid_total, "fgg_total": budget.fgg_total,
                    "ratio": budget.ratio},
         "report": {
@@ -460,14 +457,7 @@ def run_experiment(config: ExperimentConfig | dict, store: Store) -> dict:
 
 @dataclass
 class ComparisonRun:
-    seed: int
-    kind: TaskKind
-    metric: MetricKind
-    bundle: TaskBundle
-    theta0: Checkpoint
-    grid: list[Checkpoint]
-    bases: list[Checkpoint]
-    groups: list[tuple[Checkpoint, list[Checkpoint]]]
+    recipe: Recipe
     scores: dict[str, dict[str, float]]  # method -> {"val", "test", "ood"}
 
 
@@ -475,24 +465,18 @@ def method_comparison(seed: int, kind: TaskKind | str = TaskKind.ROUGH) -> Compa
     """Grid baselines vs cyclical-snapshot soups on one seeded task instance."""
     kind = TaskKind(kind)
     config = default_experiment_config(f"cmp-{kind.value}-{seed}", kind, seed)
-    bundle = gen_task(config.task, config.split_ratios)
-    _, theta0 = _fit_stage(config, bundle)
-    grid_cks, _ = _grid_stage(config, theta0, bundle)
-    bases, groups, _ = _fgg_stage(config, theta0, bundle)
-    metric_key = config.metric.value
-
-    best = sorted(grid_cks, key=lambda c: (-c.val_metrics.get(metric_key, float("-inf")), c.id))[0]
-    models = [("best_grid", best.params), *((name, soup.params) for name, soup in build_soups(
-        ("uniform", "greedy", "gou", "gog"), config.metric, config.arch, bundle.val, grid_cks, groups))]
-    stack = np.stack([params.values for _, params in models])
+    recipe = run_recipe(config, gen_task(config.task, config.split_ratios))
+    models = [("best_grid", recipe.ranked_grid(config.metric)[0]), *recipe.soups]
+    stack = np.stack([m.params.values for _, m in models])
+    b = recipe.bundle
     by_split = {split: _scores(stack, config.arch, ds, config.metric)
-                for split, ds in (("val", bundle.val), ("test", bundle.test), ("ood", bundle.ood))}
+                for split, ds in (("val", b.val), ("test", b.test), ("ood", b.ood))}
     scores = {name: {split: float(s[i]) for split, s in by_split.items()} for i, (name, _) in enumerate(models)}
-    return ComparisonRun(seed, kind, config.metric, bundle, theta0, grid_cks, bases, groups, scores)
+    return ComparisonRun(recipe, scores)
 
 
-def _find_grid(run: ComparisonRun, lr: float, augment: AugmentLevel, seed: int) -> Checkpoint:
-    for c in run.grid:
+def _find_grid(grid: Sequence[Checkpoint], lr: float, augment: AugmentLevel, seed: int) -> Checkpoint:
+    for c in grid:
         if c.config.lr == lr and c.config.augment is augment and c.config.seed == seed:
             return c
     raise LookupError(f"no grid checkpoint with lr={lr} augment={augment} seed={seed}")
@@ -508,13 +492,13 @@ LMC_POINTS = 25
 
 def lmc_barriers(run: ComparisonRun, n_points: int = LMC_POINTS) -> dict[str, float]:
     """Train-accuracy interpolation barriers: seed-only pair vs LR-only pair."""
-    aug = AugmentLevel.MINIMAL
-    seed_a = _find_grid(run, LMC_SAME_LR, aug, GRID_SEEDS[0])
-    seed_b = _find_grid(run, LMC_SAME_LR, aug, GRID_SEEDS[1])
-    lr_a = _find_grid(run, LMC_CROSS_LRS[0], aug, GRID_SEEDS[0])
-    lr_b = _find_grid(run, LMC_CROSS_LRS[1], aug, GRID_SEEDS[0])
-    seed_curve = lmc_sweep(seed_a, seed_b, n_points, run.bundle.train, MetricKind.ACCURACY)
-    lr_curve = lmc_sweep(lr_a, lr_b, n_points, run.bundle.train, MetricKind.ACCURACY)
+    aug, grid, train = AugmentLevel.MINIMAL, run.recipe.grid, run.recipe.bundle.train
+    seed_a = _find_grid(grid, LMC_SAME_LR, aug, GRID_SEEDS[0])
+    seed_b = _find_grid(grid, LMC_SAME_LR, aug, GRID_SEEDS[1])
+    lr_a = _find_grid(grid, LMC_CROSS_LRS[0], aug, GRID_SEEDS[0])
+    lr_b = _find_grid(grid, LMC_CROSS_LRS[1], aug, GRID_SEEDS[0])
+    seed_curve = lmc_sweep(seed_a, seed_b, n_points, train, MetricKind.ACCURACY)
+    lr_curve = lmc_sweep(lr_a, lr_b, n_points, train, MetricKind.ACCURACY)
     return {"seed_pair": seed_curve.barrier(), "lr_pair": lr_curve.barrier()}
 
 
@@ -532,18 +516,13 @@ def landscape_minima(seed: int, kind: TaskKind | str,
                      resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> int:
     """Strict-local-minima count of the 3-best-model held-out error slice."""
     kind = TaskKind(kind)
-    config = default_experiment_config(f"lc-{kind.value}-{seed}", kind, seed)
-    bundle = gen_task(config.task, config.split_ratios)
-    _, theta0 = _fit_stage(config, bundle)
-    template = HyperConfig(lr=LC_LRS[0], seed=0, epochs=LC_EPOCHS,
-                           batch_size=config.batch_size, weight_decay=config.weight_decay)
-    pool, _ = grid_generate(theta0, list(LC_LRS), [AugmentLevel.MINIMAL], list(LC_SEEDS),
-                            bundle.train, bundle.val, template)
-    metric_key = LC_RANK_METRIC.value
-    ranked = sorted(pool, key=lambda c: (-c.val_metrics.get(metric_key, float("-inf")), c.id))
+    config = replace(default_experiment_config(f"lc-{kind.value}-{seed}", kind, seed),
+                     grid=GridSection(LC_LRS, (AugmentLevel.MINIMAL,), LC_SEEDS, LC_EPOCHS), fgg=None, soups=())
+    recipe = run_recipe(config, gen_task(config.task, config.split_ratios))
+    ranked = recipe.ranked_grid(LC_RANK_METRIC)
     basis = plane_basis(ranked[0], ranked[1], ranked[2])
     extent = default_extent(basis.anchor_coords)
-    surface = landscape_grid(basis, extent, resolution, bundle.test, LC_METRIC)
+    surface = landscape_grid(basis, extent, resolution, recipe.bundle.test, LC_METRIC)
     return count_local_minima(surface)
 
 

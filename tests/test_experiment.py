@@ -25,6 +25,7 @@ from soupkit.experiment import (
     landscape_contrast,
     method_comparison,
     run_experiment,
+    run_recipe,
 )
 from soupkit.nn import MetricKind, evaluate
 from soupkit.store import Store
@@ -112,13 +113,10 @@ def test_cycle_schedule_steps():
 # build_soups
 
 def test_build_soups_names_and_membership():
-    cfg = _tiny_config()
+    cfg = _tiny_config(soups=())
     bundle = gen_task(cfg.task, cfg.split_ratios)
-    from soupkit.experiment import _fgg_stage, _fit_stage, _grid_stage
-
-    _, theta0 = _fit_stage(cfg, bundle)
-    grid, _ = _grid_stage(cfg, theta0, bundle)
-    _, groups, _ = _fgg_stage(cfg, theta0, bundle)
+    recipe = run_recipe(cfg, bundle)
+    grid, groups = recipe.grid, recipe.groups
     soups = build_soups(["uniform", "greedy", "gou", "gog", "fgg_uniform",
                          "fgg_greedy", "gs_gou", "gs_gog"],
                         cfg.metric, cfg.arch, bundle.val, grid, groups)
@@ -144,12 +142,10 @@ def test_build_soups_names_and_membership():
 def test_gs_gog_records_lower_level_decisions(tmp_path):
     d = _tiny_config().to_dict()
     d["grid"]["seeds"] = [0, 1]  # two members per lr group, so each local greedy decides
+    d.update(fgg=None, soups=[])
     cfg = ExperimentConfig.from_dict(d)
     bundle = gen_task(cfg.task, cfg.split_ratios)
-    from soupkit.experiment import _fit_stage, _grid_stage
-
-    _, theta0 = _fit_stage(cfg, bundle)
-    grid, _ = _grid_stage(cfg, theta0, bundle)
+    grid = run_recipe(cfg, bundle).grid
     [(_, soup)] = build_soups(["gs_gog"], cfg.metric, cfg.arch, bundle.val, grid, [])
     by_lr = {}
     for c in grid:
@@ -226,6 +222,15 @@ def test_run_experiment_artifacts_match_golden_digests(tmp_path):
     audits = {name: _sha256(tmp_path / summary["soups"][name]["id"] / "audit.json")
               for name in _GOLDEN_AUDITS}
     assert audits == _GOLDEN_AUDITS
+
+
+def test_run_recipe_checkpoints_are_the_summary_checkpoints(tmp_path):
+    cfg = _tiny_config(soups=_ALL_SOUPS)
+    recipe = run_recipe(cfg, gen_task(cfg.task, cfg.split_ratios))
+    summary = run_experiment(cfg, Store(tmp_path))
+    assert [c.id for c in recipe.checkpoints] == summary["checkpoints"]
+    assert {name: soup.id for name, soup in recipe.soups} == {
+        name: s["id"] for name, s in summary["soups"].items()}
 
 
 def test_best_grid_breaks_ties_like_greedy_and_lmc(tmp_path, monkeypatch):
@@ -335,15 +340,14 @@ def test_landscape_contrast_matches_golden_counts():
 def test_truncated_fission_warns_once_with_its_reason(caplog):
     import logging
 
-    from soupkit.experiment import _fgg_stage, _fit_stage
-
     d = _tiny_config().to_dict()
     d["fgg"].update(lrs=[0.01], alpha1=1e30)
+    d.update(grid=None, soups=[])
     cfg = ExperimentConfig.from_dict(d)
     bundle = gen_task(cfg.task, cfg.split_ratios)
-    _, theta0 = _fit_stage(cfg, bundle)
     with caplog.at_level(logging.WARNING, logger="soupkit"):
-        bases, groups, failures = _fgg_stage(cfg, theta0, bundle)
+        recipe = run_recipe(cfg, bundle)
+    bases, groups, failures = recipe.bases, recipe.groups, recipe.failures
     assert len(bases) == 1 and failures == []
     assert len(groups[0][1]) < cfg.fgg.n_collect
     warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
