@@ -65,6 +65,12 @@ def _names(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
+def _trained_config(ck, need: str) -> HyperConfig:
+    if ck.config is None:
+        raise ValueError(f"checkpoint {ck.id} has no training config ({ck.lineage.stage}); {need}")
+    return ck.config
+
+
 def cmd_gen_data(args) -> dict:
     if args.spec:
         spec = TaskSpec.from_dict(json.loads(Path(args.spec).read_text()))
@@ -95,7 +101,7 @@ def cmd_warmup(args) -> dict:
     pretrained = store.load_checkpoint(args.pretrained)
     train = store.load_dataset(args.data, "train")
     val = store.load_dataset(args.data, "val")
-    seed = args.seed if args.seed is not None else pretrained.config.seed
+    seed = args.seed if args.seed is not None else _trained_config(pretrained, "pass --seed").seed
     config = HyperConfig(lr=args.lr, seed=seed, warmup_epochs=args.epochs,
                          batch_size=args.batch_size, weight_decay=args.weight_decay)
     ck = linear_probe_warmup(pretrained, train, config, val)
@@ -138,7 +144,8 @@ def cmd_fission(args) -> dict:
     base = store.load_checkpoint(args.base)
     train = store.load_dataset(args.data, "train")
     val = store.load_dataset(args.data, "val")
-    schedule = cycle_schedule(args.cycle_epochs, train.n, base.config.batch_size,
+    batch_size = _trained_config(base, "fission needs a trained base").batch_size
+    schedule = cycle_schedule(args.cycle_epochs, train.n, batch_size,
                               args.alpha1, args.alpha2)
     result = fgg_fission(base, schedule, args.n_collect, train, val)
     for ck in result.checkpoints:

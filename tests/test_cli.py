@@ -253,6 +253,28 @@ def test_soup_requires_member_flags(pipe):
     assert rc == 1 and "--bases" in err
 
 
+def _soup_id(pipe):
+    return _ok("--store", pipe["store"], "soup", "--data", "demo", "--method", "uniform",
+               "--metric", "accuracy", "--ids", ",".join(pipe["grid"]))["id"]
+
+
+def test_fission_from_a_soup_is_a_one_line_error(pipe):
+    soup = _soup_id(pipe)
+    rc, out, err = _run("--store", pipe["store"], "fission", "--data", "demo", "--base", soup,
+                        "--alpha1", "0.003", "--alpha2", "1e-6", "--n-collect", "2")
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: checkpoint {soup} has no training config") and err.count("\n") == 1
+
+
+def test_warmup_from_a_soup_without_seed_is_a_one_line_error(pipe):
+    soup = _soup_id(pipe)
+    rc, out, err = _run("--store", pipe["store"], "warmup", "--data", "demo", "--pretrained", soup,
+                        "--lr", "0.01", "--epochs", "1")
+    assert rc == 1 and out == ""
+    assert err.startswith(f"error: checkpoint {soup} has no training config") and "--seed" in err
+    assert err.count("\n") == 1
+
+
 def test_diverging_stage_is_a_one_line_error(tmp_path):
     s = ("--store", str(tmp_path))
     _ok(*s, "gen-data", "--name", "e", "--seed", "0")
