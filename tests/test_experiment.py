@@ -28,7 +28,7 @@ from soupkit.experiment import (
     run_recipe,
 )
 from soupkit.nn import MetricKind, evaluate
-from soupkit.store import Store
+from soupkit.store import Store, StoreError
 
 
 def _tiny_config(name="tiny", seed=1, soups=("uniform", "greedy", "gou", "gog"), kind="rough"):
@@ -231,6 +231,21 @@ def test_run_recipe_checkpoints_are_the_summary_checkpoints(tmp_path):
     assert [c.id for c in recipe.checkpoints] == summary["checkpoints"]
     assert {name: soup.id for name, soup in recipe.soups} == {
         name: s["id"] for name, s in summary["soups"].items()}
+
+
+def test_run_experiment_refuses_a_taken_name_before_training(tmp_path, monkeypatch):
+    cfg = _tiny_config()
+    store = Store(tmp_path)
+    other = _tiny_config(seed=2)
+    store.save_task_bundle(cfg.name, gen_task(other.task, other.split_ratios), other.task)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained under a taken name")
+
+    monkeypatch.setattr(experiment, "pretrain_source", no_training)
+    with pytest.raises(StoreError, match="different task spec"):
+        run_experiment(cfg, store)
+    assert store.list_checkpoints() == []
 
 
 def test_best_grid_breaks_ties_like_greedy_and_lmc(tmp_path, monkeypatch):
