@@ -234,10 +234,15 @@ def compute_budget(checkpoints: Sequence[Checkpoint]) -> BudgetReport:
     fgg_total covers base models plus their cyclical snapshots; the ratio
     compares that against the plain grid total and is None without a grid.
     """
+    return _stage_budget([(ck.lineage.stage, ck.epochs_consumed) for ck in checkpoints])
+
+
+def _stage_budget(runs: Sequence[tuple[str, float]]) -> BudgetReport:
+    """`compute_budget` over (lineage stage, epochs consumed) pairs, which a
+    store's manifests hold without the weights."""
     stage_epochs: dict[str, float] = {}
-    for ck in checkpoints:
-        stage = ck.lineage.stage
-        stage_epochs[stage] = stage_epochs.get(stage, 0.0) + float(ck.epochs_consumed)
+    for stage, epochs in runs:
+        stage_epochs[stage] = stage_epochs.get(stage, 0.0) + float(epochs)
     grid_total = stage_epochs.get("grid", 0.0)
     fgg_total = stage_epochs.get("base", 0.0) + stage_epochs.get("fission", 0.0)
     ratio = fgg_total / grid_total if grid_total > 0.0 else None

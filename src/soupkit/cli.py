@@ -17,7 +17,7 @@ from pathlib import Path
 from .analysis import (
     DEFAULT_EXTENT_MARGIN,
     DEFAULT_LMC_POINTS,
-    compute_budget,
+    _stage_budget,
     count_local_minima,
     default_extent,
     landscape_grid,
@@ -30,6 +30,7 @@ from .experiment import ExperimentConfig, build_soups, cycle_schedule, run_exper
 from .nn import ArchSpec, MetricKind, evaluate
 from .pipeline import (
     HyperConfig,
+    Lineage,
     TrainingDivergedError,
     fgg_base_generate,
     fgg_fission,
@@ -243,8 +244,9 @@ def cmd_report(args) -> dict:
 def cmd_budget(args) -> dict:
     store = _store(args)
     ids = _names(args.ids) if args.ids else store.list_checkpoints()
-    checkpoints = [store.load_checkpoint(i) for i in ids]
-    budget = compute_budget(checkpoints)
+    # The manifests hold each run's stage and epoch count: no weights are read.
+    manifests = [store.read_manifest(i) for i in ids]
+    budget = _stage_budget([(Lineage.from_dict(m["lineage"]).stage, m["epochs_consumed"]) for m in manifests])
     out = {"command": "budget", "stage_epochs": budget.stage_epochs,
            "grid_total": budget.grid_total, "fgg_total": budget.fgg_total,
            "ratio": budget.ratio}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import uuid
 from dataclasses import dataclass
@@ -259,23 +260,57 @@ def split(dataset: LabeledDataset, ratios: tuple[float, float, float], seed: int
 
 def augment(batch: Batch, level: AugmentLevel | str, rng: np.random.Generator,
             sigma: float | None = None, dropout_p: float | None = None) -> Batch:
-    """Feature-space augmentation; labels pass through untouched."""
+    """Feature-space augmentation; labels pass through untouched. The
+    one-row case of `_jitter`."""
     base_sigma, base_p = AUGMENT_PARAMS[AugmentLevel(level)]
     sigma = base_sigma if sigma is None else sigma
     dropout_p = base_p if dropout_p is None else dropout_p
-    feats = _jitter(batch.features, sigma, dropout_p, rng)
-    return batch if feats is batch.features else Batch(feats, batch.labels)
-
-
-def _jitter(features: np.ndarray, sigma: float, dropout_p: float,
-            rng: np.random.Generator) -> np.ndarray:
-    """Gaussian jitter then feature dropout; the input itself when both are off."""
     if sigma == 0.0 and dropout_p == 0.0:
-        return features
-    feats = features + rng.normal(0.0, sigma, size=features.shape)
-    if dropout_p > 0.0:
-        feats = feats * (rng.random(features.shape) >= dropout_p)
-    return feats
+        return batch
+    if math.copysign(1.0, sigma) < 0.0 and not math.isnan(sigma):
+        raise ValueError("scale < 0")  # what `Generator.normal` says, -0.0 included
+    feats = batch.features[None].copy()
+    _jitter(feats, [(0, sigma, dropout_p, rng)])
+    return Batch(feats[0], batch.labels)
+
+
+def _jitter(features: np.ndarray,
+            members: Sequence[tuple[int, float, float, np.random.Generator]]) -> None:
+    """Gaussian jitter then feature dropout, in place on a (K, n, d) stack.
+
+    `members` lists (row, sigma, dropout_p, rng) for the rows to perturb, in
+    draw order; other rows, and rows with sigma and dropout_p both 0, are
+    left bitwise untouched. Unchecked: `augment` refuses a negative sigma. Each row draws from its own rng exactly what
+    `rng.normal(0.0, sigma, (n, d))` and then, with dropout on,
+    `rng.random((n, d))` would, and gets `(x + noise) * (u >= dropout_p)`
+    bit for bit. Only the draws are per row: scaling, adding and masking run
+    once over the stack.
+    """
+    draws = [(k, sigma, p, rng) for k, sigma, p, rng in members if sigma != 0.0 or p != 0.0]
+    if not draws:
+        return
+    # Rows left alone get noise -0.0 and keep-mask 1.0: x + -0.0 and x * 1.0
+    # are x for every float x, signed zeros and NaN included.
+    noise = np.full(features.shape, -0.0)
+    scale = np.ones(features.shape[0])
+    shift = np.full(features.shape[0], -0.0)
+    dropping = any(p > 0.0 for _, _, p, _ in draws)
+    if dropping:
+        uniform = np.ones(features.shape)
+        keep_below = np.zeros(features.shape[0])
+    for k, sigma, p, rng in draws:
+        rng.standard_normal(out=noise[k])
+        scale[k], shift[k] = sigma, 0.0
+        if p > 0.0:
+            rng.random(out=uniform[k])
+            keep_below[k] = p
+    # `Generator.normal` returns loc + scale * z, so the 0.0 is added too: it
+    # turns a -0.0 noise value into +0.0.
+    noise *= scale[:, None, None]
+    noise += shift[:, None, None]
+    features += noise
+    if dropping:
+        features *= uniform >= keep_below[:, None, None]
 
 
 def _atomic_write(path: Path, raw: bytes) -> None:

@@ -11,6 +11,17 @@ in the kernels: `_check_params` and `_check_fit`. Callers that score many
 models on one split pass a (K, P) stack to `_scores`, which checks once and
 runs one forward per bounded chunk of models; `evaluate` is its one-model
 case. Every metric has one implementation, `_score`, over a stack of logits.
+
+The training kernels avoid numpy reductions over tiny axes, whose per-call
+cost dwarfs their arithmetic, but keep every float sum in numpy's own order
+so that results stay bit for bit those of the plain reductions. A row max is
+exact in any order, so `softmax` takes it as a chain of `np.maximum` over the
+class columns. numpy sums fewer than 8 values left to right, so below 8
+classes the softmax denominator is a left-to-right column sum, and from 8 on
+it is numpy's `sum`. A bias gradient is a sum over the batch rows of each
+column, which numpy's `sum` and `einsum` both run row by row into the output;
+the backprop kernel takes the cheaper `einsum`, except for a one-column layer,
+where the rows are contiguous and the two sum in different orders.
 """
 
 from __future__ import annotations
@@ -204,21 +215,25 @@ def _check_params(params: ParamVector, arch: ArchSpec) -> None:
 
 
 def _forward_cached(layers: list[tuple[np.ndarray, np.ndarray]], activation: str, features: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop.
+    """Forward pass keeping every layer's activations for backprop: the
+    input first, the logits last.
 
     Works on one model (rows (n, d)) or a member stack (rows (K, n, d)); each
     member's matmul is the same BLAS call either way, so results agree bit
-    for bit."""
-    act = (lambda z: np.maximum(z, 0.0)) if activation == "relu" else np.tanh
-    a = features
-    pres: list[np.ndarray] = []
-    acts: list[np.ndarray] = [a]
+    for bit. The bias and the activation are applied in place on the
+    matmul's result."""
+    acts = [features]
+    last = len(layers) - 1
     for idx, (w, b) in enumerate(layers):
-        z = a @ w + b[..., None, :]
-        pres.append(z)
-        a = act(z) if idx < len(layers) - 1 else z
-        acts.append(a)
-    return pres, acts
+        z = acts[-1] @ w
+        z += b[..., None, :]
+        if idx < last:
+            if activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            else:
+                np.tanh(z, out=z)
+        acts.append(z)
+    return acts
 
 
 def _check_fit(arch: ArchSpec, features: np.ndarray, labels: np.ndarray) -> None:
@@ -229,23 +244,37 @@ def _check_fit(arch: ArchSpec, features: np.ndarray, labels: np.ndarray) -> None
         raise ValueError(f"labels out of range [0, {arch.class_count})")
 
 
-def _logits(params: ParamVector, arch: ArchSpec, rows: "Batch | LabeledDataset") -> np.ndarray:
-    """One checked forward over a batch or a whole split."""
-    _check_fit(arch, rows.features, rows.labels)
-    _, acts = _forward_cached(unpack_params(params, arch), arch.activation, rows.features)
-    return acts[-1]
-
-
 def forward(params: ParamVector, arch: ArchSpec, batch: Batch) -> np.ndarray:
     """Logits for a batch; activation on hidden layers only, none on the last."""
-    return _logits(params, arch, batch)
+    _check_fit(arch, batch.features, batch.labels)
+    return _forward_cached(unpack_params(params, arch), arch.activation, batch.features)[-1]
+
+
+# numpy sums fewer than 8 values left to right (its pairwise sum starts
+# there), so below this many classes a chain over the columns is its order.
+_COLUMN_CLASSES = 8
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Over the last axis, so a (K, n, classes) stack is K row-wise softmaxes."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Over the last axis, so a (K, n, classes) stack is K row-wise softmaxes.
+
+    Below `_COLUMN_CLASSES` classes the row max and sum run as a chain over
+    the class columns rather than as numpy reductions over a few-wide axis;
+    the result is the reductions' bit for bit (see the module docstring)."""
+    k = logits.shape[-1]
+    if k >= _COLUMN_CLASSES:
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        e /= e.sum(axis=-1, keepdims=True)
+        return e
+    m = logits[..., :1].copy()
+    for j in range(1, k):
+        np.maximum(m, logits[..., j : j + 1], out=m)
+    e = np.exp(logits - m)
+    s = e[..., :1].copy()
+    for j in range(1, k):
+        s += e[..., j : j + 1]
+    e /= s
+    return e
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -291,23 +320,37 @@ def _gradient_into(layers: list[tuple[np.ndarray, np.ndarray]], activation: str,
     (K, n, d) and `labels` is (K, n): member k's batch, loss and gradient
     involve only slice k. Unchecked: the caller guarantees a non-empty
     float64 batch whose feature width and int64 labels fit the layers.
+
+    Every sum keeps numpy's own order, so the gradient is that of the plain
+    reductions bit for bit: the softmax's (see `softmax`), and each bias
+    gradient's running sum over the rows, which `einsum` adds row by row into
+    its output as `sum` over a non-last axis does, at about a third of the
+    cost. The one-hot label subtraction subtracts 1.0 at the label and 0.0
+    elsewhere, which leaves every other entry as it was. Temporaries are
+    updated in place.
     """
-    pres, acts = _forward_cached(layers, activation, features)
-    n = labels.shape[-1]
+    acts = _forward_cached(layers, activation, features)
     delta = softmax(acts[-1])
-    flat = delta.reshape(-1, delta.shape[-1])
-    flat[np.arange(flat.shape[0]), labels.ravel()] -= 1.0
-    delta /= n
+    delta -= labels[..., None] == np.arange(delta.shape[-1])
+    delta /= labels.shape[-1]
     for li in range(len(layers) - 1, -1, -1):
         gw, gb = out[li]
         np.matmul(acts[li].swapaxes(-1, -2), delta, out=gw)
-        delta.sum(axis=-2, out=gb)
+        if gb.shape[-1] > 1:
+            np.einsum("...nw->...w", delta, out=gb)
+        else:
+            # one column: the rows are then the contiguous axis, where
+            # numpy's pairwise sum and einsum's unrolled one differ
+            delta.sum(axis=-2, out=gb)
         if li > 0:
             delta = delta @ layers[li][0].swapaxes(-1, -2)
             if activation == "relu":
-                delta = delta * (pres[li - 1] > 0.0)
+                # relu(z) > 0 exactly where z > 0, NaN included
+                delta *= acts[li] > 0.0
             else:
-                delta = delta * (1.0 - acts[li] ** 2)
+                slope = np.square(acts[li])
+                np.subtract(1.0, slope, out=slope)
+                delta *= slope
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -358,14 +401,17 @@ def _support(labels: np.ndarray, k: int, metric: MetricKind) -> np.ndarray:
     return support
 
 
-def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind) -> np.ndarray:
+def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind,
+           support: np.ndarray | None = None) -> np.ndarray:
     """One metric per model from a (K, n, classes) logit stack and checked
     labels: (K,). ROC-AUC is one-vs-rest over the softmax, from one ranking of
     every (model, class present) row; macro recall and F1 are read from one
     confusion[model, true, predicted] cube. Macro averages run over the
-    classes present in the labels; F1 is 0 for a class never hit."""
+    classes present in the labels; F1 is 0 for a class never hit. `support`
+    is `_support(labels, classes, metric)`, computed here when not given."""
     models, n, k = logits.shape
-    support = _support(labels, k, metric)
+    if support is None:
+        support = _support(labels, k, metric)
     present = support > 0
     if metric is MetricKind.ROC_AUC_OVR:
         classes = np.flatnonzero(present)
@@ -394,24 +440,33 @@ def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind) -> np.nda
 _CHUNK_FLOATS = 1 << 16
 
 
+def _score_stack(stack: np.ndarray, arch: ArchSpec, features: np.ndarray, labels: np.ndarray,
+                 supports: dict[MetricKind, np.ndarray]) -> dict[MetricKind, np.ndarray]:
+    """Every metric of `supports` (metric -> its `_support`) for every model
+    of a (K, P) stack: one forward per chunk of models, each metric read from
+    it by `_score`. Unchecked: the caller checks the stack and the split."""
+    chunk = max(1, _CHUNK_FLOATS // (labels.size * max(arch.layer_dims)))
+    out = {metric: np.empty(stack.shape[0]) for metric in supports}
+    for lo in range(0, stack.shape[0], chunk):
+        logits = _forward_cached(_layer_views(stack[lo : lo + chunk], arch), arch.activation, features)[-1]
+        for metric, support in supports.items():
+            out[metric][lo : lo + chunk] = _score(logits, labels, metric, support)
+    return out
+
+
 def _scores(stack: np.ndarray, arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> np.ndarray:
     """Scores of every model of a (K, P) parameter stack on one split: (K,).
 
     Checked once per call (metric, the split's fit, the stack width, and
     whether the labels leave the metric undefined, before any forward); then
-    one forward per chunk of models, each scored by `_score`."""
+    `_score_stack`."""
     metric = MetricKind(metric)
     features, labels = dataset.features, dataset.labels
     _check_fit(arch, features, labels)
     if stack.ndim != 2 or stack.shape[1] != arch.param_count:
         raise ValueError(f"expected a (K, {arch.param_count}) parameter stack, got shape {stack.shape}")
-    _support(labels, arch.class_count, metric)
-    chunk = max(1, _CHUNK_FLOATS // (labels.size * max(arch.layer_dims)))
-    out = np.empty(stack.shape[0])
-    for lo in range(0, stack.shape[0], chunk):
-        _, acts = _forward_cached(_layer_views(stack[lo : lo + chunk], arch), arch.activation, features)
-        out[lo : lo + chunk] = _score(acts[-1], labels, metric)
-    return out
+    support = _support(labels, arch.class_count, metric)
+    return _score_stack(stack, arch, features, labels, {metric: support})[metric]
 
 
 def evaluate(params: ParamVector, arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> float:

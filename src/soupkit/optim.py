@@ -67,15 +67,26 @@ def adamw_step(params: ParamVector, grads: ParamVector, state: AdamWState, lr: f
     if not np.isfinite(grads.values).all():
         raise ValueError("non-finite gradient")
     t = state.step_count + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads.values
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads.values**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_values = (
-        params.values
-        - lr * state.weight_decay * params.values
-        - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    )
+    g = grads.values
+    # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g**2,
+    # then p - lr * wd * p - lr * m_hat / (sqrt(v_hat) + eps), in that float
+    # order; every temporary but the new m and v is reused in place.
+    m = state.beta1 * state.m
+    step = (1.0 - state.beta1) * g
+    m += step
+    v = state.beta2 * state.v
+    denom = np.square(g)
+    denom *= 1.0 - state.beta2
+    v += denom
+    np.divide(m, 1.0 - state.beta1**t, out=step)
+    step *= lr
+    np.divide(v, 1.0 - state.beta2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    new_values = params.values * (lr * state.weight_decay)
+    np.subtract(params.values, new_values, out=new_values)
+    new_values -= step
     return ParamVector(new_values, params.arch_signature), state._advanced(m, v, t)
 
 

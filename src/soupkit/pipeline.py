@@ -27,8 +27,8 @@ from .nn import (
     _check_params,
     _gradient_into,
     _layer_views,
-    _logits,
-    _score,
+    _score_stack,
+    _support,
     init_params,
     last_layer_slice,
 )
@@ -165,15 +165,26 @@ def checkpoint_id(stage: str, arch: ArchSpec, config: HyperConfig | None,
 
 
 def val_metric_map(params: ParamVector, arch: ArchSpec, val: LabeledDataset) -> dict[str, float]:
-    """All supported metrics on the validation split, from one forward; undefined ones are omitted."""
-    logits = _logits(params, arch, val)[None]
-    out = {}
+    """All supported metrics on the validation split, from one forward; undefined ones are omitted.
+    The one-model case of `_val_metric_maps`."""
+    _check_params(params, arch)
+    return _val_metric_maps([params], arch, val)[0]
+
+
+def _val_metric_maps(models: list[ParamVector], arch: ArchSpec, val: LabeledDataset) -> list[dict[str, float]]:
+    """`val_metric_map` of each model, in order, all scored as one stack: one
+    forward per chunk of models and every metric read from it by `_score`.
+    The models must fit `arch`; the split is checked here."""
+    _check_fit(arch, val.features, val.labels)
+    supports = {}
     for kind in MetricKind:
         try:
-            out[kind.value] = float(_score(logits, val.labels, kind)[0])
+            supports[kind] = _support(val.labels, arch.class_count, kind)
         except MetricUndefinedError:
             pass
-    return out
+    stack = np.stack([p.values for p in models]) if models else np.empty((0, arch.param_count))
+    scores = _score_stack(stack, arch, val.features, val.labels, supports)
+    return [{kind.value: float(col[i]) for kind, col in scores.items()} for i in range(len(models))]
 
 
 def _rng(seed: int, tag: int) -> np.random.Generator:
@@ -242,7 +253,8 @@ def _train_population(
     # The optimizer sees views of each member's trainable part of both stacks.
     views = [(ParamVector(v, sig), ParamVector(g, sig)) for v, g in zip(values[:, part], grad[:, part])]
     states = [AdamWState.fresh(p.size, weight_decay=m.config.weight_decay) for (p, _), m in zip(views, members)]
-    noise = [AUGMENT_PARAMS[m.config.augment] for m in members]
+    # (row, sigma, dropout_p, rng) of each member, as `_jitter` takes them
+    noise = [(i, *AUGMENT_PARAMS[m.config.augment], m.rng) for i, m in enumerate(members)]
     alive = list(range(len(members)))
     # one row per member, refilled each epoch: shuffling arange(n) in place
     # draws exactly what `rng.permutation(n)` draws
@@ -270,8 +282,7 @@ def _train_population(
                 step += 1
                 rows = perms[:, b * bs : (b + 1) * bs]
                 feats = train.features[rows]
-                for i in alive:
-                    feats[i] = _jitter(feats[i], *noise[i], members[i].rng)
+                _jitter(feats, [noise[i] for i in alive])
                 _gradient_into(layers, arch.activation, feats, train.labels[rows], grad_layers)
                 freeze(np.isfinite(grad).all(axis=1), f"non-finite gradient at step {step}/{total_steps}")
                 for i in alive:
@@ -368,13 +379,13 @@ def _tuned_member(theta0: Checkpoint, config: HyperConfig, spe: int) -> _Member:
 
 
 def _tuned_checkpoint(theta0: Checkpoint, config: HyperConfig, params: ParamVector,
-                      train: LabeledDataset, val: LabeledDataset, stage: str) -> Checkpoint:
+                      train: LabeledDataset, val_metrics: dict[str, float], stage: str) -> Checkpoint:
     arch = theta0.arch
     cid = checkpoint_id(stage, arch, config, theta0.id, None, _data_tag(train))
     return Checkpoint(
         id=cid, arch=arch, params=params, config=config,
         lineage=Lineage(stage, base_id=theta0.id, root_id=theta0.root_id or theta0.id),
-        val_metrics=val_metric_map(params, arch, val),
+        val_metrics=val_metrics,
         epochs_consumed=float(config.epochs), trained_on=_data_tag(train),
     )
 
@@ -388,7 +399,7 @@ def fine_tune(theta0: Checkpoint, train: LabeledDataset, val: LabeledDataset,
     member = _tuned_member(theta0, config, spe)
     params, _ = _train_loop(theta0.params, theta0.arch, train, config, member.lr_for_step,
                             config.epochs * spe, member.rng)
-    return _tuned_checkpoint(theta0, config, params, train, val, stage)
+    return _tuned_checkpoint(theta0, config, params, train, val_metric_map(params, theta0.arch, val), stage)
 
 
 def _fine_tune_runs(theta0: Checkpoint, configs: list[HyperConfig], train: LabeledDataset,
@@ -404,14 +415,15 @@ def _fine_tune_runs(theta0: Checkpoint, configs: list[HyperConfig], train: Label
     spe = steps_per_epoch(train.n, batch_size)
     members = [_tuned_member(theta0, cfg, spe) for cfg in configs]
     values = _train_population(members, theta0.arch, train, epochs * spe)
-    checkpoints: list[Checkpoint] = []
+    trained = [(m.config, ParamVector(row, theta0.arch.signature))
+               for m, row in zip(members, values) if m.error is None]
+    metrics = _val_metric_maps([params for _, params in trained], theta0.arch, val)
+    checkpoints = [_tuned_checkpoint(theta0, cfg, params, train, scores, stage)
+                   for (cfg, params), scores in zip(trained, metrics)]
     failures: list[GridFailure] = []
-    for m, row in zip(members, values):
-        cfg = m.config
-        if m.error is None:
-            params = ParamVector(row, theta0.arch.signature)
-            checkpoints.append(_tuned_checkpoint(theta0, cfg, params, train, val, stage))
-        else:
+    for m in members:
+        if m.error is not None:
+            cfg = m.config
             log.warning("%s run diverged: lr=%g augment=%s seed=%d (%s)",
                         stage, cfg.lr, cfg.augment.value, cfg.seed, m.error)
             failures.append(GridFailure(cfg, m.error))
@@ -477,6 +489,7 @@ def fgg_fission_many(bases: list[Checkpoint], schedule: CyclicalSchedule, n_coll
                        rate, _rng(base.config.seed, _RNG_FISSION)) for base in bases]
     _train_population(members, arch, train, total, collect_steps=frozenset(targets))
     spe = steps_per_epoch(train.n, members[0].config.batch_size)
+    metrics = iter(_val_metric_maps([params for m in members for _, params in m.collected], arch, val))
     results = []
     for base, m in zip(bases, members):
         if m.error is not None:
@@ -491,7 +504,7 @@ def fgg_fission_many(bases: list[Checkpoint], schedule: CyclicalSchedule, n_coll
                     id=cid, arch=arch, params=params, config=m.config,
                     lineage=Lineage("fission", base_id=base.id, cycle_index=k,
                                     root_id=base.root_id or base.id),
-                    val_metrics=val_metric_map(params, arch, val),
+                    val_metrics=next(metrics),
                     epochs_consumed=(step - prev) / spe, trained_on=_data_tag(train),
                 )
             )

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import soupkit
+from soupkit.analysis import compute_budget
 from soupkit.cli import cli_dispatch
 from soupkit.experiment import build_soups
 from soupkit.store import Store
@@ -185,6 +187,29 @@ def test_budget_covers_all_stages(pipe, tmp_path):
         assert stage in stages, stage
     assert out["grid_total"] == 3.0  # 3 cells x 1 epoch
     assert out["ratio"] is not None
+
+
+def test_budget_from_manifests_equals_compute_budget_over_loaded_checkpoints(pipe, tmp_path):
+    store = Store(pipe["store"])
+    every = store.list_checkpoints()
+    for ids, argv in ((every, ()), (every[::2], ("--ids", ",".join(every[::2])))):
+        want = compute_budget([store.load_checkpoint(i) for i in ids])
+        want.write_csv(tmp_path / "want.csv")
+        out = _ok("--store", pipe["store"], "budget", *argv, "--out", str(tmp_path / "got.csv"))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert out["stage_epochs"] == want.stage_epochs
+        assert (out["grid_total"], out["fgg_total"], out["ratio"]) == (want.grid_total, want.fgg_total, want.ratio)
+
+
+def test_budget_reads_no_weights(pipe, tmp_path):
+    root = tmp_path / "store"
+    shutil.copytree(pipe["store"], root)
+    before = _ok("--store", str(root), "budget")
+    victim = pipe["grid"][0]
+    (root / victim / "weights.bin").write_bytes(b"\x00" * 8)
+    assert _ok("--store", str(root), "budget") == before
+    rc, _, err = _run("--store", str(root), "eval", "--id", victim, "--data", "demo", "--metric", "accuracy")
+    assert rc != 0 and "checksum mismatch" in err
 
 
 def test_store_flag_from_environment(pipe, monkeypatch):

@@ -589,3 +589,121 @@ def test_stack_roc_auc_matches_reference_rank_loop_exactly():
             want = [_reference_roc_auc_ovr(x, labels) for x in logits]
         assert np.array_equal(got, want, equal_nan=True), trial
 
+
+
+# ---------------------------------------------------------------------------
+# Backprop kernel and softmax against the plain-reduction implementation
+#
+# The references below are the kernel as it was before the reductions over
+# tiny axes were replaced: numpy max/sum over the class axis, a fancy-index
+# one-hot, `sum(axis=-2)` bias gradients and fresh temporaries. The fast
+# kernel must agree with them bit for bit.
+
+def _reference_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_gradient_into(layers, activation, features, labels, out):
+    act = (lambda z: np.maximum(z, 0.0)) if activation == "relu" else np.tanh
+    a = features
+    pres, acts = [], [a]
+    for idx, (w, b) in enumerate(layers):
+        z = a @ w + b[..., None, :]
+        pres.append(z)
+        a = act(z) if idx < len(layers) - 1 else z
+        acts.append(a)
+    n = labels.shape[-1]
+    delta = _reference_softmax(acts[-1])
+    flat = delta.reshape(-1, delta.shape[-1])
+    flat[np.arange(flat.shape[0]), labels.ravel()] -= 1.0
+    delta /= n
+    for li in range(len(layers) - 1, -1, -1):
+        gw, gb = out[li]
+        np.matmul(acts[li].swapaxes(-1, -2), delta, out=gw)
+        delta.sum(axis=-2, out=gb)
+        if li > 0:
+            delta = delta @ layers[li][0].swapaxes(-1, -2)
+            if activation == "relu":
+                delta = delta * (pres[li - 1] > 0.0)
+            else:
+                delta = delta * (1.0 - acts[li] ** 2)
+
+
+def _same_floats(got, want):
+    """Equal values, NaN matching NaN, and equal signs on every non-NaN
+    (so +0.0 and -0.0 differ); a NaN's sign bit carries no value."""
+    number = ~np.isnan(want)
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[number]), np.signbit(want[number])))
+
+
+def _odd_values(rng, shape, values, rate):
+    """Array of `shape` that is 0 except at a `rate` share of cells drawn from `values`."""
+    out = np.zeros(shape)
+    hit = rng.random(shape) < rate
+    out[hit] = rng.choice(values, size=int(hit.sum()))
+    return out, hit
+
+
+@pytest.mark.parametrize("classes", [2, 3, 7, 8, 9, 13])
+def test_softmax_matches_plain_reductions_bitwise(classes):
+    rng = np.random.default_rng(classes)
+    specials = [np.inf, -np.inf, np.nan, 700.0, -700.0, 709.5, -745.0, 0.0, -0.0]
+    for trial in range(60):
+        shape = (int(rng.choice([1, 5, 37])), int(rng.choice([1, 29, 32])), classes)
+        kind = trial % 4
+        if kind == 0:
+            logits = rng.normal(size=shape) * rng.choice([1.0, 30.0])
+        elif kind == 1:
+            logits = rng.choice([-1.0, 0.0, 0.5, 2.0], size=shape)  # ties
+        elif kind == 2:
+            logits = rng.choice([-700.0, 700.0], size=shape) + rng.normal(size=shape)
+        else:
+            logits = rng.normal(size=shape)
+            odd, hit = _odd_values(rng, shape, specials, 0.2)
+            logits[hit] = odd[hit]
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _reference_softmax(logits)
+            got = softmax(logits)
+        assert _same_floats(got, want), (classes, trial)
+
+
+@pytest.mark.parametrize("classes", [2, 3, 7, 8, 9, 13])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_gradient_kernel_matches_plain_reductions_bitwise(classes, activation):
+    rng = np.random.default_rng([classes, len(activation)])
+    for width in range(1, 18):
+        layer_dims = (4, width, classes) if width % 4 else (4, width, 3, classes)
+        arch = ArchSpec(layer_dims, activation)
+        for members in (1, 5, 37):
+            rows = int(rng.choice([1, 29, 32]))
+            scale = rng.choice([0.1, 1.0, 60.0])  # 60: logits out near +-700
+            values = rng.normal(size=(members, arch.param_count)) * scale
+            if width % 3 == 0:
+                feats = rng.choice([-1.0, 0.0, 1.0], size=(members, rows, 4))  # ties
+                values = np.round(values)
+            else:
+                feats = rng.normal(size=(members, rows, 4))
+            if width % 5 == 0:
+                odd, hit = _odd_values(rng, feats.shape, [np.inf, -np.inf, np.nan], 0.05)
+                feats[hit] = odd[hit]
+            labels = rng.integers(0, classes, size=(members, rows))
+            want = np.empty_like(values)
+            got = np.empty_like(values)
+            with np.errstate(all="ignore"):
+                _reference_gradient_into(nn._layer_views(values, arch), activation, feats, labels,
+                                         nn._layer_views(want, arch))
+                nn._gradient_into(nn._layer_views(values, arch), activation, feats, labels,
+                                  nn._layer_views(got, arch))
+            assert _same_floats(got, want), (layer_dims, activation, members, rows)
+
+
+def test_scores_with_support_given_equal_scores_computing_it():
+    rng = np.random.default_rng(31)
+    labels = rng.integers(0, 4, size=50)
+    logits = rng.normal(size=(6, 50, 4))
+    for kind in MetricKind:
+        support = nn._support(labels, 4, kind)
+        assert np.array_equal(nn._score(logits, labels, kind, support), nn._score(logits, labels, kind))

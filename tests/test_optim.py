@@ -37,6 +37,39 @@ def _adamw_oracle(p, g_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.01):
     return p
 
 
+def _reference_adamw_step(params, grads, state, lr):
+    """The update as one expression with fresh temporaries, as it was before
+    the in-place rewrite; the float order must not have changed."""
+    t = state.step_count + 1
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grads.values
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grads.values**2
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    new = params.values - lr * state.weight_decay * params.values - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return new, m, v
+
+
+def test_adamw_matches_the_single_expression_bitwise():
+    rng = np.random.default_rng(12)
+    for trial in range(400):
+        size = int(rng.integers(1, 200))
+        p = rng.normal(size=size) * 10.0 ** rng.integers(-5, 5)
+        g = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8)
+        g[rng.random(size) < 0.1] = 0.0
+        g[rng.random(size) < 0.1] = -0.0
+        p[rng.random(size) < 0.1] = -0.0
+        state = AdamWState(m=rng.normal(size=size), v=rng.random(size) * 10.0 ** rng.integers(-10, 2),
+                           step_count=int(rng.integers(0, 5000)), beta1=float(rng.choice([0.5, 0.9, 0.99])),
+                           beta2=float(rng.choice([0.9, 0.999])), eps=float(rng.choice([1e-8, 1e-3])),
+                           weight_decay=float(rng.choice([0.0, 0.01, 0.3])))
+        lr = float(rng.choice([0.0, 1e-3, 0.3, 1.0]))
+        new, state2 = adamw_step(_pv(p), _pv(g), state, lr)
+        want_new, want_m, want_v = _reference_adamw_step(_pv(p), _pv(g), state, lr)
+        assert new.values.tobytes() == want_new.tobytes(), trial
+        assert state2.m.tobytes() == want_m.tobytes() and state2.v.tobytes() == want_v.tobytes(), trial
+        assert state2.step_count == state.step_count + 1
+
+
 def test_adamw_single_step_hand_values():
     # p=1, g=0.5, lr=0.1: m_hat=g, v_hat=g^2, ratio ~ 1 => p' ~ 1 - 0.001 - 0.1
     params = _pv([1.0])

@@ -1,13 +1,16 @@
 """The population trainer: a (K, P) stack trains every member exactly as its
 solo run would, bit for bit, and a member that diverges freezes alone."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soupkit.data import AugmentLevel, TaskKind, TaskSpec, gen_task
-from soupkit.nn import ArchSpec, init_params
+from soupkit import nn
+from soupkit.data import AugmentLevel, LabeledDataset, TaskKind, TaskSpec, gen_task
+from soupkit.nn import ArchSpec, MetricKind, ParamVector, init_params
 from soupkit.optim import CyclicalSchedule, cyclical_alpha
 from soupkit.pipeline import (
     HyperConfig,
@@ -16,6 +19,7 @@ from soupkit.pipeline import (
     _Member,
     _train_loop,
     _train_population,
+    _val_metric_maps,
     fgg_base_generate,
     fgg_fission,
     fgg_fission_many,
@@ -24,6 +28,7 @@ from soupkit.pipeline import (
     linear_probe_warmup,
     pretrain_source,
     steps_per_epoch,
+    val_metric_map,
 )
 
 ARCH = ArchSpec((4, 8, 3), "relu")
@@ -183,3 +188,33 @@ def test_fission_population_equals_solo_fissions(bundle, theta0):
             assert np.array_equal(a.params.values, b.params.values)
             assert a.val_metrics == b.val_metrics
             assert a.epochs_consumed == b.epochs_consumed
+
+
+def test_stage_scoring_equals_val_metric_map_per_snapshot(bundle, theta0):
+    # every run diverges after two of three snapshots, the middle one before
+    # its first, so one stacked scoring serves runs of different lengths
+    template = HyperConfig(lr=1.0, seed=0, epochs=1, augment=AugmentLevel.MEDIUM)
+    bases, _ = fgg_base_generate(theta0, [1e-2, 3e-3, 1e-3], bundle.train, bundle.val, template)
+    spe = steps_per_epoch(bundle.train.n, 32)
+    sched = CyclicalSchedule(2 * spe, 1e12, 1e-6)
+    blowup = replace(bases[1], params=ParamVector(bases[1].params.values * 1e150, ARCH.signature))
+    results = fgg_fission_many([bases[0], blowup, bases[2]], sched, 3, bundle.train, bundle.val)
+    assert [len(r.checkpoints) for r in results] == [2, 0, 2]
+    for result in results:
+        for ck in result.checkpoints:
+            assert ck.val_metrics == val_metric_map(ck.params, ARCH, bundle.val)
+            assert list(ck.val_metrics) == [kind.value for kind in MetricKind]
+
+
+def test_val_metric_maps_over_chunks_and_an_undefined_metric(bundle, theta0, monkeypatch):
+    rng = np.random.default_rng(8)
+    models = [ParamVector(theta0.params.values + 0.3 * rng.normal(size=ARCH.param_count), ARCH.signature)
+              for _ in range(7)]
+    val = bundle.val
+    single = val.labels == val.labels[0]
+    one_class = LabeledDataset(val.features[single], val.labels[single], val.class_count, "val", val.task_id)
+    monkeypatch.setattr(nn, "_CHUNK_FLOATS", 3 * val.n * max(ARCH.layer_dims))  # three models a chunk
+    for split in (val, one_class):
+        assert _val_metric_maps(models, ARCH, split) == [val_metric_map(p, ARCH, split) for p in models]
+    assert "roc_auc_ovr" not in _val_metric_maps(models, ARCH, one_class)[0]
+    assert _val_metric_maps([], ARCH, val) == []
