@@ -280,11 +280,11 @@ def _jitter(features: np.ndarray,
 
     `members` lists (row, sigma, dropout_p, rng) for the rows to perturb, in
     draw order; other rows, and rows with sigma and dropout_p both 0, are
-    left bitwise untouched. Unchecked: `augment` refuses a negative sigma. Each row draws from its own rng exactly what
+    left bitwise untouched. Each row draws from its own rng exactly what
     `rng.normal(0.0, sigma, (n, d))` and then, with dropout on,
     `rng.random((n, d))` would, and gets `(x + noise) * (u >= dropout_p)`
     bit for bit. Only the draws are per row: scaling, adding and masking run
-    once over the stack.
+    once over the stack. Unchecked: `augment` refuses a negative sigma.
     """
     draws = [(k, sigma, p, rng) for k, sigma, p, rng in members if sigma != 0.0 or p != 0.0]
     if not draws:

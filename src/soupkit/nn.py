@@ -401,17 +401,14 @@ def _support(labels: np.ndarray, k: int, metric: MetricKind) -> np.ndarray:
     return support
 
 
-def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind,
-           support: np.ndarray | None = None) -> np.ndarray:
+def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind, support: np.ndarray) -> np.ndarray:
     """One metric per model from a (K, n, classes) logit stack and checked
     labels: (K,). ROC-AUC is one-vs-rest over the softmax, from one ranking of
     every (model, class present) row; macro recall and F1 are read from one
     confusion[model, true, predicted] cube. Macro averages run over the
     classes present in the labels; F1 is 0 for a class never hit. `support`
-    is `_support(labels, classes, metric)`, computed here when not given."""
+    is `_support(labels, classes, metric)`, computed once by the caller."""
     models, n, k = logits.shape
-    if support is None:
-        support = _support(labels, k, metric)
     present = support > 0
     if metric is MetricKind.ROC_AUC_OVR:
         classes = np.flatnonzero(present)

@@ -585,7 +585,8 @@ def test_stack_roc_auc_matches_reference_rank_loop_exactly():
             odd = rng.random(logits.shape) < 0.05
             logits[odd] = rng.choice([np.inf, -np.inf, np.nan], size=int(odd.sum()))
         with np.errstate(invalid="ignore"):
-            got = nn._score(logits, labels, MetricKind.ROC_AUC_OVR)
+            got = nn._score(logits, labels, MetricKind.ROC_AUC_OVR,
+                            nn._support(labels, k, MetricKind.ROC_AUC_OVR))
             want = [_reference_roc_auc_ovr(x, labels) for x in logits]
         assert np.array_equal(got, want, equal_nan=True), trial
 
@@ -698,12 +699,3 @@ def test_gradient_kernel_matches_plain_reductions_bitwise(classes, activation):
                 nn._gradient_into(nn._layer_views(values, arch), activation, feats, labels,
                                   nn._layer_views(got, arch))
             assert _same_floats(got, want), (layer_dims, activation, members, rows)
-
-
-def test_scores_with_support_given_equal_scores_computing_it():
-    rng = np.random.default_rng(31)
-    labels = rng.integers(0, 4, size=50)
-    logits = rng.normal(size=(6, 50, 4))
-    for kind in MetricKind:
-        support = nn._support(labels, 4, kind)
-        assert np.array_equal(nn._score(logits, labels, kind, support), nn._score(logits, labels, kind))
