@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -234,10 +234,10 @@ def compute_budget(checkpoints: Sequence[Checkpoint]) -> BudgetReport:
     fgg_total covers base models plus their cyclical snapshots; the ratio
     compares that against the plain grid total and is None without a grid.
     """
-    return _stage_budget([(ck.lineage.stage, ck.epochs_consumed) for ck in checkpoints])
+    return _stage_budget((ck.lineage.stage, ck.epochs_consumed) for ck in checkpoints)
 
 
-def _stage_budget(runs: Sequence[tuple[str, float]]) -> BudgetReport:
+def _stage_budget(runs: Iterable[tuple[str, float]]) -> BudgetReport:
     """`compute_budget` over (lineage stage, epochs consumed) pairs, which a
     store's manifests hold without the weights."""
     stage_epochs: dict[str, float] = {}

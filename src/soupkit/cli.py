@@ -244,9 +244,10 @@ def cmd_report(args) -> dict:
 def cmd_budget(args) -> dict:
     store = _store(args)
     ids = _names(args.ids) if args.ids else store.list_checkpoints()
-    # The manifests hold each run's stage and epoch count: no weights are read.
-    manifests = [store.read_manifest(i) for i in ids]
-    budget = _stage_budget([(Lineage.from_dict(m["lineage"]).stage, m["epochs_consumed"]) for m in manifests])
+    # The manifests hold each run's stage and epoch count: no weights are read,
+    # and each manifest is dropped once read.
+    manifests = (store.read_manifest(i) for i in ids)
+    budget = _stage_budget((Lineage.from_dict(m["lineage"]).stage, m["epochs_consumed"]) for m in manifests)
     out = {"command": "budget", "stage_epochs": budget.stage_epochs,
            "grid_total": budget.grid_total, "fgg_total": budget.fgg_total,
            "ratio": budget.ratio}
