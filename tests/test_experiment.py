@@ -327,6 +327,36 @@ def test_default_recipe_val_metrics_match_golden_digest(tmp_path):
     assert _val_metrics_digest(store, summary) == _GOLDEN_DEFAULT_VAL_METRICS
 
 
+# Golden digests of every checkpoint and soup manifest, leaving out
+# `created_at`: checkpoints in summary order, then soups in the config's
+# soup order.
+# These see what no pin above sees: each manifest's lineage (base, cycle and
+# root), its config, its data tag and its epochs consumed.
+_GOLDEN_TINY_MANIFESTS = "289f5aefc4a4b67e783bea6f43870cb553bfbdcd052a4e489f208393734ddf6c"
+_GOLDEN_DEFAULT_MANIFESTS = "a50d45f386b679b6314eededdcda5c7ca6cdd2096035040042ccc8557359c414"
+
+
+def _manifests_digest(store, summary):
+    digest = hashlib.sha256()
+    for cid in [*summary["checkpoints"], *(s["id"] for s in summary["soups"].values())]:
+        manifest = store.read_manifest(cid)
+        del manifest["created_at"]
+        digest.update(json.dumps(manifest, sort_keys=True).encode("ascii"))
+    return digest.hexdigest()
+
+
+def test_tiny_manifests_match_golden_digest(tmp_path):
+    store = Store(tmp_path)
+    summary = run_experiment(_tiny_config(soups=_ALL_SOUPS), store)
+    assert _manifests_digest(store, summary) == _GOLDEN_TINY_MANIFESTS
+
+
+def test_default_recipe_manifests_match_golden_digest(tmp_path):
+    store = Store(tmp_path)
+    summary = run_experiment(default_experiment_config("pin", "rough", 0), store)
+    assert _manifests_digest(store, summary) == _GOLDEN_DEFAULT_MANIFESTS
+
+
 def test_smooth_accuracy_report_matches_golden_digest(tmp_path):
     cfg = _tiny_config(name="tiny-smooth", seed=0, soups=_ALL_SOUPS, kind="smooth")
     assert cfg.metric is MetricKind.ACCURACY
