@@ -286,12 +286,15 @@ def cycle_schedule(cycle_epochs: int, train_rows: int, batch_size: int,
 
 
 def _base_groups(groups: Sequence[tuple[Checkpoint, Sequence[Checkpoint]]]) -> dict[str, list[Checkpoint]]:
-    """One group per base model, keyed by base id: the base, then its snapshots."""
+    """One group per base model, keyed by base id: the base, then its snapshots,
+    which must all come from one fission run of that base."""
     out: dict[str, list[Checkpoint]] = {}
     for base, snapshots in groups:
         for s in snapshots:
             if s.lineage.base_id != base.id:
                 raise LineageError(f"snapshot {s.id} descends from {s.lineage.base_id}, not {base.id}")
+        if len({s.config for s in snapshots}) > 1:
+            raise LineageError(f"snapshots of {base.id} come from more than one fission run")
         out[base.id] = [base, *snapshots]
     return out
 

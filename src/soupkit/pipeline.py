@@ -297,29 +297,34 @@ def _train_population(
     return values
 
 
-def _train_loop(
-    params: ParamVector,
-    arch: ArchSpec,
-    train: LabeledDataset,
-    config: HyperConfig,
-    lr_for_step: Callable[[int], float],
-    total_steps: int,
-    rng: np.random.Generator,
-    trainable: slice | None = None,
-    collect_steps: frozenset[int] = frozenset(),
-    collect_out: list[tuple[int, ParamVector]] | None = None,
-) -> tuple[ParamVector, list[tuple[int, ParamVector]]]:
-    """One run: the population trainer with a single member.
-
-    Raises `TrainingDivergedError` on a non-finite gradient or parameters.
-    Snapshots land in `collect_out` as they happen, so a caller that traps a
-    divergence still sees everything collected before it.
-    """
-    member = _Member(params, config, lr_for_step, rng, [] if collect_out is None else collect_out)
-    values = _train_population([member], arch, train, total_steps, trainable, collect_steps)
+def _train_one(member: _Member, arch: ArchSpec, train: LabeledDataset, total_steps: int,
+               trainable: slice | None = None) -> ParamVector:
+    """`_train_population` with one member; raises `TrainingDivergedError`
+    on a non-finite gradient or parameters."""
+    values = _train_population([member], arch, train, total_steps, trainable)
     if member.error is not None:
         raise TrainingDivergedError(member.error)
-    return ParamVector(values[0], arch.signature), member.collected
+    return ParamVector(values[0], arch.signature)
+
+
+def _checkpoint(stage: str, arch: ArchSpec, config: HyperConfig, params: ParamVector,
+                train: LabeledDataset, val_metrics: dict[str, float], epochs: float,
+                base: Checkpoint | None = None, cycle: int | None = None) -> Checkpoint:
+    """The one way a trained row becomes a Checkpoint: its content-derived id,
+    its data tag and its lineage. A warmstart is its own root; a run trained
+    from `base` inherits the base's root, or the base itself when it has none."""
+    base_id = base.id if base is not None else None
+    tag = _data_tag(train)
+    cid = checkpoint_id(stage, arch, config, base_id, cycle, tag)
+    if stage == "warmstart":
+        root = cid
+    else:
+        root = None if base is None else base.root_id or base.id
+    return Checkpoint(
+        id=cid, arch=arch, params=params, config=config,
+        lineage=Lineage(stage, base_id=base_id, cycle_index=cycle, root_id=root),
+        val_metrics=val_metrics, epochs_consumed=float(epochs), trained_on=tag,
+    )
 
 
 def _cosine_by_step(base_lr: float, epochs: int, spe: int) -> Callable[[int], float]:
@@ -335,77 +340,45 @@ def pretrain_source(arch: ArchSpec, source: LabeledDataset, config: HyperConfig)
     params = init_params(arch, config.seed)
     if config.epochs > 0:
         spe = steps_per_epoch(source.n, config.batch_size)
-        params, _ = _train_loop(
-            params, arch, source, config,
-            _cosine_by_step(config.lr, config.epochs, spe),
-            config.epochs * spe,
-            _rng(config.seed, _RNG_PRETRAIN),
-        )
-    cid = checkpoint_id("pretrained", arch, config, None, None, _data_tag(source))
-    return Checkpoint(
-        id=cid, arch=arch, params=params, config=config,
-        lineage=Lineage("pretrained"), val_metrics={},
-        epochs_consumed=float(config.epochs), trained_on=_data_tag(source),
-    )
+        member = _Member(params, config, _cosine_by_step(config.lr, config.epochs, spe),
+                         _rng(config.seed, _RNG_PRETRAIN))
+        params = _train_one(member, arch, source, config.epochs * spe)
+    return _checkpoint("pretrained", arch, config, params, source, {}, config.epochs)
 
 
 def linear_probe_warmup(pretrained: Checkpoint, train: LabeledDataset, config: HyperConfig,
-                        val: LabeledDataset | None = None) -> Checkpoint:
+                        val: LabeledDataset) -> Checkpoint:
     """Update only the final layer for warmup_epochs; the body stays bitwise frozen."""
     arch = pretrained.arch
-    head = last_layer_slice(arch)
     params = pretrained.params.copy()
     if config.warmup_epochs > 0:
         spe = steps_per_epoch(train.n, config.batch_size)
-        params, _ = _train_loop(
-            params, arch, train, config,
-            lambda step: config.lr,
-            config.warmup_epochs * spe,
-            _rng(config.seed, _RNG_WARMUP),
-            trainable=head,
-        )
-    cid = checkpoint_id("warmstart", arch, config, pretrained.id, None, _data_tag(train))
-    return Checkpoint(
-        id=cid, arch=arch, params=params, config=config,
-        lineage=Lineage("warmstart", base_id=pretrained.id, root_id=cid),
-        val_metrics=val_metric_map(params, arch, val) if val is not None else {},
-        epochs_consumed=float(config.warmup_epochs), trained_on=_data_tag(train),
-    )
-
-
-def _tuned_member(theta0: Checkpoint, config: HyperConfig, spe: int) -> _Member:
-    return _Member(theta0.params, config, _cosine_by_step(config.lr, config.epochs, spe),
-                   _rng(config.seed, _RNG_TUNE))
-
-
-def _tuned_checkpoint(theta0: Checkpoint, config: HyperConfig, params: ParamVector,
-                      train: LabeledDataset, val_metrics: dict[str, float], stage: str) -> Checkpoint:
-    arch = theta0.arch
-    cid = checkpoint_id(stage, arch, config, theta0.id, None, _data_tag(train))
-    return Checkpoint(
-        id=cid, arch=arch, params=params, config=config,
-        lineage=Lineage(stage, base_id=theta0.id, root_id=theta0.root_id or theta0.id),
-        val_metrics=val_metrics,
-        epochs_consumed=float(config.epochs), trained_on=_data_tag(train),
-    )
+        member = _Member(params, config, lambda step: config.lr, _rng(config.seed, _RNG_WARMUP))
+        params = _train_one(member, arch, train, config.warmup_epochs * spe, trainable=last_layer_slice(arch))
+    return _checkpoint("warmstart", arch, config, params, train, val_metric_map(params, arch, val),
+                       config.warmup_epochs, base=pretrained)
 
 
 def fine_tune(theta0: Checkpoint, train: LabeledDataset, val: LabeledDataset,
               config: HyperConfig, stage: str = "grid") -> Checkpoint:
-    """Full fine-tuning from a warmstart with per-epoch cosine decay."""
-    if stage in ("grid", "base") and config.schedule != "cosine":
-        raise ValueError(f"{stage} runs use the cosine schedule, got {config.schedule!r}")
-    spe = steps_per_epoch(train.n, config.batch_size)
-    member = _tuned_member(theta0, config, spe)
-    params, _ = _train_loop(theta0.params, theta0.arch, train, config, member.lr_for_step,
-                            config.epochs * spe, member.rng)
-    return _tuned_checkpoint(theta0, config, params, train, val_metric_map(params, theta0.arch, val), stage)
+    """Full fine-tuning from a warmstart with per-epoch cosine decay: the
+    one-config case of `_fine_tune_runs`, raising `TrainingDivergedError`
+    where that records a failure."""
+    checkpoints, failures = _fine_tune_runs(theta0, [config], train, val, stage)
+    if failures:
+        raise TrainingDivergedError(failures[0].error)
+    return checkpoints[0]
 
 
 def _fine_tune_runs(theta0: Checkpoint, configs: list[HyperConfig], train: LabeledDataset,
                     val: LabeledDataset, stage: str) -> tuple[list[Checkpoint], list[GridFailure]]:
-    """Fine-tune θ0 once per config as one population; each run equals its solo
-    `fine_tune` bit for bit. Diverged runs are recorded, in config order, not raised."""
+    """Fine-tune θ0 once per config as one population, each run bit for bit
+    its solo run. Diverged runs are recorded, in config order, not raised."""
+    if stage not in ("grid", "base"):
+        raise ValueError(f"fine-tuning makes grid or base runs, not {stage!r}")
+    for cfg in configs:
+        if cfg.schedule != "cosine":
+            raise ValueError(f"{stage} runs use the cosine schedule, got {cfg.schedule!r}")
     if not configs:
         return [], []
     shapes = {(c.epochs, c.batch_size) for c in configs}
@@ -413,12 +386,13 @@ def _fine_tune_runs(theta0: Checkpoint, configs: list[HyperConfig], train: Label
         raise ValueError(f"{stage} runs must share epochs and batch size, got {sorted(shapes)}")
     epochs, batch_size = shapes.pop()
     spe = steps_per_epoch(train.n, batch_size)
-    members = [_tuned_member(theta0, cfg, spe) for cfg in configs]
+    members = [_Member(theta0.params, cfg, _cosine_by_step(cfg.lr, epochs, spe), _rng(cfg.seed, _RNG_TUNE))
+               for cfg in configs]
     values = _train_population(members, theta0.arch, train, epochs * spe)
     trained = [(m.config, ParamVector(row, theta0.arch.signature))
                for m, row in zip(members, values) if m.error is None]
     metrics = _val_metric_maps([params for _, params in trained], theta0.arch, val)
-    checkpoints = [_tuned_checkpoint(theta0, cfg, params, train, scores, stage)
+    checkpoints = [_checkpoint(stage, theta0.arch, cfg, params, train, scores, epochs, base=theta0)
                    for (cfg, params), scores in zip(trained, metrics)]
     failures: list[GridFailure] = []
     for m in members:
@@ -498,16 +472,8 @@ def fgg_fission_many(bases: list[Checkpoint], schedule: CyclicalSchedule, n_coll
         checkpoints = []
         prev = 0
         for k, (step, params) in enumerate(m.collected, start=1):
-            cid = checkpoint_id("fission", arch, m.config, base.id, k, _data_tag(train))
-            checkpoints.append(
-                Checkpoint(
-                    id=cid, arch=arch, params=params, config=m.config,
-                    lineage=Lineage("fission", base_id=base.id, cycle_index=k,
-                                    root_id=base.root_id or base.id),
-                    val_metrics=next(metrics),
-                    epochs_consumed=(step - prev) / spe, trained_on=_data_tag(train),
-                )
-            )
+            checkpoints.append(_checkpoint("fission", arch, m.config, params, train, next(metrics),
+                                           (step - prev) / spe, base=base, cycle=k))
             prev = step
         results.append(FissionResult(checkpoints, m.error is not None, [s for s, _ in m.collected]))
     return results

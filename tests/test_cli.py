@@ -82,6 +82,20 @@ def test_stage_ids_carry_stage_prefixes(pipe):
         assert len(fids) == 2 and all(i.startswith("fission-") for i in fids)
 
 
+def test_soup_hierarchical_refuses_two_fission_runs_of_one_base(pipe, tmp_path):
+    shutil.copytree(pipe["store"], tmp_path / "store")
+    s = ("--store", str(tmp_path / "store"))
+    base = pipe["bases"][0]
+    _ok(*s, "fission", "--data", "demo", "--base", base,
+        "--alpha1", "0.001", "--alpha2", "1e-5", "--n-collect", "2")
+    for method in ("gou", "gog"):
+        rc, out, err = _run(*s, "soup", "--data", "demo", "--method", method,
+                            "--metric", "accuracy", "--bases", base)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: snapshots of {base} come from more than one fission run")
+        assert err.count("\n") == 1
+
+
 def test_eval_scores_a_checkpoint(pipe):
     out = _ok("--store", pipe["store"], "eval", "--id", pipe["grid"][0],
               "--data", "demo", "--metric", "accuracy")

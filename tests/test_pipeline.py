@@ -22,7 +22,8 @@ from soupkit.pipeline import (
     Lineage,
     TrainingDivergedError,
     _cosine_by_step,
-    _train_loop,
+    _Member,
+    _train_population,
     checkpoint_id,
     fgg_base_generate,
     fgg_fission,
@@ -164,6 +165,13 @@ def test_fine_tune_rejects_cyclical_for_grid(bundle, theta0):
                       schedule="cyclical", cyclical=CyclicalSchedule(4, 1e-2, 1e-4))
     with pytest.raises(ValueError):
         fine_tune(theta0, bundle.train, bundle.val, cfg, stage="grid")
+
+
+@pytest.mark.parametrize("stage", ["pretrained", "warmstart", "fission", "soup"])
+def test_fine_tune_refuses_stages_other_than_grid_and_base(bundle, theta0, stage):
+    cfg = HyperConfig(lr=1e-2, seed=0, epochs=1)
+    with pytest.raises(ValueError, match="grid or base"):
+        fine_tune(theta0, bundle.train, bundle.val, cfg, stage=stage)
 
 
 def test_grid_generate_full_factorial(bundle, theta0):
@@ -341,24 +349,26 @@ def _reference_train_loop(params, arch, train, config, lr_for_step, total_steps,
     return params, collected
 
 
-def _train_both(arch, train, config, lr_pair, total_steps, **kwargs):
-    """(final values or None, collected, divergence message or None) for the
-    trainer and the reference, from the same init and rng seed."""
-    outcomes = []
-    for loop, lr_for_step in zip((_train_loop, _reference_train_loop), lr_pair):
-        collected = []
-        final, error = None, None
-        # the reference leaves the overflow inside adamw_step on the way to
-        # a divergence unsilenced
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                params, _ = loop(init_params(arch, 5), arch, train, config, lr_for_step, total_steps,
-                                 np.random.default_rng(9), collect_out=collected, **kwargs)
-                final = params.values
-            except TrainingDivergedError as exc:
-                error = str(exc)
-        outcomes.append((final, [(s, p.values) for s, p in collected], error))
-    return outcomes
+def _train_both(arch, train, config, lr_pair, total_steps, trainable=None, collect_steps=frozenset()):
+    """(final values or None, collected, divergence message or None) for a
+    one-member population and for the reference, from the same init and rng
+    seed."""
+    member = _Member(init_params(arch, 5), config, lr_pair[0], np.random.default_rng(9))
+    values = _train_population([member], arch, train, total_steps, trainable, collect_steps)
+    new = (None if member.error else values[0], [(s, p.values) for s, p in member.collected], member.error)
+    collected = []
+    final, error = None, None
+    # the reference leaves the overflow inside adamw_step on the way to a
+    # divergence unsilenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            params, _ = _reference_train_loop(init_params(arch, 5), arch, train, config, lr_pair[1],
+                                              total_steps, np.random.default_rng(9), trainable,
+                                              collect_steps, collected)
+            final = params.values
+        except TrainingDivergedError as exc:
+            error = str(exc)
+    return new, (final, [(s, p.values) for s, p in collected], error)
 
 
 def _assert_same_run(new, ref):

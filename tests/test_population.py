@@ -17,7 +17,6 @@ from soupkit.pipeline import (
     TrainingDivergedError,
     _cosine_by_step,
     _Member,
-    _train_loop,
     _train_population,
     _val_metric_maps,
     fgg_base_generate,
@@ -61,20 +60,6 @@ def _rate(config, spe):
     return _cosine_by_step(config.lr, config.epochs, spe)
 
 
-def _solo(arch, train, start, config, total, rng_seed, collect_steps):
-    """(final values or None, snapshots, error or None) of one `_train_loop` run."""
-    spe = steps_per_epoch(train.n, config.batch_size)
-    collected = []
-    try:
-        params, _ = _train_loop(start, arch, train, config, _rate(config, spe), total,
-                                np.random.default_rng(rng_seed), collect_steps=collect_steps,
-                                collect_out=collected)
-        final, error = params.values, None
-    except TrainingDivergedError as exc:
-        final, error = None, str(exc)
-    return final, [(s, p.values) for s, p in collected], error
-
-
 def _population(arch, train, specs, total, rng_seeds, collect_steps):
     spe = steps_per_epoch(train.n, specs[0][1].batch_size)
     members = [_Member(start, config, _rate(config, spe), np.random.default_rng(seed))
@@ -82,6 +67,11 @@ def _population(arch, train, specs, total, rng_seeds, collect_steps):
     values = _train_population(members, arch, train, total, collect_steps=collect_steps)
     return [(None if m.error else row, [(s, p.values) for s, p in m.collected], m.error)
             for m, row in zip(members, values)]
+
+
+def _solo(arch, train, start, config, total, rng_seed, collect_steps):
+    """(final values or None, snapshots, error or None) of a one-member population."""
+    return _population(arch, train, [(start, config)], total, [rng_seed], collect_steps)[0]
 
 
 def _assert_same(run, ref):
