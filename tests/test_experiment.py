@@ -86,6 +86,19 @@ def test_config_soup_sections_must_exist():
         ExperimentConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("section", ["grid", "fgg", "analysis"])
+@pytest.mark.parametrize("form", ["null", "absent", "empty"])
+def test_config_section_that_is_null_absent_or_empty_stays_off(section, form):
+    d = default_experiment_config("demo", "rough", 0, soups=()).to_dict()
+    if form == "absent":
+        del d[section]
+    else:
+        d[section] = None if form == "null" else {}
+    cfg = ExperimentConfig.from_dict(d)
+    assert getattr(cfg, section) is None
+    assert cfg.to_dict()[section] is None
+
+
 def test_config_rejects_pathy_names():
     with pytest.raises(ValueError, match="name"):
         default_experiment_config("a/b", "rough", 0)
@@ -355,6 +368,31 @@ def test_default_recipe_manifests_match_golden_digest(tmp_path):
     store = Store(tmp_path)
     summary = run_experiment(default_experiment_config("pin", "rough", 0), store)
     assert _manifests_digest(store, summary) == _GOLDEN_DEFAULT_MANIFESTS
+
+
+# Golden digests of the written config.json and the dataset's task.json. A
+# round trip through the config codec cannot see a change that both
+# directions share, such as writing 1 for 1.0; these bytes can.
+_GOLDEN_CONFIG_FILES = {
+    "tiny": ("d03bd19b669c9429f0b5b49d52fab62b7807dee138617aca238a1e684322961a",
+             "90ab6f17d9255c9324e2d974d58004feafbd52070ce0c4cb4e2bc3ea2faf0741"),
+    "tiny-smooth": ("af1023bb8d04f21d5460def6fb06c96f19502b46ec86d421adba11f031df87d3",
+                    "0ac778acf15502ca35ceb5e594536beb57d82d724214af2cfca4c3bde38079c5"),
+    "default": ("e5a8c17812023688cfa652d1c5fc4159cf6fe00d90b16228c896599e0cafb78b",
+                "b75c1aff46ea93fe8a22bb0c9a605cb0d5e49c33867a192fdf50c3943192e32d"),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(_GOLDEN_CONFIG_FILES))
+def test_config_and_task_json_match_golden_digests(tmp_path, recipe):
+    cfg = {"tiny": lambda: _tiny_config(soups=_ALL_SOUPS),
+           "tiny-smooth": lambda: _tiny_config(name="tiny-smooth", seed=0, soups=_ALL_SOUPS, kind="smooth"),
+           "default": lambda: default_experiment_config("pin", "rough", 0)}[recipe]()
+    store = Store(tmp_path)
+    run_experiment(cfg, store)
+    written = (_sha256(store.experiment_dir(cfg.name) / "config.json"),
+               _sha256(store.dataset_dir(cfg.name) / "task.json"))
+    assert written == _GOLDEN_CONFIG_FILES[recipe]
 
 
 def test_smooth_accuracy_report_matches_golden_digest(tmp_path):
