@@ -271,12 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="checkpoint store directory (default: %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=fn)
-        return p
+    add = sub.add_parser
 
-    p = add("gen-data", cmd_gen_data, help="generate a synthetic task and save its CSV splits")
+    p = add("gen-data", help="generate a synthetic task and save its CSV splits")
     p.add_argument("--name", required=True)
     p.add_argument("--spec", help="task spec JSON file (overrides the flags below)")
     p.add_argument("--kind", choices=["smooth", "rough"], default="rough")
@@ -290,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=float, default=0.0)
     p.add_argument("--source-shift", type=float, default=1.0)
 
-    p = add("pretrain", cmd_pretrain, help="train a seeded init on the source split")
+    p = add("pretrain", help="train a seeded init on the source split")
     p.add_argument("--data", required=True)
     p.add_argument("--arch", default="6,16,3", help="comma-separated layer dims")
     p.add_argument("--activation", choices=["relu", "tanh"], default="relu")
@@ -300,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--weight-decay", type=float, default=0.01)
 
-    p = add("warmup", cmd_warmup, help="linear-probe warmup of the final layer")
+    p = add("warmup", help="linear-probe warmup of the final layer")
     p.add_argument("--data", required=True)
     p.add_argument("--pretrained", required=True, help="pretrained checkpoint id")
     p.add_argument("--lr", type=float, required=True)
@@ -309,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--weight-decay", type=float, default=0.01)
 
-    p = add("grid", cmd_grid, help="fine-tune a hyperparameter grid from a warmstart")
+    p = add("grid", help="fine-tune a hyperparameter grid from a warmstart")
     p.add_argument("--data", required=True)
     p.add_argument("--theta0", required=True)
     p.add_argument("--lrs", required=True)
@@ -319,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--weight-decay", type=float, default=0.01)
 
-    p = add("fgg-base", cmd_fgg_base, help="train one base model per learning rate")
+    p = add("fgg-base", help="train one base model per learning rate")
     p.add_argument("--data", required=True)
     p.add_argument("--theta0", required=True)
     p.add_argument("--lrs", required=True)
@@ -329,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--weight-decay", type=float, default=0.01)
 
-    p = add("fission", cmd_fission, help="cyclical-schedule snapshot generation from a base")
+    p = add("fission", help="cyclical-schedule snapshot generation from a base")
     p.add_argument("--data", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--cycle-epochs", type=int, default=2)
@@ -337,20 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha2", type=float, required=True)
     p.add_argument("--n-collect", type=int, required=True)
 
-    p = add("soup", cmd_soup, help="merge checkpoints in weight space")
+    p = add("soup", help="merge checkpoints in weight space")
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=[m.value for m in SoupMethod], required=True)
     p.add_argument("--metric", choices=_METRICS, required=True)
     p.add_argument("--ids", help="members for uniform/greedy")
     p.add_argument("--bases", help="base ids for gou/gog; snapshots found via lineage")
 
-    p = add("eval", cmd_eval, help="score a checkpoint on a dataset split")
+    p = add("eval", help="score a checkpoint on a dataset split")
     p.add_argument("--id", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=["train", "val", "test", "ood", "source"], default="test")
     p.add_argument("--metric", choices=_METRICS, required=True)
 
-    p = add("lmc", cmd_lmc, help="linear interpolation curve between two checkpoints")
+    p = add("lmc", help="linear interpolation curve between two checkpoints")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--data", required=True)
@@ -359,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=DEFAULT_LMC_POINTS)
     p.add_argument("--out")
 
-    p = add("landscape", cmd_landscape, help="2-D error surface through three checkpoints")
+    p = add("landscape", help="2-D error surface through three checkpoints")
     p.add_argument("--ids", required=True, help="three comma-separated checkpoint ids")
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=["train", "val", "test", "ood"], default="val")
@@ -368,18 +365,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=DEFAULT_EXTENT_MARGIN)
     p.add_argument("--out")
 
-    p = add("report", cmd_report, help="in-distribution vs OOD score table")
+    p = add("report", help="in-distribution vs OOD score table")
     p.add_argument("--ids", required=True)
     p.add_argument("--labels")
     p.add_argument("--data", required=True)
     p.add_argument("--metric", choices=_METRICS, required=True)
     p.add_argument("--out", required=True)
 
-    p = add("budget", cmd_budget, help="training-epoch totals by stage")
+    p = add("budget", help="training-epoch totals by stage")
     p.add_argument("--ids")
     p.add_argument("--out")
 
-    p = add("run-experiment", cmd_run_experiment, help="run a full experiment config")
+    p = add("run-experiment", help="run a full experiment config")
     p.add_argument("config", help="experiment config JSON")
 
     return parser
@@ -393,8 +390,11 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     # the --store default follows SOUPKIT_STORE as it is now, not at build time
     parser.set_defaults(store=os.environ.get("SOUPKIT_STORE", "store"))
     args = parser.parse_args(argv)
+    # Looked up at each call, not bound into the cached parser, so that a
+    # handler swapped on the module (a test's patch, a tracer) is the one run.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        summary = args.func(args)
+        summary = handler(args)
     except (ValueError, LookupError, StoreError, OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .nn import Batch
+from .nn import Batch, _Record
 
 # Cluster-mean scale; together with unit base covariance this sets task difficulty.
 CLASS_SEPARATION = 2.5
@@ -89,7 +89,7 @@ class LabeledDataset:
 
 
 @dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(_Record):
     kind: TaskKind
     seed: int
     dims: int
@@ -124,24 +124,6 @@ class TaskSpec:
     @property
     def task_id(self) -> str:
         return f"{self.kind.value}-{self.seed}"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "seed": self.seed,
-            "dims": self.dims,
-            "class_count": self.class_count,
-            "n_samples": self.n_samples,
-            "imbalance_ratio": self.imbalance_ratio,
-            "label_noise_rate": self.label_noise_rate,
-            "cluster_heterogeneity": self.cluster_heterogeneity,
-            "shift_magnitude": self.shift_magnitude,
-            "source_shift": self.source_shift,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        return cls(**d)
 
 
 @dataclass

@@ -31,7 +31,7 @@ from .analysis import (
     plane_basis,
 )
 from .data import AugmentLevel, LabeledDataset, TaskBundle, TaskKind, TaskSpec, _atomic_write, gen_task
-from .nn import ArchSpec, MetricKind, _scores, evaluate
+from .nn import ArchSpec, MetricKind, _Record, _scores, evaluate
 from .optim import CyclicalSchedule
 from .pipeline import (
     Checkpoint,
@@ -95,87 +95,38 @@ def headline_metric(kind: TaskKind | str) -> MetricKind:
 # ---------------------------------------------------------------------------
 # Experiment config
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ValueError(f"experiment config: missing {key!r} in {where}")
-    return d[key]
-
-
 @dataclass(frozen=True)
-class GridSection:
+class GridSection(_Record):
     lrs: tuple[float, ...]
     augments: tuple[AugmentLevel, ...]
     seeds: tuple[int, ...]
     epochs: int
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSection":
-        return cls(
-            tuple(float(x) for x in _require(d, "lrs", "grid")),
-            tuple(AugmentLevel(a) for a in _require(d, "augments", "grid")),
-            tuple(int(s) for s in _require(d, "seeds", "grid")),
-            int(_require(d, "epochs", "grid")),
-        )
-
-    def to_dict(self) -> dict:
-        return {"lrs": list(self.lrs), "augments": [a.value for a in self.augments],
-                "seeds": list(self.seeds), "epochs": self.epochs}
-
 
 @dataclass(frozen=True)
-class FggSection:
+class FggSection(_Record):
     lrs: tuple[float, ...]
-    augment: AugmentLevel
-    seed: int
     epochs: int
     cycle_epochs: int
     alpha1: float
     alpha2: float
     n_collect: int
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FggSection":
-        return cls(
-            tuple(float(x) for x in _require(d, "lrs", "fgg")),
-            AugmentLevel(d.get("augment", "heavy")),
-            int(d.get("seed", 0)),
-            int(_require(d, "epochs", "fgg")),
-            int(_require(d, "cycle_epochs", "fgg")),
-            float(_require(d, "alpha1", "fgg")),
-            float(_require(d, "alpha2", "fgg")),
-            int(_require(d, "n_collect", "fgg")),
-        )
-
-    def to_dict(self) -> dict:
-        return {"lrs": list(self.lrs), "augment": self.augment.value, "seed": self.seed,
-                "epochs": self.epochs, "cycle_epochs": self.cycle_epochs,
-                "alpha1": self.alpha1, "alpha2": self.alpha2, "n_collect": self.n_collect}
+    augment: AugmentLevel = FGG_AUGMENT
+    seed: int = FGG_SEED
 
 
 @dataclass(frozen=True)
-class AnalysisSection:
+class AnalysisSection(_Record):
     lmc_points: int = DEFAULT_LMC_POINTS
     landscape_resolution: tuple[int, int] = DEFAULT_RESOLUTION
     landscape_margin: float = DEFAULT_EXTENT_MARGIN
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalysisSection":
-        res = d.get("landscape_resolution", list(DEFAULT_RESOLUTION))
-        return cls(int(d.get("lmc_points", DEFAULT_LMC_POINTS)),
-                   (int(res[0]), int(res[1])),
-                   float(d.get("landscape_margin", DEFAULT_EXTENT_MARGIN)))
-
-    def to_dict(self) -> dict:
-        return {"lmc_points": self.lmc_points,
-                "landscape_resolution": list(self.landscape_resolution),
-                "landscape_margin": self.landscape_margin}
 
 
 _SOUP_NAMES = ("uniform", "greedy", "gou", "gog", "fgg_uniform", "fgg_greedy", "gs_gou", "gs_gog")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     name: str
     metric: MetricKind
     arch: ArchSpec
@@ -195,6 +146,10 @@ class ExperimentConfig:
     soups: tuple[str, ...] = ()
     analysis: AnalysisSection | None = None
 
+    # The file nests the pretraining and warmup settings in one object per stage.
+    _FILE_KEYS = {"pretrain_lr": "pretrain.lr", "pretrain_epochs": "pretrain.epochs",
+                  "pretrain_seed": "pretrain.seed", "warmup_lr": "warmup.lr", "warmup_epochs": "warmup.epochs"}
+
     def __post_init__(self) -> None:
         if not self.name or "/" in self.name:
             raise ValueError(f"experiment name must be a plain directory name, got {self.name!r}")
@@ -210,56 +165,40 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"experiment config must be an object, got {d!r}")
         version = d.get("schema_version")
         if version != CONFIG_SCHEMA_VERSION:
             raise ValueError(f"unsupported experiment config schema {version!r} (expected {CONFIG_SCHEMA_VERSION})")
-        pretrain = d.get("pretrain", {})
-        warmup = d.get("warmup", {})
-        return cls(
-            name=str(_require(d, "name", "config")),
-            metric=MetricKind(_require(d, "metric", "config")),
-            arch=ArchSpec.from_dict(_require(d, "arch", "config")),
-            task=TaskSpec.from_dict(_require(d, "task", "config")),
-            split_ratios=tuple(d.get("split_ratios", (0.85, 0.05, 0.10))),
-            batch_size=int(d.get("batch_size", DEFAULT_BATCH)),
-            weight_decay=float(d.get("weight_decay", 0.01)),
-            pretrain_lr=float(pretrain.get("lr", PRETRAIN_LR)),
-            pretrain_epochs=int(pretrain.get("epochs", PRETRAIN_EPOCHS)),
-            pretrain_seed=int(pretrain.get("seed", 0)),
-            warmup_lr=float(warmup.get("lr", WARMUP_LR)),
-            warmup_epochs=int(warmup.get("epochs", WARMUP_EPOCHS)),
-            grid=GridSection.from_dict(d["grid"]) if d.get("grid") else None,
-            fgg=FggSection.from_dict(d["fgg"]) if d.get("fgg") else None,
-            soups=tuple(d.get("soups", ())),
-            analysis=AnalysisSection.from_dict(d["analysis"]) if d.get("analysis") else None,
-        )
+        flat = {}
+        for key, value in d.items():
+            if key in ("pretrain", "warmup"):
+                if not isinstance(value, dict):
+                    raise ValueError(f"{key}: expected an object, got {value!r}")
+                flat.update((f"{key}.{k}", v) for k, v in value.items())
+            elif key in ("grid", "fgg", "analysis"):
+                flat[key] = value or None  # null and {} both mean no section
+            elif key != "schema_version":
+                flat[key] = value
+        return super().from_dict(flat)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "name": self.name,
-            "metric": self.metric.value,
-            "arch": self.arch.to_dict(),
-            "task": self.task.to_dict(),
-            "split_ratios": list(self.split_ratios),
-            "batch_size": self.batch_size,
-            "weight_decay": self.weight_decay,
-            "pretrain": {"lr": self.pretrain_lr, "epochs": self.pretrain_epochs, "seed": self.pretrain_seed},
-            "warmup": {"lr": self.warmup_lr, "epochs": self.warmup_epochs},
-            "grid": self.grid.to_dict() if self.grid else None,
-            "fgg": self.fgg.to_dict() if self.fgg else None,
-            "soups": list(self.soups),
-            "analysis": self.analysis.to_dict() if self.analysis else None,
-        }
+        out = {"schema_version": CONFIG_SCHEMA_VERSION}
+        for key, value in super().to_dict().items():
+            stage, dot, name = key.partition(".")
+            if dot:
+                out.setdefault(stage, {})[name] = value
+            else:
+                out[key] = value
+        return out
 
 
 def default_experiment_config(name: str, kind: TaskKind | str, seed: int,
-                              soups: Sequence[str] = ("uniform", "greedy", "gou", "gog"),
-                              with_analysis: bool = True) -> ExperimentConfig:
+                              soups: Sequence[str] = ("uniform", "greedy", "gou", "gog")) -> ExperimentConfig:
     """The calibrated full recipe as a ready-to-run config."""
     return ExperimentConfig(
         name=name,
@@ -268,10 +207,9 @@ def default_experiment_config(name: str, kind: TaskKind | str, seed: int,
         task=default_task_spec(kind, seed),
         pretrain_seed=seed,
         grid=GridSection(GRID_LRS, GRID_AUGMENTS, GRID_SEEDS, GRID_EPOCHS),
-        fgg=FggSection(FGG_LRS, FGG_AUGMENT, FGG_SEED, FGG_EPOCHS,
-                       FGG_CYCLE_EPOCHS, FGG_ALPHA1, FGG_ALPHA2, FGG_N_COLLECT),
+        fgg=FggSection(FGG_LRS, FGG_EPOCHS, FGG_CYCLE_EPOCHS, FGG_ALPHA1, FGG_ALPHA2, FGG_N_COLLECT),
         soups=tuple(soups),
-        analysis=AnalysisSection() if with_analysis else None,
+        analysis=AnalysisSection(),
     )
 
 

@@ -22,15 +22,20 @@ it is numpy's `sum`. A bias gradient is a sum over the batch rows of each
 column, which numpy's `sum` and `einsum` both run row by row into the output;
 the backprop kernel takes the cheaper `einsum`, except for a one-column layer,
 where the rows are contiguous and the two sum in different orders.
+
+The module also holds `_Record`, the one JSON codec of the package's config
+records; every module that defines one already imports this one.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -51,8 +56,116 @@ class MetricKind(str, Enum):
     ROC_AUC_OVR = "roc_auc_ovr"
 
 
+class _RecordError(ValueError):
+    """A record's input has an unknown or missing key or a bad value; the message names the key."""
+
+
+class _Record:
+    """Dataclass mixin: the one JSON codec of the package's config records.
+
+    `to_dict` writes one key per field: enums by value, tuples as lists and
+    nested records as dicts. `from_dict` refuses unknown keys and missing
+    required ones, naming each key as the file spells it, and converts each
+    value by its field's annotation: int, float, str, an enum, a nested
+    record, an optional one, or a tuple of these. Annotations are resolved
+    once per class. A record whose file spells a field other than by its name
+    maps the name to that key in `_FILE_KEYS`.
+    """
+
+    _FILE_KEYS: dict[str, str] = {}
+
+    def to_dict(self) -> dict:
+        out = {}
+        for key, (name, _) in _codec(type(self), "")[0].items():
+            value = getattr(self, name)
+            out[key] = value if type(value) in _PLAIN else _encode(value)
+        return out
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls._decode(d, "")
+
+    @classmethod
+    def _decode(cls, d, where: str):
+        """`from_dict` of the record found under `where` in the file: "" at the
+        top, else its dotted key and a dot."""
+        keys, required = _codec(cls, where)
+        if not isinstance(d, dict):
+            raise _RecordError(f"{where[:-1] or cls.__name__}: expected an object, got {d!r}")
+        kwargs = {}
+        try:
+            # The loop looks up every key, so a missing key need only be
+            # sought in a dict smaller than the record (the subset test is slow).
+            if len(d) < len(keys) and not required <= d.keys():
+                raise KeyError
+            for key, value in d.items():
+                name, convert = keys[key]
+                kwargs[name] = convert(value)
+        except KeyError:  # a missing or an unknown key
+            problems = [f"unknown key {where + k!r}" for k in d if k not in keys]
+            problems += [f"missing key {where + k!r}" for k in keys if k in required and k not in d]
+            raise _RecordError(f"{cls.__name__}: {'; '.join(problems)}") from None
+        except _RecordError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise _RecordError(f"{where}{key}: {exc}") from exc
+        return cls(**kwargs)
+
+
+# Written as they are. Matched by exact type: an enum may subclass str.
+_PLAIN = frozenset({int, float, str, bool, type(None)})
+
+
+def _encode(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [v if type(v) in _PLAIN else _encode(v) for v in value]
+    if isinstance(value, _Record):
+        return value.to_dict()
+    return value
+
+
+@cache
+def _codec(cls: type, where: str) -> tuple[dict[str, tuple[str, Callable]], frozenset[str]]:
+    """A record class's file keys under `where`, each with its field name and
+    decoder, and the keys without a default. Cached: one entry per record
+    class and place in a file."""
+    hints = typing.get_type_hints(cls)
+    keys, required = {}, set()
+    for f in fields(cls):
+        key = cls._FILE_KEYS.get(f.name, f.name)
+        keys[key] = (f.name, _converter(hints[f.name], f"{where}{key}."))
+        if f.default is MISSING and f.default_factory is MISSING:
+            required.add(key)
+    return keys, frozenset(required)
+
+
+def _converter(hint, where: str) -> Callable:
+    """Decoder of a value annotated `hint`; a nested record sits under `where`."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            item = _converter(args[0], where)
+            return lambda v: tuple(map(item, _list(v, None)))
+        items = [_converter(a, where) for a in args]
+        return lambda v: tuple(c(x) for c, x in zip(items, _list(v, len(items))))
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        (inner,) = [_converter(a, where) for a in args if a is not type(None)]
+        return lambda v: None if v is None else inner(v)
+    if issubclass(hint, _Record):
+        return lambda v: hint._decode(v, where)
+    return hint
+
+
+def _list(v, size: int | None) -> list | tuple:
+    if not isinstance(v, (list, tuple)) or size not in (None, len(v)):
+        raise ValueError(f"expected a list{f' of {size} values' if size else ''}, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
-class ArchSpec:
+class ArchSpec(_Record):
     """Layer widths (input, hidden..., output) plus hidden activation."""
 
     layer_dims: tuple[int, ...]
@@ -99,13 +212,6 @@ class ArchSpec:
     @cached_property
     def param_count(self) -> int:
         return sum(i * o + o for i, o in self.layer_shapes())
-
-    def to_dict(self) -> dict:
-        return {"layer_dims": list(self.layer_dims), "activation": self.activation}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchSpec":
-        return cls(tuple(d["layer_dims"]), d["activation"])
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ParamVector
+from .nn import ParamVector, _Record
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def adamw_step(params: ParamVector, grads: ParamVector, state: AdamWState, lr: f
 
 
 @dataclass(frozen=True)
-class CyclicalSchedule:
+class CyclicalSchedule(_Record):
     """Triangular cycle over optimizer steps: peak alpha1, trough alpha2."""
 
     cycle_steps: int
@@ -105,13 +105,6 @@ class CyclicalSchedule:
             raise ValueError(f"rates must be positive, got alpha1={self.alpha1}, alpha2={self.alpha2}")
         if self.alpha2 > self.alpha1:
             raise ValueError(f"alpha2 must not exceed alpha1, got {self.alpha2} > {self.alpha1}")
-
-    def to_dict(self) -> dict:
-        return {"cycle_steps": self.cycle_steps, "alpha1": self.alpha1, "alpha2": self.alpha2}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CyclicalSchedule":
-        return cls(d["cycle_steps"], d["alpha1"], d["alpha2"])
 
 
 def _check_step(i: int, c: int) -> None:

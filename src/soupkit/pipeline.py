@@ -27,6 +27,7 @@ from .nn import (
     _check_params,
     _gradient_into,
     _layer_views,
+    _Record,
     _score_stack,
     _support,
     init_params,
@@ -47,7 +48,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Lineage:
+class Lineage(_Record):
     stage: str
     base_id: str | None = None
     cycle_index: int | None = None
@@ -57,17 +58,9 @@ class Lineage:
         if self.stage not in STAGES:
             raise ValueError(f"unknown stage {self.stage!r}, expected one of {STAGES}")
 
-    def to_dict(self) -> dict:
-        return {"stage": self.stage, "base_id": self.base_id,
-                "cycle_index": self.cycle_index, "root_id": self.root_id}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Lineage":
-        return cls(d["stage"], d.get("base_id"), d.get("cycle_index"), d.get("root_id"))
-
 
 @dataclass(frozen=True)
-class HyperConfig:
+class HyperConfig(_Record):
     lr: float
     seed: int
     augment: AugmentLevel = AugmentLevel.MINIMAL
@@ -92,26 +85,6 @@ class HyperConfig:
             raise ValueError("cyclical settings required exactly when schedule='cyclical'")
         if self.weight_decay < 0.0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
-
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "seed": self.seed,
-            "augment": self.augment.value,
-            "epochs": self.epochs,
-            "warmup_epochs": self.warmup_epochs,
-            "batch_size": self.batch_size,
-            "schedule": self.schedule,
-            "cyclical": self.cyclical.to_dict() if self.cyclical else None,
-            "weight_decay": self.weight_decay,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HyperConfig":
-        d = dict(d)
-        if d.get("cyclical"):
-            d["cyclical"] = CyclicalSchedule.from_dict(d["cyclical"])
-        return cls(**d)
 
 
 @dataclass

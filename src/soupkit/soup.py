@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .data import LabeledDataset
-from .nn import MetricKind, ParamVector, evaluate
+from .nn import MetricKind, ParamVector, _Record, evaluate
 from .pipeline import Checkpoint, Lineage
 
 
@@ -42,13 +42,10 @@ class SoupMethod(str, Enum):
 
 
 @dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(_Record):
     candidate_id: str
     trial_score: float
     accepted: bool
-
-    def to_dict(self) -> dict:
-        return {"candidate_id": self.candidate_id, "trial_score": self.trial_score, "accepted": self.accepted}
 
 
 @dataclass

@@ -262,6 +262,45 @@ def test_run_experiment_minimal_config(tmp_path):
         assert (exp_dir / artifact).is_file(), artifact
 
 
+@pytest.mark.parametrize("config, problem", [
+    ({"schema_version": 1, "name": "tiny", "metric": "accuracy",
+      "arch": {"layer_dims": [4, 8, 3], "activation": "relu"},
+      "task": {"kind": "smooth", "seed": 1, "dims": 4, "class_count": 3, "n_samples": 240},
+      "soup": ["uniform"]}, "unknown key 'soup'"),
+    ([1, 2], "must be an object"),
+], ids=["unknown-key", "not-an-object"])
+def test_run_experiment_refuses_a_bad_config_in_one_line(tmp_path, config, problem):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    rc, out, err = _run("--store", str(tmp_path / "store"), "run-experiment", str(cfg_path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and problem in err and err.count("\n") == 1
+    assert not (tmp_path / "store" / "datasets").exists()
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda spec: spec.update(n_sample=spec.pop("n_samples")), "unknown key 'n_sample'"),
+    (lambda spec: spec.pop("dims"), "missing key 'dims'"),
+], ids=["unknown", "missing"])
+def test_gen_data_spec_with_a_bad_key_is_a_one_line_error(tmp_path, edit, problem):
+    spec = {"kind": "rough", "seed": 0, "dims": 4, "class_count": 3, "n_samples": 240}
+    edit(spec)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    rc, out, err = _run("--store", str(tmp_path / "store"), "gen-data", "--name", "e", "--spec", str(spec_path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and problem in err and err.count("\n") == 1
+
+
+def test_dispatch_runs_the_handler_bound_on_the_module_now(pipe, monkeypatch):
+    argv = ("--store", pipe["store"], "eval", "--id", pipe["grid"][0], "--data", "demo", "--metric", "accuracy")
+    _ok(*argv)  # the parser is built and cached by the first dispatch
+    seen = []
+    monkeypatch.setattr(soupkit.cli, "cmd_eval", lambda args: seen.append(args.id) or {"command": "patched"})
+    assert _ok(*argv) == {"command": "patched"}
+    assert seen == [pipe["grid"][0]]
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         _run("definitely-not-a-command")

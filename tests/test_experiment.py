@@ -8,6 +8,7 @@ here we only cover the config surface and the cheap invariants.
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +68,33 @@ def test_config_rejects_missing_required_keys():
     del d["metric"]
     with pytest.raises(ValueError, match="metric"):
         ExperimentConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("misspell, key", [
+    (lambda d: d.__setitem__("soup", d.pop("soups")), "'soup'"),
+    (lambda d: d["fgg"].__setitem__("augmnet", d["fgg"].pop("augment")), "'fgg.augmnet'"),
+    (lambda d: d["warmup"].__setitem__("epoch", 3), "'warmup.epoch'"),
+    (lambda d: d.__setitem__("warmup_epochs", 3), "'warmup_epochs'"),
+], ids=["soup", "fgg.augmnet", "warmup.epoch", "warmup_epochs"])
+def test_config_rejects_unknown_keys_by_their_spelling_in_the_file(misspell, key):
+    d = default_experiment_config("demo", "rough", 0).to_dict()
+    misspell(d)
+    with pytest.raises(ValueError, match=f"unknown key {key}"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_config_rejects_a_landscape_resolution_of_the_wrong_length():
+    d = default_experiment_config("demo", "rough", 0).to_dict()
+    d["analysis"]["landscape_resolution"] = [1]
+    with pytest.raises(ValueError, match=r"analysis\.landscape_resolution: expected a list of 2 values"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_readme_config_example_is_the_default_recipe():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Experiment config", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert ExperimentConfig.from_dict(json.loads(example)) == default_experiment_config("demo-rough-0", "rough", 0)
 
 
 def test_config_rejects_unknown_soup():

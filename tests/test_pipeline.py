@@ -76,6 +76,15 @@ def test_hyper_config_dict_roundtrip():
     assert HyperConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_hyper_config_from_dict_refuses_unknown_and_missing_keys():
+    d = HyperConfig(lr=3e-3, seed=2).to_dict()
+    with pytest.raises(ValueError, match="unknown key 'lrr'"):
+        HyperConfig.from_dict({**d, "lrr": 1e-3})
+    del d["seed"]
+    with pytest.raises(ValueError, match="missing key 'seed'"):
+        HyperConfig.from_dict(d)
+
+
 def test_lineage_validation_and_roundtrip():
     with pytest.raises(ValueError):
         Lineage("nonsense")
