@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import sys
 import threading
@@ -106,6 +107,53 @@ def test_reserved_dirs_not_listed(tmp_path):
     ck = _checkpoint()
     store.save_checkpoint(ck)
     assert store.list_checkpoints() == [ck.id]
+
+
+def test_only_directories_holding_a_regular_manifest_are_listed(tmp_path):
+    store = Store(tmp_path)
+    ck = _checkpoint()
+    store.save_checkpoint(ck)
+    manifest = (tmp_path / ck.id / "manifest.json").read_bytes()
+    (tmp_path / "grid-plainfile").write_bytes(manifest)
+    (tmp_path / "grid-dirmanifest" / "manifest.json").mkdir(parents=True)
+    (tmp_path / "grid-debris").mkdir()
+    (tmp_path / "grid-debris" / "weights.bin").write_bytes(b"\x00" * 16)
+    for reserved in ("experiments", "datasets"):
+        (tmp_path / reserved).mkdir()
+        (tmp_path / reserved / "manifest.json").write_bytes(manifest)
+    (tmp_path / "grid-tofile").symlink_to(tmp_path / "grid-plainfile")
+    (tmp_path / "grid-dangling").symlink_to(tmp_path / "nowhere")
+    (tmp_path / "grid-loop").symlink_to(tmp_path / "grid-loop")
+    assert store.list_checkpoints() == [ck.id]
+
+
+def test_a_symlinked_checkpoint_directory_is_listed_and_loads(tmp_path):
+    elsewhere = Store(tmp_path / "elsewhere")
+    ck = _checkpoint()
+    elsewhere.save_checkpoint(ck)
+    store = Store(tmp_path / "store")
+    (store.root / ck.id).symlink_to(elsewhere.root / ck.id)
+    assert store.list_checkpoints() == [ck.id]
+    assert store.load_checkpoint(ck.id).params.values.tobytes() == ck.params.values.tobytes()
+
+
+def test_list_order_is_that_of_the_sorted_root(tmp_path):
+    store = Store(tmp_path)
+    ids = ["grid-b", "Grid-a", "grid-a.1", "grid-a_1", "grid-a-10", "grid-a-2", "grid-é", "fission-z", "base-0"]
+    for k, cid in enumerate(ids):
+        store.save_checkpoint(_checkpoint(cid, seed=k))
+    assert store.list_checkpoints() == [p.name for p in sorted(tmp_path.iterdir())]
+
+
+@pytest.mark.parametrize("read", ["read_manifest", "load_checkpoint"])
+def test_reading_what_is_not_a_checkpoint_names_the_missing_id(tmp_path, read):
+    store = Store(tmp_path)
+    (tmp_path / "grid-dirmanifest" / "manifest.json").mkdir(parents=True)
+    (tmp_path / "grid-plainfile").write_text("{}")
+    (tmp_path / "grid-debris").mkdir()
+    for cid in ("grid-dirmanifest", "grid-plainfile", "grid-debris", "grid-absent"):
+        with pytest.raises(StoreError, match=re.escape(f"no checkpoint {cid} in {tmp_path}")):
+            getattr(store, read)(cid)
 
 
 # ---------------------------------------------------------------------------
