@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -105,10 +106,11 @@ class Store:
 
     def read_manifest(self, checkpoint_id: str) -> dict:
         """A checkpoint's manifest, schema-checked, without reading its weights."""
-        manifest_path = self._dir(checkpoint_id) / "manifest.json"
-        if not manifest_path.is_file():
-            raise StoreError(f"no checkpoint {checkpoint_id} in {self.root}")
-        manifest = json.loads(manifest_path.read_text())
+        try:
+            with open(os.path.join(self._dir(checkpoint_id), "manifest.json"), "rb") as fh:
+                manifest = json.loads(fh.read())
+        except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+            raise StoreError(f"no checkpoint {checkpoint_id} in {self.root}") from None
         if manifest.get("schema_version") != SCHEMA_VERSION:
             raise StoreError(
                 f"unsupported manifest schema {manifest.get('schema_version')} (expected {SCHEMA_VERSION})"
@@ -117,7 +119,8 @@ class Store:
 
     def load_checkpoint(self, checkpoint_id: str) -> Checkpoint:
         manifest = self.read_manifest(checkpoint_id)
-        raw = (self._dir(checkpoint_id) / manifest["weights_file"]).read_bytes()
+        with open(os.path.join(self._dir(checkpoint_id), manifest["weights_file"]), "rb") as fh:
+            raw = fh.read()
         if _checksum(raw) != manifest["weights_checksum"]:
             raise ChecksumError(f"checksum mismatch for {checkpoint_id}")
         arch = ArchSpec.from_dict(manifest["arch"])
@@ -139,11 +142,10 @@ class Store:
         )
 
     def list_checkpoints(self) -> list[str]:
-        out = []
-        for child in sorted(self.root.iterdir()):
-            if child.is_dir() and child.name not in _RESERVED_DIRS and (child / "manifest.json").is_file():
-                out.append(child.name)
-        return out
+        # A regular manifest.json implies a directory; DirEntry.is_dir raises on a symlink loop.
+        with os.scandir(self.root) as entries:
+            return sorted(e.name for e in entries if e.name not in _RESERVED_DIRS
+                          and os.path.isfile(os.path.join(e.path, "manifest.json")))
 
     def save_soup(self, soup: SoupResult, arch: ArchSpec, metric: str,
                   exist_ok: bool = False) -> str:
