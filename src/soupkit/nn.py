@@ -66,10 +66,10 @@ class _Record:
     `to_dict` writes one key per field: enums by value, tuples as lists and
     nested records as dicts. `from_dict` refuses unknown keys and missing
     required ones, naming each key as the file spells it, and converts each
-    value by its field's annotation: int, float, str, an enum, a nested
-    record, an optional one, or a tuple of these. Annotations are resolved
-    once per class. A record whose file spells a field other than by its name
-    maps the name to that key in `_FILE_KEYS`.
+    value by its field's annotation: int (integral, not bool), float, str
+    (a string only), an enum, a nested record, an optional one, or a tuple of
+    these. Annotations are resolved once per class. A record whose file spells
+    a field other than by its name maps the name to that key in `_FILE_KEYS`.
     """
 
     _FILE_KEYS: dict[str, str] = {}
@@ -155,7 +155,19 @@ def _converter(hint, where: str) -> Callable:
         return lambda v: None if v is None else inner(v)
     if issubclass(hint, _Record):
         return lambda v: hint._decode(v, where)
-    return hint
+    return {int: _int, str: _str}.get(hint, hint)
+
+
+def _int(v) -> int:
+    if isinstance(v, float) and v.is_integer() or isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
+def _str(v) -> str:
+    if isinstance(v, str):
+        return v
+    raise ValueError(f"expected a string, got {v!r}")
 
 
 def _list(v, size: int | None) -> list | tuple:

@@ -90,6 +90,33 @@ def test_config_rejects_a_landscape_resolution_of_the_wrong_length():
         ExperimentConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["grid"].__setitem__("epochs", 2.7), r"grid\.epochs: expected an integer, got 2\.7"),
+    (lambda d: d["grid"].__setitem__("epochs", True), r"grid\.epochs: expected an integer, got True"),
+    (lambda d: d["task"].__setitem__("seed", False), r"task\.seed: expected an integer, got False"),
+    (lambda d: d["warmup"].__setitem__("epochs", "2"), r"warmup\.epochs: expected an integer, got '2'"),
+    (lambda d: d["grid"]["seeds"].append(1.5), r"grid\.seeds: expected an integer, got 1\.5"),
+    (lambda d: d["fgg"].__setitem__("n_collect", float("inf")), r"fgg\.n_collect: expected an integer, got inf"),
+    (lambda d: d.__setitem__("name", ["x"]), r"name: expected a string, got \['x'\]"),
+    (lambda d: d["arch"].__setitem__("activation", 1), r"arch\.activation: expected a string, got 1"),
+    (lambda d: d["soups"].__setitem__(0, None), r"soups: expected a string, got None"),
+], ids=["fractional", "true", "false", "string-int", "fractional-item", "inf", "list-name", "int-str", "null-item"])
+def test_config_refuses_a_value_of_the_wrong_type(edit, message):
+    d = default_experiment_config("demo", "rough", 0).to_dict()
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(d)
+
+
+def test_config_takes_an_integral_float_as_an_int():
+    d = default_experiment_config("demo", "rough", 0).to_dict()
+    d["grid"]["epochs"] = 2.0
+    d["task"]["seed"] = np.int64(3)
+    cfg = ExperimentConfig.from_dict(d)
+    assert type(cfg.grid.epochs) is int and cfg.grid.epochs == 2
+    assert type(cfg.task.seed) is int and cfg.task.seed == 3
+
+
 def test_readme_config_example_is_the_default_recipe():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Experiment config", 1)[1]
