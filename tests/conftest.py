@@ -4,6 +4,11 @@ import errno
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# `--hypothesis-profile=ci`, as the CI's tier-1 step runs: every run draws the
+# same examples, so a property that fails there fails the same way locally.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 class _FullDisk:

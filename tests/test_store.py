@@ -5,14 +5,19 @@ import os
 import re
 import struct
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soupkit.data import TaskSpec, gen_task
-from soupkit.nn import ArchSpec, ParamVector, init_params
-from soupkit.pipeline import Checkpoint, HyperConfig, Lineage
+from soupkit.data import AugmentLevel, TaskSpec, gen_task
+from soupkit.nn import ACTIVATIONS, ArchSpec, MetricKind, ParamVector, init_params
+from soupkit.optim import CyclicalSchedule
+from soupkit.pipeline import STAGES, Checkpoint, HyperConfig, Lineage
 from soupkit.soup import SoupMethod, SoupResult, uniform_soup
 from soupkit.store import ChecksumError, Store, StoreError, decode_weights, encode_weights
 
@@ -154,6 +159,70 @@ def test_reading_what_is_not_a_checkpoint_names_the_missing_id(tmp_path, read):
     for cid in ("grid-dirmanifest", "grid-plainfile", "grid-debris", "grid-absent"):
         with pytest.raises(StoreError, match=re.escape(f"no checkpoint {cid} in {tmp_path}")):
             getattr(store, read)(cid)
+
+
+# ---------------------------------------------------------------------------
+# Round-trip property
+
+_NAMES = st.from_regex(r"[A-Za-z0-9][A-Za-z0-9._-]{0,15}", fullmatch=True).filter(
+    lambda s: s not in ("experiments", "datasets"))
+_DEBRIS = ("empty", "weights", "manifest-dir", "temp-manifest", "file")
+
+
+def _make_debris(path, kind):
+    if kind == "file":
+        path.write_text("{}")
+        return
+    path.mkdir()
+    if kind == "weights":
+        (path / "weights.bin").write_bytes(b"\x00" * 16)
+    elif kind == "manifest-dir":
+        (path / "manifest.json").mkdir()
+    elif kind == "temp-manifest":
+        (path / "manifest.json.0123abcd.tmp").write_text("{}")
+
+
+@st.composite
+def _random_checkpoint(draw, cid):
+    arch = ArchSpec(tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))),
+                    draw(st.sampled_from(ACTIVATIONS)))
+    values = draw(st.lists(st.floats(width=64), min_size=arch.param_count, max_size=arch.param_count))
+    cyclical = draw(st.none() | st.builds(CyclicalSchedule, cycle_steps=st.integers(1, 50).map(lambda n: 2 * n),
+                                          alpha1=st.floats(0.5, 1.0), alpha2=st.floats(1e-6, 0.5)))
+    config = draw(st.none() | st.builds(
+        HyperConfig, lr=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32), augment=st.sampled_from(AugmentLevel),
+        epochs=st.integers(0, 100), warmup_epochs=st.integers(0, 10), batch_size=st.integers(1, 512),
+        schedule=st.just("cosine" if cyclical is None else "cyclical"), cyclical=st.just(cyclical),
+        weight_decay=st.floats(0.0, 1.0)))
+    lineage = draw(st.builds(Lineage, stage=st.sampled_from(STAGES), base_id=st.none() | _NAMES,
+                             cycle_index=st.none() | st.integers(0, 1000), root_id=st.none() | _NAMES))
+    return Checkpoint(
+        id=cid, arch=arch, params=ParamVector(np.array(values, dtype=np.float64), arch.signature),
+        config=config, lineage=lineage,
+        val_metrics=draw(st.dictionaries(st.sampled_from([m.value for m in MetricKind]), st.floats(allow_nan=False))),
+        epochs_consumed=draw(st.floats(0.0, 1e6)), trained_on=draw(st.text(max_size=12)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), names=st.lists(_NAMES, max_size=8, unique=True))
+def test_random_checkpoints_among_debris_round_trip(data, names):
+    n_saved = data.draw(st.integers(0, len(names)), label="n_saved")
+    ids, debris = names[:n_saved], names[n_saved:]
+    saved = [data.draw(_random_checkpoint(cid), label=cid) for cid in ids]
+    with tempfile.TemporaryDirectory() as root:
+        for name in debris:
+            _make_debris(Path(root) / name, data.draw(st.sampled_from(_DEBRIS), label=name))
+        store = Store(root)
+        for ck in saved:
+            store.save_checkpoint(ck)
+        assert store.list_checkpoints() == sorted(ids)
+        for ck in saved:
+            back = store.load_checkpoint(ck.id)
+            assert back.params.values.tobytes() == ck.params.values.tobytes()
+            assert (back.id, back.arch, back.config, back.lineage) == (ck.id, ck.arch, ck.config, ck.lineage)
+            assert (back.val_metrics, back.epochs_consumed, back.trained_on) == (
+                ck.val_metrics, ck.epochs_consumed, ck.trained_on)
 
 
 # ---------------------------------------------------------------------------
