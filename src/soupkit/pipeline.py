@@ -13,7 +13,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -33,7 +32,8 @@ from .nn import (
     init_params,
     last_layer_slice,
 )
-from .optim import AdamWState, CosineSchedule, CyclicalSchedule, adamw_step, cosine_lr, cyclical_alpha
+from .optim import (AdamWState, CosineSchedule, CyclicalSchedule, adamw_step, cosine_lr, cyclical_alpha,
+                    is_collection_point)
 
 log = logging.getLogger(__name__)
 
@@ -170,13 +170,11 @@ def steps_per_epoch(n_rows: int, batch_size: int) -> int:
 
 @dataclass
 class _Member:
-    """One run of a population: where it starts, its config, its rate and its
-    own rng stream. Snapshots land in `collected` as they happen; `error`
-    holds the divergence that froze it, if any."""
+    """One run of a population: its start, config and own rng stream. Snapshots
+    land in `collected` as taken; `error` holds the divergence that froze it."""
 
     start: ParamVector
     config: HyperConfig
-    lr_for_step: Callable[[int], float]
     rng: np.random.Generator
     collected: list[tuple[int, ParamVector]] = field(default_factory=list)
     error: str | None = None
@@ -186,12 +184,13 @@ def _train_population(
     members: list[_Member],
     arch: ArchSpec,
     train: LabeledDataset,
-    total_steps: int,
+    rates: np.ndarray,
     trainable: slice | None = None,
     collect_steps: frozenset[int] = frozenset(),
 ) -> np.ndarray:
-    """Minibatch AdamW for every member at once over a (K, P) parameter stack;
-    steps are 1-based. Returns the final stack, one row per member.
+    """Minibatch AdamW for every member at once over a (K, P) parameter stack,
+    one step per row of the stage's (T, K) `rates` table, whose row s - 1 holds
+    each member's rate at 1-based step s. Returns the final stack by member.
 
     Each member draws its epoch permutation and augmentation noise from its
     own rng, in the order a solo run would, and gets exactly one `adamw_step`
@@ -210,13 +209,15 @@ def _train_population(
 
     Inputs are checked once, here at stage entry, not per step.
     """
+    if rates.ndim != 2 or rates.shape[1] != len(members):
+        raise ValueError(f"rates must be a (steps, {len(members)}) table, got shape {rates.shape}")
     for m in members:
         _check_params(m.start, arch)
     _check_fit(arch, train.features, train.labels)
     batch_sizes = {m.config.batch_size for m in members}
     if len(batch_sizes) != 1:
         raise ValueError(f"population members must share one batch size, got {sorted(batch_sizes)}")
-    n, bs = train.n, batch_sizes.pop()
+    n, bs, total_steps = train.n, batch_sizes.pop(), len(rates)
     spe = steps_per_epoch(n, bs)
     sig = arch.signature
     values = np.stack([m.start.values for m in members])
@@ -258,8 +259,9 @@ def _train_population(
                 _jitter(feats, [noise[i] for i in alive])
                 _gradient_into(layers, arch.activation, feats, train.labels[rows], grad_layers)
                 freeze(np.isfinite(grad).all(axis=1), f"non-finite gradient at step {step}/{total_steps}")
+                lrs = rates[step - 1].tolist()
                 for i in alive:
-                    updated, states[i] = adamw_step(*views[i], states[i], members[i].lr_for_step(step))
+                    updated, states[i] = adamw_step(*views[i], states[i], lrs[i])
                     values[i, part] = updated.values
                 freeze(np.isfinite(values).all(axis=1), f"non-finite parameters at step {step}/{total_steps}")
                 if step in collect_steps:
@@ -270,11 +272,11 @@ def _train_population(
     return values
 
 
-def _train_one(member: _Member, arch: ArchSpec, train: LabeledDataset, total_steps: int,
+def _train_one(member: _Member, arch: ArchSpec, train: LabeledDataset, rates: np.ndarray,
                trainable: slice | None = None) -> ParamVector:
-    """`_train_population` with one member; raises `TrainingDivergedError`
-    on a non-finite gradient or parameters."""
-    values = _train_population([member], arch, train, total_steps, trainable)
+    """`_train_population` with one member and its (T,) rates; raises
+    `TrainingDivergedError` on a non-finite gradient or parameters."""
+    values = _train_population([member], arch, train, rates[:, None], trainable)
     if member.error is not None:
         raise TrainingDivergedError(member.error)
     return ParamVector(values[0], arch.signature)
@@ -300,12 +302,11 @@ def _checkpoint(stage: str, arch: ArchSpec, config: HyperConfig, params: ParamVe
     )
 
 
-def _cosine_by_step(base_lr: float, epochs: int, spe: int) -> Callable[[int], float]:
-    """Per-epoch cosine decay looked up by 1-based step; each epoch's rate is
-    computed once."""
+def _cosine_rates(base_lr: float, epochs: int, spe: int) -> np.ndarray:
+    """Per-epoch cosine decay as one rate per step, (epochs * spe,): each
+    epoch's rate is computed once and repeated for its spe steps."""
     sched = CosineSchedule(base_lr, max(epochs, 1))
-    rates = [cosine_lr(epoch, sched) for epoch in range(epochs)]
-    return lambda step: rates[(step - 1) // spe]
+    return np.repeat([cosine_lr(epoch, sched) for epoch in range(epochs)], spe)
 
 
 def pretrain_source(arch: ArchSpec, source: LabeledDataset, config: HyperConfig) -> Checkpoint:
@@ -313,9 +314,8 @@ def pretrain_source(arch: ArchSpec, source: LabeledDataset, config: HyperConfig)
     params = init_params(arch, config.seed)
     if config.epochs > 0:
         spe = steps_per_epoch(source.n, config.batch_size)
-        member = _Member(params, config, _cosine_by_step(config.lr, config.epochs, spe),
-                         _rng(config.seed, _RNG_PRETRAIN))
-        params = _train_one(member, arch, source, config.epochs * spe)
+        member = _Member(params, config, _rng(config.seed, _RNG_PRETRAIN))
+        params = _train_one(member, arch, source, _cosine_rates(config.lr, config.epochs, spe))
     return _checkpoint("pretrained", arch, config, params, source, {}, config.epochs)
 
 
@@ -326,8 +326,9 @@ def linear_probe_warmup(pretrained: Checkpoint, train: LabeledDataset, config: H
     params = pretrained.params.copy()
     if config.warmup_epochs > 0:
         spe = steps_per_epoch(train.n, config.batch_size)
-        member = _Member(params, config, lambda step: config.lr, _rng(config.seed, _RNG_WARMUP))
-        params = _train_one(member, arch, train, config.warmup_epochs * spe, trainable=last_layer_slice(arch))
+        member = _Member(params, config, _rng(config.seed, _RNG_WARMUP))
+        params = _train_one(member, arch, train, np.full(config.warmup_epochs * spe, config.lr),
+                            trainable=last_layer_slice(arch))
     return _checkpoint("warmstart", arch, config, params, train, val_metric_map(params, arch, val),
                        config.warmup_epochs, base=pretrained)
 
@@ -359,9 +360,9 @@ def _fine_tune_runs(theta0: Checkpoint, configs: list[HyperConfig], train: Label
         raise ValueError(f"{stage} runs must share epochs and batch size, got {sorted(shapes)}")
     epochs, batch_size = shapes.pop()
     spe = steps_per_epoch(train.n, batch_size)
-    members = [_Member(theta0.params, cfg, _cosine_by_step(cfg.lr, epochs, spe), _rng(cfg.seed, _RNG_TUNE))
-               for cfg in configs]
-    values = _train_population(members, theta0.arch, train, epochs * spe)
+    members = [_Member(theta0.params, cfg, _rng(cfg.seed, _RNG_TUNE)) for cfg in configs]
+    rates = np.stack([_cosine_rates(cfg.lr, epochs, spe) for cfg in configs], axis=1)
+    values = _train_population(members, theta0.arch, train, rates)
     trained = [(m.config, ParamVector(row, theta0.arch.signature))
                for m, row in zip(members, values) if m.error is None]
     metrics = _val_metric_maps([params for _, params in trained], theta0.arch, val)
@@ -429,12 +430,11 @@ def fgg_fission_many(bases: list[Checkpoint], schedule: CyclicalSchedule, n_coll
     if not bases:
         return []
     arch = bases[0].arch
-    c = schedule.cycle_steps
-    targets = [c // 2 + k * c for k in range(n_collect)]
-    rate = lambda step: cyclical_alpha(step, schedule)
+    rates = np.repeat([[cyclical_alpha(s, schedule)] for s in range(1, total + 1)], len(bases), axis=1)
+    collect = frozenset(s for s in range(1, total + 1) if is_collection_point(s, schedule.cycle_steps))
     members = [_Member(base.params, replace(base.config, schedule="cyclical", cyclical=schedule),
-                       rate, _rng(base.config.seed, _RNG_FISSION)) for base in bases]
-    _train_population(members, arch, train, total, collect_steps=frozenset(targets))
+                       _rng(base.config.seed, _RNG_FISSION)) for base in bases]
+    _train_population(members, arch, train, rates, collect_steps=collect)
     spe = steps_per_epoch(train.n, members[0].config.batch_size)
     metrics = iter(_val_metric_maps([params for m in members for _, params in m.collected], arch, val))
     results = []

@@ -21,7 +21,7 @@ from soupkit.pipeline import (
     HyperConfig,
     Lineage,
     TrainingDivergedError,
-    _cosine_by_step,
+    _cosine_rates,
     _Member,
     _train_population,
     checkpoint_id,
@@ -358,12 +358,12 @@ def _reference_train_loop(params, arch, train, config, lr_for_step, total_steps,
     return params, collected
 
 
-def _train_both(arch, train, config, lr_pair, total_steps, trainable=None, collect_steps=frozenset()):
+def _train_both(arch, train, config, rates, ref_lr, trainable=None, collect_steps=frozenset()):
     """(final values or None, collected, divergence message or None) for a
-    one-member population and for the reference, from the same init and rng
-    seed."""
-    member = _Member(init_params(arch, 5), config, lr_pair[0], np.random.default_rng(9))
-    values = _train_population([member], arch, train, total_steps, trainable, collect_steps)
+    one-member population trained on the (T,) `rates` and for the reference
+    run for T steps at `ref_lr(step)`, from the same init and rng seed."""
+    member = _Member(init_params(arch, 5), config, np.random.default_rng(9))
+    values = _train_population([member], arch, train, np.asarray(rates)[:, None], trainable, collect_steps)
     new = (None if member.error else values[0], [(s, p.values) for s, p in member.collected], member.error)
     collected = []
     final, error = None, None
@@ -371,8 +371,8 @@ def _train_both(arch, train, config, lr_pair, total_steps, trainable=None, colle
     # divergence unsilenced
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            params, _ = _reference_train_loop(init_params(arch, 5), arch, train, config, lr_pair[1],
-                                              total_steps, np.random.default_rng(9), trainable,
+            params, _ = _reference_train_loop(init_params(arch, 5), arch, train, config, ref_lr,
+                                              len(rates), np.random.default_rng(9), trainable,
                                               collect_steps, collected)
             final = params.values
         except TrainingDivergedError as exc:
@@ -398,10 +398,9 @@ def test_trainer_matches_reference_loop(bundle, activation, level):
     config = HyperConfig(lr=1e-2, seed=0, epochs=3, augment=level)
     spe = steps_per_epoch(bundle.train.n, config.batch_size)
     sched = CosineSchedule(config.lr, config.epochs)
-    lr_pair = (_cosine_by_step(config.lr, config.epochs, spe),
-               lambda step: cosine_lr((step - 1) // spe, sched))
     # the last epoch stops part-way through
-    new, ref = _train_both(arch, bundle.train, config, lr_pair, 2 * spe + 3)
+    rates = _cosine_rates(config.lr, config.epochs, spe)[: 2 * spe + 3]
+    new, ref = _train_both(arch, bundle.train, config, rates, lambda step: cosine_lr((step - 1) // spe, sched))
     assert new[2] is None
     _assert_same_run(new, ref)
 
@@ -409,8 +408,7 @@ def test_trainer_matches_reference_loop(bundle, activation, level):
 def test_trainer_matches_reference_on_trainable_slice(bundle):
     config = HyperConfig(lr=1e-2, seed=0, warmup_epochs=2, augment=AugmentLevel.HEAVY)
     spe = steps_per_epoch(bundle.train.n, config.batch_size)
-    lr = lambda step: config.lr
-    new, ref = _train_both(ARCH, bundle.train, config, (lr, lr), 2 * spe,
+    new, ref = _train_both(ARCH, bundle.train, config, np.full(2 * spe, config.lr), lambda step: config.lr,
                            trainable=last_layer_slice(ARCH))
     _assert_same_run(new, ref)
 
@@ -420,8 +418,8 @@ def test_trainer_matches_reference_on_fission_snapshots(bundle):
     config = HyperConfig(lr=1e-2, seed=0, augment=AugmentLevel.MEDIUM,
                          schedule="cyclical", cyclical=sched)
     lr = lambda step: cyclical_alpha(step, sched)
-    new, ref = _train_both(ARCH, bundle.train, config, (lr, lr), fission_total_steps(sched, 3),
-                           collect_steps=frozenset({2, 6, 10}))
+    rates = [lr(step) for step in range(1, fission_total_steps(sched, 3) + 1)]
+    new, ref = _train_both(ARCH, bundle.train, config, rates, lr, collect_steps=frozenset({2, 6, 10}))
     assert [s for s, _ in new[1]] == [2, 6, 10]
     _assert_same_run(new, ref)
 
@@ -434,7 +432,7 @@ def test_trainer_diverges_like_reference(bundle, activation, lr, kind):
     config = HyperConfig(lr=1e-2, seed=0, augment=AugmentLevel.HEAVY,
                          schedule="cyclical", cyclical=sched)
     rate = lambda step: cyclical_alpha(step, sched)
-    new, ref = _train_both(arch, bundle.train, config, (rate, rate), 40,
+    new, ref = _train_both(arch, bundle.train, config, [rate(step) for step in range(1, 41)], rate,
                            collect_steps=frozenset(range(2, 41, 4)))
     assert new[2] is not None and new[2].startswith(f"non-finite {kind} at step ")
     _assert_same_run(new, ref)

@@ -15,7 +15,7 @@ from soupkit.optim import CyclicalSchedule, cyclical_alpha
 from soupkit.pipeline import (
     HyperConfig,
     TrainingDivergedError,
-    _cosine_by_step,
+    _cosine_rates,
     _Member,
     _train_population,
     _val_metric_maps,
@@ -54,17 +54,18 @@ def _spec(arch, init_seed, lr, seed, level):
     return init_params(arch, init_seed), config
 
 
-def _rate(config, spe):
+def _rates(config, spe, total):
+    """A member's rates at steps 1 to `total`, as its stage would give them."""
     if config.schedule == "cyclical":
-        return lambda step: cyclical_alpha(step, config.cyclical)
-    return _cosine_by_step(config.lr, config.epochs, spe)
+        return [cyclical_alpha(step, config.cyclical) for step in range(1, total + 1)]
+    return _cosine_rates(config.lr, config.epochs, spe)[:total]
 
 
 def _population(arch, train, specs, total, rng_seeds, collect_steps):
     spe = steps_per_epoch(train.n, specs[0][1].batch_size)
-    members = [_Member(start, config, _rate(config, spe), np.random.default_rng(seed))
-               for (start, config), seed in zip(specs, rng_seeds)]
-    values = _train_population(members, arch, train, total, collect_steps=collect_steps)
+    members = [_Member(start, config, np.random.default_rng(seed)) for (start, config), seed in zip(specs, rng_seeds)]
+    rates = np.stack([_rates(config, spe, total) for _, config in specs], axis=1)
+    values = _train_population(members, arch, train, rates, collect_steps=collect_steps)
     return [(None if m.error else row, [(s, p.values) for s, p in m.collected], m.error)
             for m, row in zip(members, values)]
 
