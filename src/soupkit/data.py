@@ -109,12 +109,12 @@ class TaskSpec(_Record):
             raise ValueError(f"class_count must be at least 2, got {self.class_count}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
-        if self.imbalance_ratio < 1.0:
-            raise ValueError(f"imbalance_ratio must be >= 1, got {self.imbalance_ratio}")
+        if not 1.0 <= self.imbalance_ratio < math.inf:
+            raise ValueError(f"imbalance_ratio must be finite and >= 1, got {self.imbalance_ratio}")
         if not 0.0 <= self.label_noise_rate < 1.0:
             raise ValueError(f"label_noise_rate must lie in [0, 1), got {self.label_noise_rate}")
-        if self.cluster_heterogeneity < 0.0 or self.shift_magnitude < 0.0 or self.source_shift < 0.0:
-            raise ValueError("heterogeneity and shift knobs must be non-negative")
+        if not all(0.0 <= x < math.inf for x in (self.cluster_heterogeneity, self.shift_magnitude, self.source_shift)):
+            raise ValueError("heterogeneity and shift knobs must be non-negative and finite")
         if self.kind is TaskKind.SMOOTH:
             # The benign kind pins the complications off regardless of caller input.
             object.__setattr__(self, "imbalance_ratio", 1.0)

@@ -30,6 +30,7 @@ records; every module that defines one already imports this one.
 from __future__ import annotations
 
 import hashlib
+import sys
 import types
 import typing
 from dataclasses import MISSING, dataclass, fields
@@ -66,8 +67,8 @@ class _Record:
     `to_dict` writes one key per field: enums by value, tuples as lists and
     nested records as dicts. `from_dict` refuses unknown keys and missing
     required ones, naming each key as the file spells it, and converts each
-    value by its field's annotation: int (integral, not bool), float, str
-    (a string only), an enum, a nested record, an optional one, or a tuple of
+    value by its field's annotation: int (integral, not bool), float (finite,
+    not bool), str (a string only), an enum, a nested record, an optional one, or a tuple of
     these. Annotations are resolved once per class. A record whose file spells
     a field other than by its name maps the name to that key in `_FILE_KEYS`.
     """
@@ -155,13 +156,19 @@ def _converter(hint, where: str) -> Callable:
         return lambda v: None if v is None else inner(v)
     if issubclass(hint, _Record):
         return lambda v: hint._decode(v, where)
-    return {int: _int, str: _str}.get(hint, hint)
+    return {int: _int, float: _float, str: _str}.get(hint, hint)
 
 
 def _int(v) -> int:
     if isinstance(v, float) and v.is_integer() or isinstance(v, (int, np.integer)) and not isinstance(v, bool):
         return int(v)
     raise ValueError(f"expected an integer, got {v!r}")
+
+
+def _float(v) -> float:
+    if isinstance(v, (int, float, np.integer)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise ValueError(f"expected a finite number, got {v!r}")
 
 
 def _str(v) -> str:

@@ -101,8 +101,8 @@ class CyclicalSchedule(_Record):
     def __post_init__(self) -> None:
         if self.cycle_steps < 2 or self.cycle_steps % 2 != 0:
             raise ValueError(f"cycle length must be a positive even integer, got {self.cycle_steps}")
-        if self.alpha1 <= 0.0 or self.alpha2 <= 0.0:
-            raise ValueError(f"rates must be positive, got alpha1={self.alpha1}, alpha2={self.alpha2}")
+        if not (0.0 < self.alpha1 < np.inf and 0.0 < self.alpha2 < np.inf):
+            raise ValueError(f"rates must be positive and finite, got alpha1={self.alpha1}, alpha2={self.alpha2}")
         if self.alpha2 > self.alpha1:
             raise ValueError(f"alpha2 must not exceed alpha1, got {self.alpha2} > {self.alpha1}")
 
@@ -144,8 +144,8 @@ class CosineSchedule:
     def __post_init__(self) -> None:
         if self.total_epochs < 1:
             raise ValueError(f"total_epochs must be positive, got {self.total_epochs}")
-        if self.min_lr < 0.0 or self.base_lr < self.min_lr:
-            raise ValueError(f"need base_lr >= min_lr >= 0, got base={self.base_lr}, min={self.min_lr}")
+        if not 0.0 <= self.min_lr <= self.base_lr < np.inf:
+            raise ValueError(f"need finite base_lr >= min_lr >= 0, got base={self.base_lr}, min={self.min_lr}")
 
 
 def cosine_lr(epoch: int, schedule: CosineSchedule) -> float:

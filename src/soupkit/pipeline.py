@@ -73,8 +73,8 @@ class HyperConfig(_Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "augment", AugmentLevel(self.augment))
-        if self.lr <= 0.0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.epochs < 0 or self.warmup_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
         if self.batch_size < 1:
@@ -83,8 +83,8 @@ class HyperConfig(_Record):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if (self.schedule == "cyclical") != (self.cyclical is not None):
             raise ValueError("cyclical settings required exactly when schedule='cyclical'")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
 
 
 @dataclass

@@ -268,7 +268,11 @@ def test_run_experiment_minimal_config(tmp_path):
       "task": {"kind": "smooth", "seed": 1, "dims": 4, "class_count": 3, "n_samples": 240},
       "soup": ["uniform"]}, "unknown key 'soup'"),
     ([1, 2], "must be an object"),
-], ids=["unknown-key", "not-an-object"])
+    ({"schema_version": 1, "name": "tiny", "metric": "accuracy",
+      "arch": {"layer_dims": [4, 8, 3], "activation": "relu"},
+      "task": {"kind": "smooth", "seed": 1, "dims": 4, "class_count": 3, "n_samples": 240},
+      "pretrain": {"lr": float("nan")}}, "pretrain.lr: expected a finite number, got nan"),
+], ids=["unknown-key", "not-an-object", "nan-rate"])
 def test_run_experiment_refuses_a_bad_config_in_one_line(tmp_path, config, problem):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(config))
@@ -290,6 +294,26 @@ def test_gen_data_spec_with_a_bad_key_is_a_one_line_error(tmp_path, edit, proble
     rc, out, err = _run("--store", str(tmp_path / "store"), "gen-data", "--name", "e", "--spec", str(spec_path))
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and problem in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (("grid", "--theta0", "{warm}", "--lrs", "0.01,nan", "--epochs", "1"), "lr must be positive and finite, got nan"),
+    (("fission", "--base", "{base}", "--alpha1", "inf", "--alpha2", "1e-6", "--n-collect", "2"),
+     "rates must be positive and finite"),
+    (("pretrain", "--lr", "0.01", "--epochs", "1", "--weight-decay", "inf"), "weight_decay must be non-negative and finite"),
+], ids=["grid-lr", "fission-alpha", "pretrain-weight-decay"])
+def test_a_non_finite_rate_flag_is_a_one_line_error(pipe, argv, problem):
+    argv = [a.format(warm=pipe["warm"], base=pipe["bases"][0]) for a in argv]
+    rc, out, err = _run("--store", pipe["store"], argv[0], "--data", "demo", *argv[1:])
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and problem in err and err.count("\n") == 1
+
+
+def test_gen_data_refuses_a_non_finite_knob_in_one_line(tmp_path):
+    rc, out, err = _run("--store", str(tmp_path / "store"), "gen-data", "--name", "e", "--imbalance", "nan")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: imbalance_ratio must be finite") and err.count("\n") == 1
+    assert not (tmp_path / "store").exists()
 
 
 def test_dispatch_runs_the_handler_bound_on_the_module_now(pipe, monkeypatch):

@@ -43,6 +43,13 @@ def test_task_spec_validation():
         _spec(shift_magnitude=-0.1)
 
 
+@pytest.mark.parametrize("field", ["imbalance_ratio", "cluster_heterogeneity", "shift_magnitude", "source_shift"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_task_spec_refuses_a_non_finite_knob(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        _spec(**{field: value})
+
+
 def test_smooth_spec_pins_complications_off():
     spec = TaskSpec(kind=TaskKind.SMOOTH, seed=0, dims=4, class_count=3, n_samples=300,
                     imbalance_ratio=9.0, label_noise_rate=0.3, shift_magnitude=2.0)

@@ -100,7 +100,15 @@ def test_config_rejects_a_landscape_resolution_of_the_wrong_length():
     (lambda d: d.__setitem__("name", ["x"]), r"name: expected a string, got \['x'\]"),
     (lambda d: d["arch"].__setitem__("activation", 1), r"arch\.activation: expected a string, got 1"),
     (lambda d: d["soups"].__setitem__(0, None), r"soups: expected a string, got None"),
-], ids=["fractional", "true", "false", "string-int", "fractional-item", "inf", "list-name", "int-str", "null-item"])
+    (lambda d: d["pretrain"].__setitem__("lr", float("nan")), r"pretrain\.lr: expected a finite number, got nan"),
+    (lambda d: d.__setitem__("weight_decay", float("inf")), r"weight_decay: expected a finite number, got inf"),
+    (lambda d: d["task"].__setitem__("imbalance_ratio", float("-inf")),
+     r"task\.imbalance_ratio: expected a finite number, got -inf"),
+    (lambda d: d["split_ratios"].__setitem__(0, 10**400), r"split_ratios: expected a finite number, got 1000"),
+    (lambda d: d["grid"]["lrs"].__setitem__(0, True), r"grid\.lrs: expected a finite number, got True"),
+    (lambda d: d["fgg"].__setitem__("alpha1", "0.5"), r"fgg\.alpha1: expected a finite number, got '0\.5'"),
+], ids=["fractional", "true", "false", "string-int", "fractional-item", "inf", "list-name", "int-str", "null-item",
+        "nan-float", "inf-float", "minus-inf-float", "huge-int-float", "true-float", "string-float"])
 def test_config_refuses_a_value_of_the_wrong_type(edit, message):
     d = default_experiment_config("demo", "rough", 0).to_dict()
     edit(d)

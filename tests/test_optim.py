@@ -203,6 +203,12 @@ def test_cyclical_validation():
         cyclical_t(1, 5)
 
 
+@pytest.mark.parametrize("alpha1, alpha2", [(math.nan, 1e-3), (math.inf, 1e-3), (1e-2, math.nan), (math.inf, math.inf)])
+def test_cyclical_schedule_refuses_a_non_finite_rate(alpha1, alpha2):
+    with pytest.raises(ValueError, match="finite"):
+        CyclicalSchedule(cycle_steps=4, alpha1=alpha1, alpha2=alpha2)
+
+
 def test_cyclical_schedule_dict_roundtrip():
     sched = CyclicalSchedule(cycle_steps=8, alpha1=1e-2, alpha2=1e-5)
     assert CyclicalSchedule.from_dict(sched.to_dict()) == sched
@@ -222,6 +228,12 @@ def test_cosine_monotone_decreasing():
     sched = CosineSchedule(base_lr=1.0, total_epochs=20)
     vals = [cosine_lr(e, sched) for e in range(21)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("base_lr, min_lr", [(math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan)])
+def test_cosine_schedule_refuses_a_non_finite_rate(base_lr, min_lr):
+    with pytest.raises(ValueError, match="finite"):
+        CosineSchedule(base_lr=base_lr, total_epochs=5, min_lr=min_lr)
 
 
 def test_cosine_validation():

@@ -70,6 +70,13 @@ def test_hyper_config_validation():
         HyperConfig(lr=0.1, seed=0, schedule="linear")
 
 
+@pytest.mark.parametrize("field", ["lr", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_hyper_config_refuses_a_non_finite_rate(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        HyperConfig(**{"lr": 0.1, "seed": 0, field: value})
+
+
 def test_hyper_config_dict_roundtrip():
     cfg = HyperConfig(lr=3e-3, seed=2, augment=AugmentLevel.HEAVY, epochs=5,
                       schedule="cyclical", cyclical=CyclicalSchedule(6, 1e-2, 1e-5))
