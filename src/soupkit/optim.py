@@ -1,9 +1,9 @@
 """AdamW with decoupled weight decay, plus the learning-rate schedules.
 
 Two schedules: per-epoch cosine annealing for ordinary fine-tuning, and a
-triangular cyclical schedule indexed by optimizer step. Mid-cycle steps of
-the cyclical schedule (where the rate bottoms out at alpha2) are the
-snapshot-collection points.
+triangular cyclical schedule indexed by optimizer step, whose mid-cycle steps
+are the snapshot-collection points. The rate bottoms out there at alpha2, or up
+to alpha1 * 2**-52 above it where the phase (1 / c) * (c // 2) rounds below 0.5.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def cyclical_t(i: int, c: int) -> float:
 
 
 def cyclical_alpha(i: int, schedule: CyclicalSchedule) -> float:
-    """Triangular rate: descends to alpha2 at mid-cycle, climbs back to alpha1."""
+    """Triangular rate: falls to the trough described above at mid-cycle, climbs back to alpha1."""
     t = cyclical_t(i, schedule.cycle_steps)
     a1, a2 = schedule.alpha1, schedule.alpha2
     if t <= 0.5:
@@ -130,7 +130,7 @@ def cyclical_alpha(i: int, schedule: CyclicalSchedule) -> float:
 
 
 def is_collection_point(i: int, c: int) -> bool:
-    """True at the mid-cycle step, where the rate equals alpha2."""
+    """True at the mid-cycle step, the trough of the cyclical rate."""
     _check_step(i, c)
     return (i - 1) % c + 1 == c // 2
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from soupkit.nn import ParamVector
 from soupkit.optim import (
@@ -174,6 +176,36 @@ def test_cyclical_alpha_bounds_and_trough():
     for i in range(1, 31):
         if is_collection_point(i, 10):
             assert cyclical_alpha(i, sched) == sched.alpha2
+
+
+# Any even cycle length and any two positive rates, the larger one alpha1.
+_schedules = st.builds(
+    lambda half, rates: CyclicalSchedule(2 * half, max(rates), min(rates)),
+    st.integers(1, 1000),
+    st.tuples(*[st.floats(1e-12, 1e3, allow_nan=False, allow_infinity=False)] * 2),
+)
+
+
+@settings(max_examples=1000)
+@given(sched=_schedules, step=st.integers(1, 10**6))
+@example(sched=CyclicalSchedule(774, 1e-12, 1e-12), step=1)
+def test_cyclical_alpha_stays_within_its_rates_and_repeats_every_cycle(sched, step):
+    # The rate is a sum of two rounded products, so where alpha1 and alpha2
+    # lie within a few ulps of each other it can step one ulp outside them.
+    rate = cyclical_alpha(step, sched)
+    assert sched.alpha2 * (1 - 2.0**-52) <= rate <= sched.alpha1 * (1 + 2.0**-52)
+    assert cyclical_alpha(step + sched.cycle_steps, sched) == rate
+
+
+@settings(max_examples=1000)
+@given(sched=_schedules, cycle=st.integers(0, 10**4))
+@example(sched=CyclicalSchedule(98, 3e-3, 1e-6), cycle=0)
+def test_the_trough_is_alpha2_up_to_one_rounding_of_the_phase(sched, cycle):
+    # For some cycle lengths, 98 the first, (1 / c) * (c // 2) is one ulp
+    # below 0.5 and the trough sits a hair above alpha2.
+    step = cycle * sched.cycle_steps + sched.cycle_steps // 2
+    assert is_collection_point(step, sched.cycle_steps)
+    assert sched.alpha2 <= cyclical_alpha(step, sched) <= sched.alpha2 + sched.alpha1 * 2.0**-52
 
 
 def test_collection_points_exhaustive_small():

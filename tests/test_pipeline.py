@@ -1,8 +1,13 @@
 """Training-stage tests: determinism, lineage, freezing, and fission capture."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soupkit import pipeline
 from soupkit.data import AugmentLevel, TaskKind, TaskSpec, augment, gen_task
 from soupkit.nn import ArchSpec, Batch, MetricKind, ParamVector, gradient, init_params, last_layer_slice
 from soupkit.optim import (
@@ -27,6 +32,7 @@ from soupkit.pipeline import (
     checkpoint_id,
     fgg_base_generate,
     fgg_fission,
+    fgg_fission_many,
     fine_tune,
     fission_total_steps,
     grid_generate,
@@ -293,6 +299,35 @@ def test_fission_truncates_on_divergence(bundle, theta0):
     assert len(result.checkpoints) < 50
     for ck in result.checkpoints:
         assert np.all(np.isfinite(ck.params.values))
+
+
+class _Stop(Exception):
+    pass
+
+
+@settings(max_examples=60)
+@given(half=st.integers(1, 120), alphas=st.tuples(*[st.floats(1e-8, 1.0)] * 2),
+       n_collect=st.integers(1, 6), n_bases=st.integers(1, 4))
+def test_fission_table_follows_the_schedule_and_snapshots_fall_on_collection_points(
+        bundle, theta0, half, alphas, n_collect, n_bases):
+    sched = CyclicalSchedule(2 * half, max(alphas), min(alphas))
+    bases = [replace(theta0, config=replace(theta0.config, seed=k)) for k in range(n_bases)]
+    seen = {}
+
+    def spy(members, arch, train, rates, trainable=None, collect_steps=frozenset()):
+        seen.update(rates=rates, collect=collect_steps)
+        raise _Stop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_train_population", spy)
+        with pytest.raises(_Stop):
+            fgg_fission_many(bases, sched, n_collect, bundle.train, bundle.val)
+    total = fission_total_steps(sched, n_collect)
+    assert seen["rates"].shape == (total, n_bases)
+    for step, row in enumerate(seen["rates"].tolist(), start=1):
+        assert row == [cyclical_alpha(step, sched)] * n_bases
+    points = [s for s in range(1, total + 1) if is_collection_point(s, sched.cycle_steps)]
+    assert sorted(seen["collect"]) == points and len(points) == n_collect and points[-1] == total
 
 
 def test_fission_requires_config(bundle, theta0):
