@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import LabeledDataset, _write_csv_rows
 from .nn import ArchSpec, MetricKind, MetricUndefinedError, ParamVector, _check_params, _scores
-from .pipeline import Checkpoint
+from .pipeline import STAGES, Checkpoint
 
 DEFAULT_LMC_POINTS = 11
 DEFAULT_RESOLUTION = (25, 25)
@@ -239,9 +239,11 @@ def compute_budget(checkpoints: Sequence[Checkpoint]) -> BudgetReport:
 
 def _stage_budget(runs: Iterable[tuple[str, float]]) -> BudgetReport:
     """`compute_budget` over (lineage stage, epochs consumed) pairs, which a
-    store's manifests hold without the weights."""
+    store's manifests hold without the weights; a stage not in STAGES is refused."""
     stage_epochs: dict[str, float] = {}
     for stage, epochs in runs:
+        if stage not in STAGES:
+            raise ValueError(f"unknown stage {stage!r}, expected one of {STAGES}")
         stage_epochs[stage] = stage_epochs.get(stage, 0.0) + float(epochs)
     grid_total = stage_epochs.get("grid", 0.0)
     fgg_total = stage_epochs.get("base", 0.0) + stage_epochs.get("fission", 0.0)

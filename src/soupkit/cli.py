@@ -30,7 +30,6 @@ from .experiment import ExperimentConfig, build_soups, cycle_schedule, run_exper
 from .nn import ArchSpec, MetricKind, evaluate
 from .pipeline import (
     HyperConfig,
-    Lineage,
     TrainingDivergedError,
     fgg_base_generate,
     fgg_fission,
@@ -247,7 +246,7 @@ def cmd_budget(args) -> dict:
     # The manifests hold each run's stage and epoch count: no weights are read,
     # and each manifest is dropped once read.
     manifests = (store.read_manifest(i) for i in ids)
-    budget = _stage_budget((Lineage.from_dict(m["lineage"]).stage, m["epochs_consumed"]) for m in manifests)
+    budget = _stage_budget((m["lineage"]["stage"], m["epochs_consumed"]) for m in manifests)
     out = {"command": "budget", "stage_epochs": budget.stage_epochs,
            "grid_total": budget.grid_total, "fgg_total": budget.fgg_total,
            "ratio": budget.ratio}

@@ -226,6 +226,18 @@ def test_budget_reads_no_weights(pipe, tmp_path):
     assert rc != 0 and "checksum mismatch" in err
 
 
+def test_budget_refuses_a_manifest_of_an_unknown_stage(pipe, tmp_path):
+    root = tmp_path / "store"
+    shutil.copytree(pipe["store"], root)
+    manifest = root / pipe["grid"][0] / "manifest.json"
+    m = json.loads(manifest.read_text())
+    m["lineage"]["stage"] = "mystery"
+    manifest.write_text(json.dumps(m))
+    rc, out, err = _run("--store", str(root), "budget")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: unknown stage 'mystery'") and err.count("\n") == 1
+
+
 def test_store_flag_from_environment(pipe, monkeypatch):
     monkeypatch.setenv("SOUPKIT_STORE", pipe["store"])
     out = _ok("eval", "--id", pipe["grid"][0], "--data", "demo", "--metric", "accuracy")
