@@ -67,10 +67,10 @@ class _Record:
     `to_dict` writes one key per field: enums by value, tuples as lists and
     nested records as dicts. `from_dict` refuses unknown keys and missing
     required ones, naming each key as the file spells it, and converts each
-    value by its field's annotation: int (integral, not bool), float (finite,
-    not bool), str (a string only), an enum, a nested record, an optional one, or a tuple of
-    these. Annotations are resolved once per class. A record whose file spells
-    a field other than by its name maps the name to that key in `_FILE_KEYS`.
+    value by its field's annotation: int (integral) and float (finite), not
+    bool; str (a string only); an enum, a nested record, an optional one, or
+    a tuple of these. Annotations are resolved once per class. A record whose
+    file spells a field by another name maps the name to it in `_FILE_KEYS`.
     """
 
     _FILE_KEYS: dict[str, str] = {}
