@@ -130,6 +130,13 @@ def test_population_rejects_mixed_batch_sizes(bundle):
         _population(ARCH, bundle.train, specs, 4, [0, 1], frozenset())
 
 
+@pytest.mark.parametrize("shape", [(6,), (6, 1), (6, 3), (6, 2, 1)])
+def test_population_rejects_a_rate_table_of_the_wrong_shape(bundle, shape):
+    members = [_Member(*_spec(ARCH, i, 1e-2, i, AugmentLevel.MINIMAL), np.random.default_rng(i)) for i in range(2)]
+    with pytest.raises(ValueError, match=r"rates must be a \(steps, 2\) table"):
+        _train_population(members, ARCH, bundle.train, np.full(shape, 1e-2))
+
+
 @settings(max_examples=12, deadline=None)
 @given(order=st.permutations(range(4)))
 def test_member_order_permutes_results(bundle, order):
