@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import LabeledDataset, _write_csv_rows
-from .nn import ArchSpec, MetricKind, MetricUndefinedError, ParamVector, _check_params, _scores
+from .nn import ArchSpec, MetricKind, MetricUndefinedError, ParamVector, _check_params, _scorer, _scores
 from .pipeline import STAGES, Checkpoint
 
 DEFAULT_LMC_POINTS = 11
@@ -140,8 +140,9 @@ def landscape_grid(basis: PlaneBasis, extent: tuple[float, float, float, float],
     ys = np.linspace(ymin, ymax, ny)
     values = np.empty((ny, nx))
     along_x = basis.origin + xs[:, None] * basis.u  # cell = origin + x*u + y*v, as in PlaneBasis.point
+    score = _scorer(basis.arch, dataset, metric)
     for i, y in enumerate(ys):
-        values[i] = 1.0 - _scores(along_x + y * basis.v, basis.arch, dataset, metric)
+        values[i] = 1.0 - score(along_x + y * basis.v)
     return LandscapeGrid(basis, tuple(extent), (nx, ny), metric.value, xs, ys, values)
 
 

@@ -31,7 +31,7 @@ from .analysis import (
     plane_basis,
 )
 from .data import AugmentLevel, LabeledDataset, TaskBundle, TaskKind, TaskSpec, _atomic_write, gen_task
-from .nn import ArchSpec, MetricKind, _Record, _scores, evaluate
+from .nn import ArchSpec, MetricKind, _Record, _evaluator, _scores
 from .optim import CyclicalSchedule
 from .pipeline import (
     Checkpoint,
@@ -254,7 +254,7 @@ def build_soups(methods: Sequence[str], metric: MetricKind | str, arch: ArchSpec
     and the CLI all build their soups here.
     """
     metric_key = MetricKind(metric).value
-    eval_fn = lambda p: evaluate(p, arch, val, metric_key)
+    eval_fn = _evaluator(arch, val, metric_key)  # checks the split at the first score, after the lineage checks
     snapshot_pool = [c for base, snapshots in groups for c in (base, *snapshots)]
     out: list[tuple[str, SoupResult]] = []
     for name in methods:

@@ -8,8 +8,8 @@ trivial and exact.
 
 Inputs are checked once per public call (and once per training stage), never
 in the kernels: `_check_params` and `_check_fit`. Callers that score many
-models on one split pass a (K, P) stack to `_scores`, which checks once and
-runs one forward per bounded chunk of models; `evaluate` is its one-model
+models on one split prepare one `_scorer`, which checks the split once and
+scores (K, P) stacks a bounded chunk at a time; `evaluate` is its one-model
 case. Every metric has one implementation, `_score`, over a stack of logits.
 
 The training kernels avoid numpy reductions over tiny axes, whose per-call
@@ -68,9 +68,10 @@ class _Record:
     nested records as dicts. `from_dict` refuses unknown keys and missing
     required ones, naming each key as the file spells it, and converts each
     value by its field's annotation: int (integral) and float (finite), not
-    bool; str (a string only); an enum, a nested record, an optional one, or
-    a tuple of these. Annotations are resolved once per class. A record whose
-    file spells a field by another name maps the name to it in `_FILE_KEYS`.
+    bool; str (a string only); bool (true or false only); an enum, a nested
+    record, an optional one, or a tuple of these. Annotations are resolved
+    once per class. A record whose file spells a field by another name maps
+    the name to it in `_FILE_KEYS`.
     """
 
     _FILE_KEYS: dict[str, str] = {}
@@ -156,7 +157,7 @@ def _converter(hint, where: str) -> Callable:
         return lambda v: None if v is None else inner(v)
     if issubclass(hint, _Record):
         return lambda v: hint._decode(v, where)
-    return {int: _int, float: _float, str: _str}.get(hint, hint)
+    return {int: _int, float: _float, str: _str, bool: _bool}.get(hint, hint)
 
 
 def _int(v) -> int:
@@ -175,6 +176,12 @@ def _str(v) -> str:
     if isinstance(v, str):
         return v
     raise ValueError(f"expected a string, got {v!r}")
+
+
+def _bool(v) -> bool:
+    if isinstance(v, bool):
+        return v
+    raise ValueError(f"expected true or false, got {v!r}")
 
 
 def _list(v, size: int | None) -> list | tuple:
@@ -532,14 +539,16 @@ def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind, support: 
     every (model, class present) row; macro recall and F1 are read from one
     confusion[model, true, predicted] cube. Macro averages run over the
     classes present in the labels; F1 is 0 for a class never hit. `support`
-    is `_support(labels, classes, metric)`, computed once by the caller."""
+    is `_support(labels, classes, metric)`, computed once by the caller.
+    A macro average is a sum over the classes divided by their count, which
+    is `np.mean`'s own arithmetic bit for bit without its per-call cost."""
     models, n, k = logits.shape
     present = support > 0
     if metric is MetricKind.ROC_AUC_OVR:
         classes = np.flatnonzero(present)
         probs = softmax(logits)[..., classes].swapaxes(1, 2)
         ranks = _average_ranks(probs.reshape(-1, n)).reshape(probs.shape)
-        return np.mean(_auc(ranks, labels == classes[:, None]), axis=-1)
+        return _auc(ranks, labels == classes[:, None]).sum(axis=-1) / classes.size
     preds = np.argmax(logits, axis=-1)
     if metric is MetricKind.ACCURACY:
         return (preds == labels).sum(axis=-1) / labels.size
@@ -549,12 +558,12 @@ def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind, support: 
     hits = np.diagonal(confusion, axis1=1, axis2=2)[:, present].astype(np.float64, order="C")
     recall = hits / support[present]
     if metric is MetricKind.MACRO_RECALL:
-        return np.mean(recall, axis=-1)
+        return recall.sum(axis=-1) / recall.shape[-1]
     predicted = confusion.sum(axis=1)[:, present]
     precision = np.divide(hits, predicted, out=np.zeros_like(hits), where=predicted > 0)
     both = precision + recall
     f1 = np.divide(2.0 * precision * recall, both, out=np.zeros_like(hits), where=both > 0)
-    return np.mean(f1, axis=-1)
+    return f1.sum(axis=-1) / f1.shape[-1]
 
 
 # Float budget of one activation when scoring a stack (about 0.5 MB of float64):
@@ -576,24 +585,47 @@ def _score_stack(stack: np.ndarray, arch: ArchSpec, features: np.ndarray, labels
     return out
 
 
-def _scores(stack: np.ndarray, arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> np.ndarray:
-    """Scores of every model of a (K, P) parameter stack on one split: (K,).
+def _scorer(arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> Callable[[np.ndarray], np.ndarray]:
+    """The scores of a (K, P) parameter stack on one split, as a function: (K,).
 
-    Checked once per call (metric, the split's fit, the stack width, and
-    whether the labels leave the metric undefined, before any forward); then
-    `_score_stack`."""
+    The metric, the split's fit and whether its labels leave the metric
+    undefined are checked here, once; each call checks only the stack's
+    shape before `_score_stack`."""
     metric = MetricKind(metric)
     features, labels = dataset.features, dataset.labels
     _check_fit(arch, features, labels)
-    if stack.ndim != 2 or stack.shape[1] != arch.param_count:
-        raise ValueError(f"expected a (K, {arch.param_count}) parameter stack, got shape {stack.shape}")
-    support = _support(labels, arch.class_count, metric)
-    return _score_stack(stack, arch, features, labels, {metric: support})[metric]
+    supports = {metric: _support(labels, arch.class_count, metric)}
+
+    def score(stack: np.ndarray) -> np.ndarray:
+        if stack.ndim != 2 or stack.shape[1] != arch.param_count:
+            raise ValueError(f"expected a (K, {arch.param_count}) parameter stack, got shape {stack.shape}")
+        return _score_stack(stack, arch, features, labels, supports)[metric]
+
+    return score
+
+
+def _scores(stack: np.ndarray, arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> np.ndarray:
+    """Scores of every model of a (K, P) parameter stack on one split: (K,)."""
+    return _scorer(arch, dataset, metric)(stack)
+
+
+def _evaluator(arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> Callable[[ParamVector], float]:
+    """`evaluate` of many models on one split: each call checks the model's
+    parameters, and the first one prepares the `_scorer`, so the split is
+    checked once, and only if a model is scored."""
+    scorer = None
+
+    def evaluate_fn(params: ParamVector) -> float:
+        nonlocal scorer
+        _check_params(params, arch)
+        scorer = scorer or _scorer(arch, dataset, metric)
+        return float(scorer(params.values[None])[0])
+
+    return evaluate_fn
 
 
 def evaluate(params: ParamVector, arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> float:
     """Score in [0, 1] for the dataset under the given metric (higher is better).
 
-    The split is used as given; this is the one-model case of `_scores`."""
-    _check_params(params, arch)
-    return float(_scores(params.values[None], arch, dataset, metric)[0])
+    The split is used as given; this is the one-model case of `_evaluator`."""
+    return _evaluator(arch, dataset, metric)(params)

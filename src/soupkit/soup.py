@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .data import LabeledDataset
-from .nn import MetricKind, ParamVector, _Record, evaluate
+from .nn import MetricKind, ParamVector, _Record, _evaluator
 from .pipeline import Checkpoint, Lineage
 
 
@@ -133,8 +133,7 @@ def greedy_soup(
     if eval_fn is None:
         if val is None:
             raise ValueError("need either evaluate_fn or a validation dataset")
-        arch = candidates[0].arch
-        eval_fn = lambda p: evaluate(p, arch, val, metric_key)
+        eval_fn = _evaluator(candidates[0].arch, val, metric_key)
 
     def rank_score(c: Checkpoint) -> float:
         if metric_key in c.val_metrics:

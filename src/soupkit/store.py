@@ -61,10 +61,18 @@ class Store:
 
     # -- checkpoints ------------------------------------------------------
 
-    def _dir(self, checkpoint_id: str) -> Path:
+    @staticmethod
+    def _checked(checkpoint_id: str) -> str:
         if not checkpoint_id or "/" in checkpoint_id or checkpoint_id in _RESERVED_DIRS:
             raise StoreError(f"invalid checkpoint id {checkpoint_id!r}")
-        return self.root / checkpoint_id
+        return checkpoint_id
+
+    def _dir(self, checkpoint_id: str) -> Path:
+        return self.root / self._checked(checkpoint_id)
+
+    def _file(self, checkpoint_id: str, name: str) -> str:
+        """A checkpoint's file as a string path, for the reads: no `Path` is built."""
+        return f"{self.root}/{self._checked(checkpoint_id)}/{name}"
 
     def exists(self, checkpoint_id: str) -> bool:
         return (self._dir(checkpoint_id) / "manifest.json").is_file()
@@ -107,7 +115,7 @@ class Store:
     def read_manifest(self, checkpoint_id: str) -> dict:
         """A checkpoint's manifest, schema-checked, without reading its weights."""
         try:
-            with open(os.path.join(self._dir(checkpoint_id), "manifest.json"), "rb") as fh:
+            with open(self._file(checkpoint_id, "manifest.json"), "rb") as fh:
                 manifest = json.loads(fh.read())
         except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
             raise StoreError(f"no checkpoint {checkpoint_id} in {self.root}") from None
@@ -119,7 +127,7 @@ class Store:
 
     def load_checkpoint(self, checkpoint_id: str) -> Checkpoint:
         manifest = self.read_manifest(checkpoint_id)
-        with open(os.path.join(self._dir(checkpoint_id), manifest["weights_file"]), "rb") as fh:
+        with open(self._file(checkpoint_id, manifest["weights_file"]), "rb") as fh:
             raw = fh.read()
         if _checksum(raw) != manifest["weights_checksum"]:
             raise ChecksumError(f"checksum mismatch for {checkpoint_id}")

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from soupkit import nn
+
 # `--hypothesis-profile=ci`, as the CI's tier-1 step runs: every run draws the
 # same examples, so a property that fails there fails the same way locally.
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -48,3 +50,18 @@ def full_disk(monkeypatch):
 
     monkeypatch.setattr(Path, "open", open_)
     return names.append
+
+
+@pytest.fixture
+def split_checks(monkeypatch):
+    """The features of every split that `nn._check_fit` checks from then on,
+    one entry per check."""
+    checks = []
+    real = nn._check_fit
+
+    def spy(arch, features, labels):
+        checks.append(features)
+        real(arch, features, labels)
+
+    monkeypatch.setattr(nn, "_check_fit", spy)
+    return checks

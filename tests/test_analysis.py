@@ -167,6 +167,12 @@ def test_landscape_grid_values_match_direct_eval(ds):
     assert grid.xs[0] == extent[0] and grid.xs[-1] == extent[1]
 
 
+def test_landscape_grid_checks_the_split_once_for_all_its_rows(ds, split_checks):
+    basis = plane_basis(*_three_anchors())
+    landscape_grid(basis, default_extent(basis.anchor_coords), (5, 4), ds, MetricKind.MACRO_F1)
+    assert len(split_checks) == 1 and split_checks[0] is ds.features
+
+
 def test_landscape_grid_validation(ds):
     basis = plane_basis(*_three_anchors())
     with pytest.raises(ValueError):

@@ -215,6 +215,19 @@ def test_build_soups_names_and_membership():
         assert soup.val_score == pytest.approx(eval_fn(soup.params))
 
 
+def test_build_soups_checks_the_split_once(split_checks):
+    cfg = _tiny_config(soups=())
+    bundle = gen_task(cfg.task, cfg.split_ratios)
+    recipe = run_recipe(cfg, bundle)
+    split_checks.clear()
+    soups = build_soups(["uniform", "greedy", "gou", "gog", "fgg_uniform", "fgg_greedy", "gs_gou", "gs_gog"],
+                        cfg.metric, cfg.arch, bundle.val, recipe.grid, recipe.groups)
+    assert sum(len(soup.audit) for _, soup in soups) > 8  # many trials, one check
+    assert len(split_checks) == 1 and split_checks[0] is bundle.val.features
+    for name, soup in soups:
+        assert soup.val_score == evaluate(soup.params, cfg.arch, bundle.val, cfg.metric), name
+
+
 def test_gs_gog_records_lower_level_decisions(tmp_path):
     d = _tiny_config().to_dict()
     d["grid"]["seeds"] = [0, 1]  # two members per lr group, so each local greedy decides

@@ -532,6 +532,39 @@ def test_scores_reject_a_stack_of_the_wrong_width():
             nn._scores(bad, arch, ds, MetricKind.ACCURACY)
 
 
+def test_a_scorer_checks_the_split_once_and_each_stack_by_shape(split_checks):
+    rng = np.random.default_rng(26)
+    arch = ArchSpec((3, 4, 3))
+    ds = _dataset(rng.normal(size=(30, 3)), rng.integers(0, 3, size=30), 3)
+    stacks = [_random_stack(arch, k, rng) for k in (1, 5, 3)]
+    for metric in MetricKind:
+        score = nn._scorer(arch, ds, metric)
+        got = [score(stack) for stack in stacks]
+        with pytest.raises(ValueError, match="parameter stack"):
+            score(stacks[0][0])
+        assert len(split_checks) == 1 and split_checks.pop() is ds.features
+        for g, stack in zip(got, stacks):
+            assert np.array_equal(g, [evaluate(ParamVector(row, arch.signature), arch, ds, metric) for row in stack])
+        split_checks.clear()
+    # the split is refused when the scorer is prepared, before any stack
+    with pytest.raises(ValueError, match="feature dim"):
+        nn._scorer(ArchSpec((4, 3)), ds, MetricKind.ACCURACY)
+    with pytest.raises(MetricUndefinedError):
+        nn._scorer(arch, _dataset(ds.features, [1] * 30, 3), MetricKind.ROC_AUC_OVR)
+
+
+def test_a_sum_divided_by_the_count_is_np_mean_bit_for_bit():
+    # `_score` takes its macro averages this way, for numpy's own arithmetic
+    # (`add.reduce`, then `true_divide` by the count) at about half the cost
+    rng = np.random.default_rng(27)
+    for width in range(1, 21):
+        rows = rng.random((200, width)) * 10.0 ** rng.integers(-12, 12, size=(200, width))
+        rows[::7] = rng.random((len(rows[::7]), width))  # recall- and F1-like rows in [0, 1]
+        assert rows.flags.c_contiguous and rows.dtype == np.float64
+        want = np.mean(rows, axis=-1)
+        assert np.array_equal((rows.sum(axis=-1) / rows.shape[-1]).view(np.int64), want.view(np.int64)), width
+
+
 @settings(max_examples=25, deadline=None)
 @given(order=st.permutations(range(9)), seed=st.integers(0, 2**16), metric=st.sampled_from(list(MetricKind)))
 def test_permuting_the_stack_permutes_the_scores(order, seed, metric):

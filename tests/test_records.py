@@ -1,0 +1,102 @@
+"""Every config record survives its own codec: `from_dict(to_dict(r)) == r`,
+also through JSON text, for random records of every `_Record` type."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from soupkit.data import AugmentLevel, TaskKind, TaskSpec
+from soupkit.experiment import _SOUP_NAMES, AnalysisSection, ExperimentConfig, FggSection, GridSection
+from soupkit.nn import ACTIVATIONS, ArchSpec, MetricKind, _Record
+from soupkit.optim import CyclicalSchedule
+from soupkit.pipeline import STAGES, HyperConfig, Lineage
+from soupkit.soup import AuditEntry
+
+_ints = st.integers(-(2**70), 2**70)
+_counts = st.integers(0, 2**40)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_non_negative = st.floats(min_value=0.0, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_texts = st.text(max_size=12)
+_augments = st.sampled_from(AugmentLevel)
+
+_cyclical = st.builds(lambda half, a, b: CyclicalSchedule(2 * half, max(a, b), min(a, b)),
+                      st.integers(1, 2**40), _positive, _positive)
+_hyper = st.builds(HyperConfig, lr=_positive, seed=_ints, augment=_augments, epochs=_counts,
+                   warmup_epochs=_counts, batch_size=st.integers(1, 2**40), weight_decay=_non_negative)
+_grid = st.builds(GridSection, st.lists(_finite).map(tuple), st.lists(_augments).map(tuple),
+                  st.lists(_ints).map(tuple), _ints)
+_fgg = st.builds(FggSection, st.lists(_finite).map(tuple), _ints, _ints, _finite, _finite, _ints, _augments, _ints)
+
+
+@st.composite
+def _experiment(draw):
+    grid, fgg = draw(st.none() | _grid), draw(st.none() | _fgg)
+    allowed = [s for s in _SOUP_NAMES
+               if (grid is not None or s in ("gou", "gog", "fgg_uniform", "fgg_greedy"))
+               and (fgg is not None or s in ("uniform", "greedy", "gs_gou", "gs_gog"))]
+    return ExperimentConfig(
+        name=draw(st.text(min_size=1, max_size=12).filter(lambda s: "/" not in s)),
+        metric=draw(st.sampled_from(MetricKind)), arch=draw(_RECORDS[ArchSpec]), task=draw(_RECORDS[TaskSpec]),
+        split_ratios=draw(st.tuples(_finite, _finite, _finite)), batch_size=draw(_ints),
+        weight_decay=draw(_finite), pretrain_lr=draw(_finite), pretrain_epochs=draw(_ints),
+        pretrain_seed=draw(_ints), warmup_lr=draw(_finite), warmup_epochs=draw(_ints), grid=grid, fgg=fgg,
+        soups=tuple(draw(st.lists(st.sampled_from(allowed), max_size=8))) if allowed else (),
+        analysis=draw(st.none() | _RECORDS[AnalysisSection]),
+    )
+
+
+_RECORDS = {
+    ArchSpec: st.builds(ArchSpec, st.lists(st.integers(1, 2**20), min_size=2, max_size=6).map(tuple),
+                        st.sampled_from(ACTIVATIONS)),
+    TaskSpec: st.builds(TaskSpec, kind=st.sampled_from(TaskKind), seed=_ints, dims=st.integers(1, 2**40),
+                        class_count=st.integers(2, 2**40), n_samples=st.integers(1, 2**40),
+                        imbalance_ratio=st.floats(min_value=1.0, allow_infinity=False),
+                        label_noise_rate=st.floats(0.0, 1.0, exclude_max=True),
+                        cluster_heterogeneity=_non_negative, shift_magnitude=_non_negative,
+                        source_shift=_non_negative),
+    CyclicalSchedule: _cyclical,
+    Lineage: st.builds(Lineage, st.sampled_from(STAGES), st.none() | _texts, st.none() | _ints, st.none() | _texts),
+    HyperConfig: _hyper | _cyclical.flatmap(lambda c: st.builds(HyperConfig, lr=_positive, seed=_ints,
+                                                                schedule=st.just("cyclical"), cyclical=st.just(c))),
+    GridSection: _grid,
+    FggSection: _fgg,
+    AnalysisSection: st.builds(AnalysisSection, _ints, st.tuples(_ints, _ints), _finite),
+    ExperimentConfig: _experiment(),
+    AuditEntry: st.builds(AuditEntry, _texts, _finite, st.booleans()),
+}
+
+
+def _record_types(cls=_Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_types(sub)
+
+
+def test_every_record_type_is_drawn():
+    assert {c for c in _record_types() if c.__module__.startswith("soupkit.")} == set(_RECORDS)
+
+
+@pytest.mark.parametrize("kind", list(_RECORDS), ids=lambda kind: kind.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_record_survives_its_codec(kind, data):
+    record = data.draw(_RECORDS[kind], label=kind.__name__)
+    d = record.to_dict()
+    assert kind.from_dict(d) == record
+    text = json.dumps(d)
+    back = kind.from_dict(json.loads(text))
+    assert back == record
+    assert json.dumps(back.to_dict()) == text  # the bytes too: -0.0 keeps its sign
+
+
+@pytest.mark.parametrize("sections", [(), ("grid",), ("fgg",), ("grid", "fgg", "analysis")])
+def test_an_experiment_config_survives_its_codec_with_and_without_sections(sections):
+    record = ExperimentConfig(
+        name="x", metric=MetricKind.ACCURACY, arch=ArchSpec((2, 2)), task=TaskSpec(TaskKind.ROUGH, 0, 2, 2, 10),
+        grid=GridSection((0.01,), (AugmentLevel.HEAVY,), (0,), 1) if "grid" in sections else None,
+        fgg=FggSection((0.01,), 1, 2, 0.1, 0.001, 3) if "fgg" in sections else None,
+        analysis=AnalysisSection() if "analysis" in sections else None)
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(record.to_dict()))) == record

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soupkit.data import LabeledDataset
 from soupkit.experiment import build_soups
-from soupkit.nn import ArchSpec, MetricKind, ParamVector, init_params
+from soupkit.nn import ArchSpec, MetricKind, ParamVector, evaluate, init_params
 from soupkit.pipeline import Checkpoint, Lineage
 from soupkit.soup import (
     AuditEntry,
@@ -59,6 +62,20 @@ def test_uniform_permutation_invariant_bitwise():
         shuffled = list(members)
         np.random.default_rng(trial).shuffle(shuffled)
         assert np.array_equal(uniform_soup(shuffled).values, ref.values)
+
+
+_vectors = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=ARCH.param_count, max_size=ARCH.param_count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), values=st.lists(_vectors, min_size=1, max_size=6))
+def test_uniform_soup_is_the_same_bytes_in_any_member_order(data, values):
+    members = [_pv(v) for v in values]
+    order = data.draw(st.permutations(range(len(members))))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge members may overflow the mean
+        want, got = uniform_soup(members), uniform_soup([members[i] for i in order])
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_uniform_matches_plain_mean():
@@ -179,6 +196,29 @@ def test_greedy_monotone_over_seeded_candidates():
         assert accepted == sorted(accepted)  # accepted running scores never decrease
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), recorded=st.lists(st.none() | st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                                         min_size=1, max_size=6))
+def test_greedy_never_scores_below_its_best_candidate(data, recorded):
+    # a table scorer: each parameter vector's score is drawn the first time it
+    # is scored, and the same vector always gets the same score
+    table = {}
+    scores = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+    def scorer(params):
+        key = params.values.tobytes()
+        if key not in table:
+            table[key] = data.draw(scores)
+        return table[key]
+
+    rng = np.random.default_rng(len(recorded))
+    cks = [_ck(f"grid-{i:02d}", rng.normal(size=ARCH.param_count), val_acc=r) for i, r in enumerate(recorded)]
+    result = greedy_soup(cks, MetricKind.ACCURACY, evaluate_fn=scorer)
+    best = max(c.val_metrics.get("accuracy", table.get(c.params.values.tobytes())) for c in cks)
+    assert result.val_score >= best
+    assert result.val_score == max(e.trial_score for e in result.audit if e.accepted)
+
+
 def test_greedy_falls_back_to_evaluator_for_unscored():
     a = _ck("grid-a", _const(0.0))  # no recorded metrics
     b = _ck("grid-b", _const(2.0))
@@ -189,6 +229,18 @@ def test_greedy_falls_back_to_evaluator_for_unscored():
     }
     result = greedy_soup([a, b], MetricKind.ACCURACY, evaluate_fn=_byte_scorer(table))
     assert result.members == ["grid-a", "grid-b"]
+
+
+def test_greedy_soup_checks_the_val_split_once(split_checks):
+    rng = np.random.default_rng(9)
+    val = LabeledDataset(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40), class_count=2,
+                         role="val", task_id="t")
+    # unscored candidates, so ranking scores each of them too
+    cks = [_ck(f"grid-{i}", rng.normal(size=ARCH.param_count)) for i in range(5)]
+    result = greedy_soup(cks, MetricKind.MACRO_F1, val=val)
+    assert len(split_checks) == 1 and split_checks[0] is val.features
+    want = greedy_soup(cks, MetricKind.MACRO_F1, evaluate_fn=lambda p: evaluate(p, ARCH, val, MetricKind.MACRO_F1))
+    assert result.audit == want.audit and np.array_equal(result.params.values, want.params.values)
 
 
 def test_greedy_rejects_mixed_roots():
@@ -379,6 +431,19 @@ def test_soup_result_requires_members():
     with pytest.raises(ValueError):
         SoupResult(params=_pv(np.zeros(ARCH.param_count)), method=SoupMethod.UNIFORM,
                    members=[], val_score=None)
+
+
+def test_audit_entry_round_trips_both_decisions():
+    for accepted in (True, False):
+        entry = AuditEntry("grid-a", 0.5, accepted)
+        assert AuditEntry.from_dict(entry.to_dict()) == entry
+        assert AuditEntry.from_dict(entry.to_dict()).accepted is accepted
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_audit_entry_takes_only_true_or_false(value):
+    with pytest.raises(ValueError, match="accepted: expected true or false"):
+        AuditEntry.from_dict({"candidate_id": "grid-a", "trial_score": 0.5, "accepted": value})
 
 
 def test_audit_dict_shape():

@@ -105,6 +105,16 @@ def test_invalid_ids_rejected(tmp_path):
             store.exists(bad)
 
 
+def test_reads_refuse_invalid_ids_by_the_same_rule(tmp_path):
+    store = Store(tmp_path)
+    (tmp_path / "experiments" / "manifest.json").parent.mkdir()
+    (tmp_path / "experiments" / "manifest.json").write_text("{}")
+    for bad in ("", "a/b", "experiments", "datasets"):
+        for read in (store.read_manifest, store.load_checkpoint):
+            with pytest.raises(StoreError, match=re.escape(f"invalid checkpoint id {bad!r}")):
+                read(bad)
+
+
 def test_reserved_dirs_not_listed(tmp_path):
     store = Store(tmp_path)
     store.experiment_dir("demo")
