@@ -26,7 +26,7 @@ from .analysis import (
     plane_basis,
 )
 from .data import AugmentLevel, TaskSpec, gen_task
-from .experiment import ExperimentConfig, build_soups, cycle_schedule, run_experiment
+from .experiment import SOUPS, ExperimentConfig, build_soups, cycle_schedule, run_experiment
 from .nn import ArchSpec, MetricKind, evaluate
 from .pipeline import (
     HyperConfig,
@@ -37,7 +37,6 @@ from .pipeline import (
     linear_probe_warmup,
     pretrain_source,
 )
-from .soup import SoupMethod
 from .store import Store, StoreError
 
 _METRICS = [m.value for m in MetricKind]
@@ -158,26 +157,22 @@ def cmd_fission(args) -> dict:
 def cmd_soup(args) -> dict:
     store = _store(args)
     val = store.load_dataset(args.data, "val")
-    members, groups = [], []
-    if args.method in ("uniform", "greedy"):
-        if not args.ids:
-            raise ValueError(f"--ids is required for method {args.method}")
-        members = [store.load_checkpoint(i) for i in _names(args.ids)]
-        arch = members[0].arch
-    else:
-        if not args.bases:
-            raise ValueError(f"--bases is required for method {args.method}")
-        bases = [store.load_checkpoint(i) for i in _names(args.bases)]
+    flag = "ids" if SOUPS[args.method][0] == "grid" else "bases"
+    ids = _names(getattr(args, flag) or "")
+    if not ids:
+        raise ValueError(f"--{flag} is required for method {args.method}")
+    loaded = [store.load_checkpoint(i) for i in ids]
+    grid, groups = loaded, []
+    if flag == "bases":
         # Lineage is read from the manifests, so only the requested bases'
         # snapshots are loaded and checksummed.
-        base_ids = {b.id for b in bases}
+        base_ids = {b.id for b in loaded}
         snapshots = [store.load_checkpoint(i) for i in store.list_checkpoints()
                      if i.startswith("fission-") and store.read_manifest(i)["lineage"]["base_id"] in base_ids]
         snapshots.sort(key=lambda f: f.lineage.cycle_index or 0)
-        groups = [(b, [f for f in snapshots if f.lineage.base_id == b.id]) for b in bases]
-        arch = bases[0].arch
-    soup = build_soups([args.method], args.metric, arch, val, members, groups)[0][1]
-    store.save_soup(soup, arch, args.metric, exist_ok=True)
+        grid, groups = [], [(b, [f for f in snapshots if f.lineage.base_id == b.id]) for b in loaded]
+    soup = build_soups([args.method], args.metric, loaded[0].arch, val, grid, groups)[0][1]
+    store.save_soup(soup, loaded[0].arch, args.metric, exist_ok=True)
     return {"command": "soup", "id": soup.id, "method": args.method,
             "members": soup.members, "val_score": soup.val_score}
 
@@ -335,10 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("soup", help="merge checkpoints in weight space")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", choices=[m.value for m in SoupMethod], required=True)
+    p.add_argument("--method", choices=list(SOUPS), required=True)
     p.add_argument("--metric", choices=_METRICS, required=True)
-    p.add_argument("--ids", help="members for uniform/greedy")
-    p.add_argument("--bases", help="base ids for gou/gog; snapshots found via lineage")
+    soups_of = {sec: "/".join(n for n, (s, _) in SOUPS.items() if s == sec) for sec in ("grid", "fgg")}
+    p.add_argument("--ids", help=f"members for {soups_of['grid']}")
+    p.add_argument("--bases", help=f"base ids for {soups_of['fgg']}; snapshots found via lineage")
 
     p = add("eval", help="score a checkpoint on a dataset split")
     p.add_argument("--id", required=True)

@@ -44,7 +44,7 @@ from .pipeline import (
     pretrain_source,
     steps_per_epoch,
 )
-from .soup import LineageError, SoupMethod, SoupResult, greedy_soup, hierarchical_soup, uniform_soup
+from .soup import LineageError, SoupMethod, SoupResult, _flat_soup, hierarchical_soup
 from .store import Store
 
 CONFIG_SCHEMA_VERSION = 1
@@ -122,7 +122,13 @@ class AnalysisSection(_Record):
     landscape_margin: float = DEFAULT_EXTENT_MARGIN
 
 
-_SOUP_NAMES = ("uniform", "greedy", "gou", "gog", "fgg_uniform", "fgg_greedy", "gs_gou", "gs_gog")
+# Every soup a config or `soupkit soup` can name: the config section it merges, and how.
+SOUPS: dict[str, tuple[str, SoupMethod]] = {
+    "uniform": ("grid", SoupMethod.UNIFORM), "greedy": ("grid", SoupMethod.GREEDY),
+    "gou": ("fgg", SoupMethod.GOU), "gog": ("fgg", SoupMethod.GOG),
+    "fgg_uniform": ("fgg", SoupMethod.UNIFORM), "fgg_greedy": ("fgg", SoupMethod.GREEDY),
+    "gs_gou": ("grid", SoupMethod.GOU), "gs_gog": ("grid", SoupMethod.GOG),
+}
 
 
 @dataclass(frozen=True)
@@ -154,14 +160,10 @@ class ExperimentConfig(_Record):
         if not self.name or "/" in self.name:
             raise ValueError(f"experiment name must be a plain directory name, got {self.name!r}")
         for s in self.soups:
-            if s not in _SOUP_NAMES:
-                raise ValueError(f"unknown soup method {s!r}, expected one of {_SOUP_NAMES}")
-        needs_grid = {"uniform", "greedy", "gs_gou", "gs_gog"}
-        needs_fgg = {"gou", "gog", "fgg_uniform", "fgg_greedy"}
-        if needs_grid & set(self.soups) and self.grid is None:
-            raise ValueError("grid-based soups requested but no grid section configured")
-        if needs_fgg & set(self.soups) and self.fgg is None:
-            raise ValueError("snapshot-based soups requested but no fgg section configured")
+            if s not in SOUPS:
+                raise ValueError(f"unknown soup method {s!r}, expected one of {tuple(SOUPS)}")
+            if getattr(self, SOUPS[s][0]) is None:
+                raise ValueError(f"soup {s!r} requested but no {SOUPS[s][0]} section configured")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -241,6 +243,8 @@ def _lr_groups(grid: Sequence[Checkpoint]) -> dict[str, list[Checkpoint]]:
     """The grid grouped by learning rate, keyed ``lr=<lr>`` in sorted key order."""
     by_lr: dict[str, list[Checkpoint]] = {}
     for c in grid:
+        if c.config is None:
+            raise ValueError(f"checkpoint {c.id} has no training config to group by learning rate")
         by_lr.setdefault(f"lr={c.config.lr:g}", []).append(c)
     return {key: by_lr[key] for key in sorted(by_lr)}
 
@@ -258,19 +262,14 @@ def build_soups(methods: Sequence[str], metric: MetricKind | str, arch: ArchSpec
     snapshot_pool = [c for base, snapshots in groups for c in (base, *snapshots)]
     out: list[tuple[str, SoupResult]] = []
     for name in methods:
-        pool = snapshot_pool if name.startswith("fgg_") else grid
-        if name in ("uniform", "fgg_uniform"):
-            params = uniform_soup([c.params for c in pool])
-            soup = SoupResult(params=params, method=SoupMethod.UNIFORM,
-                              members=[c.id for c in pool], val_score=eval_fn(params))
-        elif name in ("greedy", "fgg_greedy"):
-            soup = greedy_soup(pool, metric_key, evaluate_fn=eval_fn)
-        elif name in ("gou", "gog"):
-            soup = hierarchical_soup(_base_groups(groups), name, metric_key, eval_fn)
-        elif name in ("gs_gou", "gs_gog"):
-            soup = hierarchical_soup(_lr_groups(grid), name.removeprefix("gs_"), metric_key, eval_fn)
-        else:
+        if name not in SOUPS:
             raise ValueError(f"unknown soup method {name!r}")
+        section, method = SOUPS[name]
+        if method.lower_level is None:
+            soup = _flat_soup(method, grid if section == "grid" else snapshot_pool, metric_key, eval_fn)
+        else:
+            by = _lr_groups(grid) if section == "grid" else _base_groups(groups)
+            soup = hierarchical_soup(by, method, metric_key, eval_fn)
         out.append((name, soup))
     return out
 

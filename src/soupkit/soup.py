@@ -161,6 +161,16 @@ def greedy_soup(
                       members=members, val_score=current, audit=audit)
 
 
+def _flat_soup(method: SoupMethod, members: Sequence[Checkpoint], metric_key: str,
+               evaluate_fn: Callable[[ParamVector], float]) -> SoupResult:
+    """The one scored one-level soup: greedy, or uniform over every member."""
+    if method is SoupMethod.GREEDY:
+        return greedy_soup(members, metric_key, evaluate_fn=evaluate_fn)
+    params = uniform_soup([c.params for c in members])
+    return SoupResult(params=params, method=method, members=[c.id for c in members],
+                      val_score=evaluate_fn(params))
+
+
 def hierarchical_soup(
     groups: Mapping[str, Sequence[Checkpoint]],
     method: SoupMethod | str,
@@ -186,12 +196,7 @@ def hierarchical_soup(
     level_members: dict[str, list[str]] = {}
     local_audits: dict[str, list[AuditEntry]] = {}
     for key, members in groups.items():
-        if lower is SoupMethod.GREEDY:
-            local = greedy_soup(members, metric_key, evaluate_fn=evaluate_fn)
-        else:
-            params = uniform_soup([c.params for c in members])
-            local = SoupResult(params=params, method=lower, members=[c.id for c in members],
-                               val_score=evaluate_fn(params))
+        local = _flat_soup(lower, members, metric_key, evaluate_fn)
         local_id = f"local-{key}"
         first = members[0]
         pseudo.append(Checkpoint(

@@ -18,7 +18,7 @@ import pytest
 import soupkit
 from soupkit.analysis import compute_budget
 from soupkit.cli import cli_dispatch
-from soupkit.experiment import build_soups
+from soupkit.experiment import SOUPS, build_soups
 from soupkit.store import Store
 
 
@@ -125,17 +125,22 @@ def test_soup_hierarchical_over_bases(pipe):
 
 
 def test_soup_hierarchical_matches_build_soups(pipe):
+    """Every soup in `SOUPS` made by the CLI is the one `build_soups` makes:
+    grid soups over the grid named by --ids, fgg soups over the bases named
+    by --bases and their snapshots."""
     store = Store(pipe["store"])
     val = store.load_dataset("demo", "val")
+    grid = [store.load_checkpoint(i) for i in pipe["grid"]]
     groups = [(store.load_checkpoint(b), [store.load_checkpoint(f) for f in pipe["fissions"][b]])
               for b in pipe["bases"]]
-    arch = groups[0][0].arch
-    for method in ("gou", "gog"):
+    for method, (section, _) in SOUPS.items():
+        flag, ids, pools = (("--ids", pipe["grid"], (grid, [])) if section == "grid"
+                            else ("--bases", pipe["bases"], ([], groups)))
         out = _ok("--store", pipe["store"], "soup", "--data", "demo", "--method", method,
-                  "--metric", "accuracy", "--bases", ",".join(pipe["bases"]))
-        [(_, soup)] = build_soups([method], "accuracy", arch, val, [], groups)
-        assert out["id"] == soup.id
-        assert store.load_audit(out["id"]) == json.loads(json.dumps(soup.audit_dict()))
+                  "--metric", "accuracy", flag, ",".join(ids))
+        [(_, soup)] = build_soups([method], "accuracy", grid[0].arch, val, *pools)
+        assert (out["id"], out["val_score"]) == (soup.id, soup.val_score), method
+        assert store.load_audit(out["id"]) == json.loads(json.dumps(soup.audit_dict())), method
 
 
 def test_soup_hierarchical_loads_only_requested_snapshots(pipe, monkeypatch):
@@ -359,12 +364,13 @@ def test_landscape_rejects_wrong_anchor_count(pipe):
 
 
 def test_soup_requires_member_flags(pipe):
-    rc, _, err = _run("--store", pipe["store"], "soup", "--data", "demo",
-                      "--method", "uniform", "--metric", "accuracy")
-    assert rc == 1 and "--ids" in err
-    rc, _, err = _run("--store", pipe["store"], "soup", "--data", "demo",
-                      "--method", "gog", "--metric", "accuracy")
-    assert rc == 1 and "--bases" in err
+    for method, (section, _) in SOUPS.items():
+        flag = "--ids" if section == "grid" else "--bases"
+        for given in ((), (flag, ""), (flag, ","), (flag, " , ")):
+            rc, out, err = _run("--store", pipe["store"], "soup", "--data", "demo",
+                                "--method", method, "--metric", "accuracy", *given)
+            assert rc == 1 and out == "", (method, given)
+            assert err.startswith("error: ") and flag in err and err.count("\n") == 1, (method, given, err)
 
 
 def _soup_id(pipe):
@@ -378,6 +384,15 @@ def test_fission_from_a_soup_is_a_one_line_error(pipe):
                         "--alpha1", "0.003", "--alpha2", "1e-6", "--n-collect", "2")
     assert rc == 1 and out == ""
     assert err.startswith(f"error: checkpoint {soup} has no training config") and err.count("\n") == 1
+
+
+def test_soup_by_learning_rate_of_a_soup_is_a_one_line_error(pipe):
+    soup = _soup_id(pipe)
+    for method in ("gs_gou", "gs_gog"):
+        rc, out, err = _run("--store", pipe["store"], "soup", "--data", "demo", "--method", method,
+                            "--metric", "accuracy", "--ids", soup)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: checkpoint {soup} has no training config") and err.count("\n") == 1
 
 
 def test_warmup_from_a_soup_without_seed_is_a_one_line_error(pipe):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soupkit.data import AugmentLevel, TaskKind, TaskSpec
-from soupkit.experiment import _SOUP_NAMES, AnalysisSection, ExperimentConfig, FggSection, GridSection
+from soupkit.experiment import SOUPS, AnalysisSection, ExperimentConfig, FggSection, GridSection
 from soupkit.nn import ACTIVATIONS, ArchSpec, MetricKind, _Record
 from soupkit.optim import CyclicalSchedule
 from soupkit.pipeline import STAGES, HyperConfig, Lineage
@@ -34,9 +34,8 @@ _fgg = st.builds(FggSection, st.lists(_finite).map(tuple), _ints, _ints, _finite
 @st.composite
 def _experiment(draw):
     grid, fgg = draw(st.none() | _grid), draw(st.none() | _fgg)
-    allowed = [s for s in _SOUP_NAMES
-               if (grid is not None or s in ("gou", "gog", "fgg_uniform", "fgg_greedy"))
-               and (fgg is not None or s in ("uniform", "greedy", "gs_gou", "gs_gog"))]
+    sections = {"grid": grid, "fgg": fgg}
+    allowed = [s for s, (section, _) in SOUPS.items() if sections[section] is not None]
     return ExperimentConfig(
         name=draw(st.text(min_size=1, max_size=12).filter(lambda s: "/" not in s)),
         metric=draw(st.sampled_from(MetricKind)), arch=draw(_RECORDS[ArchSpec]), task=draw(_RECORDS[TaskSpec]),
