@@ -45,7 +45,7 @@ from .pipeline import (
     steps_per_epoch,
 )
 from .soup import LineageError, SoupMethod, SoupResult, _flat_soup, hierarchical_soup
-from .store import Store
+from .store import Store, _plain_name
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -157,7 +157,7 @@ class ExperimentConfig(_Record):
                   "pretrain_seed": "pretrain.seed", "warmup_lr": "warmup.lr", "warmup_epochs": "warmup.epochs"}
 
     def __post_init__(self) -> None:
-        if not self.name or "/" in self.name:
+        if not _plain_name(self.name):
             raise ValueError(f"experiment name must be a plain directory name, got {self.name!r}")
         for s in self.soups:
             if s not in SOUPS:

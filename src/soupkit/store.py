@@ -29,6 +29,11 @@ SCHEMA_VERSION = 1
 _RESERVED_DIRS = ("experiments", "datasets")
 
 
+def _plain_name(name: str, reserved: tuple[str, ...] = ()) -> bool:
+    """The store's one naming rule: a name is one directory entry, so non-empty, no `/`, no leading `.`."""
+    return bool(name) and "/" not in name and not name.startswith(".") and name not in reserved
+
+
 class StoreError(Exception):
     """Store-level failure: missing ids, collisions, bad schema."""
 
@@ -62,10 +67,10 @@ class Store:
     # -- checkpoints ------------------------------------------------------
 
     @staticmethod
-    def _checked(checkpoint_id: str) -> str:
-        if not checkpoint_id or "/" in checkpoint_id or checkpoint_id in _RESERVED_DIRS:
-            raise StoreError(f"invalid checkpoint id {checkpoint_id!r}")
-        return checkpoint_id
+    def _checked(name: str, what: str = "checkpoint id", reserved: tuple[str, ...] = _RESERVED_DIRS) -> str:
+        if not _plain_name(name, reserved):
+            raise StoreError(f"invalid {what} {name!r}")
+        return name
 
     def _dir(self, checkpoint_id: str) -> Path:
         return self.root / self._checked(checkpoint_id)
@@ -152,7 +157,7 @@ class Store:
     def list_checkpoints(self) -> list[str]:
         # A regular manifest.json implies a directory; DirEntry.is_dir raises on a symlink loop.
         with os.scandir(self.root) as entries:
-            return sorted(e.name for e in entries if e.name not in _RESERVED_DIRS
+            return sorted(e.name for e in entries if _plain_name(e.name, _RESERVED_DIRS)
                           and os.path.isfile(os.path.join(e.path, "manifest.json")))
 
     def save_soup(self, soup: SoupResult, arch: ArchSpec, metric: str,
@@ -178,7 +183,7 @@ class Store:
     # -- datasets ---------------------------------------------------------
 
     def dataset_dir(self, name: str) -> Path:
-        return self.root / "datasets" / name
+        return self.root / "datasets" / self._checked(name, "dataset name", ())
 
     def save_task_bundle(self, name: str, bundle: TaskBundle, spec: TaskSpec | None = None) -> Path:
         """Write the splits and spec; a name taken by a different spec is refused."""
@@ -211,6 +216,6 @@ class Store:
     # -- experiments ------------------------------------------------------
 
     def experiment_dir(self, name: str) -> Path:
-        d = self.root / "experiments" / name
+        d = self.root / "experiments" / self._checked(name, "experiment name", ())
         d.mkdir(parents=True, exist_ok=True)
         return d

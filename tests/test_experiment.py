@@ -107,8 +107,9 @@ def test_config_rejects_a_landscape_resolution_of_the_wrong_length():
     (lambda d: d["split_ratios"].__setitem__(0, 10**400), r"split_ratios: expected a finite number, got 1000"),
     (lambda d: d["grid"]["lrs"].__setitem__(0, True), r"grid\.lrs: expected a finite number, got True"),
     (lambda d: d["fgg"].__setitem__("alpha1", "0.5"), r"fgg\.alpha1: expected a finite number, got '0\.5'"),
+    (lambda d: d.__setitem__("pretrain", 3), r"^pretrain: expected an object, got 3$"),
 ], ids=["fractional", "true", "false", "string-int", "fractional-item", "inf", "list-name", "int-str", "null-item",
-        "nan-float", "inf-float", "minus-inf-float", "huge-int-float", "true-float", "string-float"])
+        "nan-float", "inf-float", "minus-inf-float", "huge-int-float", "true-float", "string-float", "int-stage"])
 def test_config_refuses_a_value_of_the_wrong_type(edit, message):
     d = default_experiment_config("demo", "rough", 0).to_dict()
     edit(d)
@@ -163,8 +164,9 @@ def test_config_section_that_is_null_absent_or_empty_stays_off(section, form):
 
 
 def test_config_rejects_pathy_names():
-    with pytest.raises(ValueError, match="name"):
-        default_experiment_config("a/b", "rough", 0)
+    for name in ("a/b", ".", "..", ".hidden", ""):
+        with pytest.raises(ValueError, match="name"):
+            default_experiment_config(name, "rough", 0)
 
 
 def test_default_task_families():

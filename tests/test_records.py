@@ -37,7 +37,7 @@ def _experiment(draw):
     sections = {"grid": grid, "fgg": fgg}
     allowed = [s for s, (section, _) in SOUPS.items() if sections[section] is not None]
     return ExperimentConfig(
-        name=draw(st.text(min_size=1, max_size=12).filter(lambda s: "/" not in s)),
+        name=draw(st.text(min_size=1, max_size=12).filter(lambda s: "/" not in s and not s.startswith("."))),
         metric=draw(st.sampled_from(MetricKind)), arch=draw(_RECORDS[ArchSpec]), task=draw(_RECORDS[TaskSpec]),
         split_ratios=draw(st.tuples(_finite, _finite, _finite)), batch_size=draw(_ints),
         weight_decay=draw(_finite), pretrain_lr=draw(_finite), pretrain_epochs=draw(_ints),

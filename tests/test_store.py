@@ -1,5 +1,6 @@
 """Checkpoint store: byte formats, collisions, corruption, crash safety."""
 
+import hashlib
 import json
 import os
 import re
@@ -100,7 +101,7 @@ def test_load_missing_id(tmp_path):
 
 def test_invalid_ids_rejected(tmp_path):
     store = Store(tmp_path)
-    for bad in ("", "a/b", "experiments", "datasets"):
+    for bad in ("", "a/b", "experiments", "datasets", ".", ".."):
         with pytest.raises(StoreError):
             store.exists(bad)
 
@@ -109,7 +110,7 @@ def test_reads_refuse_invalid_ids_by_the_same_rule(tmp_path):
     store = Store(tmp_path)
     (tmp_path / "experiments" / "manifest.json").parent.mkdir()
     (tmp_path / "experiments" / "manifest.json").write_text("{}")
-    for bad in ("", "a/b", "experiments", "datasets"):
+    for bad in ("", "a/b", "experiments", "datasets", ".", ".."):
         for read in (store.read_manifest, store.load_checkpoint):
             with pytest.raises(StoreError, match=re.escape(f"invalid checkpoint id {bad!r}")):
                 read(bad)
@@ -139,6 +140,8 @@ def test_only_directories_holding_a_regular_manifest_are_listed(tmp_path):
     (tmp_path / "grid-tofile").symlink_to(tmp_path / "grid-plainfile")
     (tmp_path / "grid-dangling").symlink_to(tmp_path / "nowhere")
     (tmp_path / "grid-loop").symlink_to(tmp_path / "grid-loop")
+    (tmp_path / ".grid-hidden").mkdir()
+    (tmp_path / ".grid-hidden" / "manifest.json").write_bytes(manifest)
     assert store.list_checkpoints() == [ck.id]
 
 
@@ -267,6 +270,21 @@ def test_corrupted_weights_detected(tmp_path):
     raw[11] ^= 0xFF
     wpath.write_bytes(bytes(raw))
     with pytest.raises(ChecksumError, match="checksum mismatch"):
+        store.load_checkpoint(ck.id)
+
+
+def test_weights_that_do_not_fit_the_architecture_are_refused(tmp_path):
+    store = Store(tmp_path)
+    ck = _checkpoint()
+    store.save_checkpoint(ck)
+    raw = encode_weights(np.zeros(ARCH.param_count + 1))
+    (tmp_path / ck.id / "weights.bin").write_bytes(raw)
+    mpath = tmp_path / ck.id / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    manifest["weights_checksum"] = "sha256:" + hashlib.sha256(raw).hexdigest()
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(StoreError, match=f"{ck.id}: {ARCH.param_count + 1} stored parameters "
+                                         f"but architecture needs {ARCH.param_count}"):
         store.load_checkpoint(ck.id)
 
 
@@ -423,6 +441,20 @@ def test_task_bundle_roundtrip(tmp_path):
 def test_load_dataset_missing_split(tmp_path):
     with pytest.raises(StoreError, match="no train split"):
         Store(tmp_path).load_dataset("nope", "train")
+
+
+def test_dataset_and_experiment_names_stay_inside_the_store(tmp_path):
+    store = Store(tmp_path / "store")
+    spec = TaskSpec(kind="rough", seed=0, dims=4, class_count=3, n_samples=120)
+    for bad in ("", "a/b", ".", "..", ".hidden"):
+        with pytest.raises(StoreError, match=re.escape(f"invalid dataset name {bad!r}")):
+            store.load_dataset(bad, "train")
+        with pytest.raises(StoreError, match=re.escape(f"invalid dataset name {bad!r}")):
+            store.save_task_bundle(bad, gen_task(spec), spec)
+        with pytest.raises(StoreError, match=re.escape(f"invalid experiment name {bad!r}")):
+            store.experiment_dir(bad)
+    assert [p.name for p in tmp_path.iterdir()] == ["store"]
+    assert list((tmp_path / "store").iterdir()) == []
 
 
 def test_task_bundle_refuses_a_different_spec_under_a_taken_name(tmp_path):
