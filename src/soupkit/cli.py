@@ -64,6 +64,13 @@ def _names(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
+def _id_list(text: str | None, flag: str) -> list[str]:
+    """The ids a comma-separated flag names; naming none is an error that names the flag."""
+    if not (ids := _names(text or "")):
+        raise ValueError(f"{flag} must name at least one checkpoint id")
+    return ids
+
+
 def _trained_config(ck, need: str) -> HyperConfig:
     if ck.config is None:
         raise ValueError(f"checkpoint {ck.id} has no training config ({ck.lineage.stage}); {need}")
@@ -158,10 +165,7 @@ def cmd_soup(args) -> dict:
     store = _store(args)
     val = store.load_dataset(args.data, "val")
     flag = "ids" if SOUPS[args.method][0] == "grid" else "bases"
-    ids = _names(getattr(args, flag) or "")
-    if not ids:
-        raise ValueError(f"--{flag} is required for method {args.method}")
-    loaded = [store.load_checkpoint(i) for i in ids]
+    loaded = [store.load_checkpoint(i) for i in _id_list(getattr(args, flag), f"--{flag}")]
     grid, groups = loaded, []
     if flag == "bases":
         # Lineage is read from the manifests, so only the requested bases'
@@ -221,7 +225,7 @@ def cmd_landscape(args) -> dict:
 
 def cmd_report(args) -> dict:
     store = _store(args)
-    ids = _names(args.ids)
+    ids = _id_list(args.ids, "--ids")
     labels = _names(args.labels) if args.labels else ids
     if len(labels) != len(ids):
         raise ValueError(f"{len(labels)} labels for {len(ids)} ids")
@@ -237,7 +241,7 @@ def cmd_report(args) -> dict:
 
 def cmd_budget(args) -> dict:
     store = _store(args)
-    ids = _names(args.ids) if args.ids else store.list_checkpoints()
+    ids = _id_list(args.ids, "--ids") if args.ids is not None else store.list_checkpoints()
     # The manifests hold each run's stage and epoch count: no weights are read,
     # and each manifest is dropped once read.
     manifests = (store.read_manifest(i) for i in ids)

@@ -144,6 +144,16 @@ def test_plane_basis_rejects_degenerate_anchors():
         plane_basis(t1, t2, collinear)
 
 
+def test_plane_basis_refuses_anchors_of_different_architectures():
+    t1, t2, _ = _three_anchors()
+    other = ArchSpec((3, 2))
+    t3 = Checkpoint(id="grid-other", arch=other, params=ParamVector(np.ones(other.param_count), other.signature),
+                    config=None, lineage=Lineage("grid"), val_metrics={}, epochs_consumed=1.0)
+    for anchors in ((t1, t2, t3), (t3, t1, t2)):
+        with pytest.raises(ValueError, match="^anchors have different architectures$"):
+            plane_basis(*anchors)
+
+
 def test_default_extent_hand_case():
     coords = np.array([[0.0, 0.0], [10.0, 0.0], [4.0, 5.0]])
     xmin, xmax, ymin, ymax = default_extent(coords, margin=0.2)

@@ -199,6 +199,25 @@ def test_report_table(pipe, tmp_path):
     assert lines[1].startswith("lr_high,")
 
 
+def test_report_refuses_a_label_count_that_differs_from_the_id_count(pipe, tmp_path):
+    rc, out, err = _run("--store", pipe["store"], "report", "--ids", ",".join(pipe["grid"][:2]),
+                        "--labels", "only_one", "--data", "demo", "--metric", "accuracy",
+                        "--out", str(tmp_path / "report.csv"))
+    assert rc == 1 and out == "" and err == "error: 1 labels for 2 ids\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("report", "--data", "demo", "--metric", "accuracy", "--out", "unwritten.csv"),
+    ("budget",),
+], ids=["report", "budget"])
+@pytest.mark.parametrize("ids", [",", "", " , "], ids=["comma", "empty", "blank"])
+def test_a_list_flag_that_names_nothing_is_a_one_line_error(pipe, command, ids):
+    rc, out, err = _run("--store", pipe["store"], *command, "--ids", ids)
+    assert rc == 1 and out == ""
+    assert err == "error: --ids must name at least one checkpoint id\n"
+
+
 def test_budget_covers_all_stages(pipe, tmp_path):
     out = _ok("--store", pipe["store"], "budget", "--out", str(tmp_path / "b.csv"))
     stages = out["stage_epochs"]
@@ -411,6 +430,14 @@ def test_diverging_stage_is_a_one_line_error(tmp_path):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: non-finite") and err.count("\n") == 1
+
+
+def test_gen_data_under_a_name_outside_the_store_is_a_one_line_error(tmp_path):
+    for name in ("../x", "../../escaped", "..", "."):
+        rc, out, err = _run("--store", str(tmp_path / "outer" / "store"), "gen-data", "--name", name)
+        assert rc == 1 and out == ""
+        assert err == f"error: invalid dataset name {name!r}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["outer", "store"]
 
 
 def test_gen_data_refuses_a_different_spec_under_a_taken_name(tmp_path):

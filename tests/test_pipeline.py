@@ -1,5 +1,6 @@
 """Training-stage tests: determinism, lineage, freezing, and fission capture."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -194,6 +195,13 @@ def test_fine_tune_refuses_stages_other_than_grid_and_base(bundle, theta0, stage
     cfg = HyperConfig(lr=1e-2, seed=0, epochs=1)
     with pytest.raises(ValueError, match="grid or base"):
         fine_tune(theta0, bundle.train, bundle.val, cfg, stage=stage)
+
+
+def test_fine_tune_runs_refuse_configs_of_different_epochs(bundle, theta0):
+    configs = [HyperConfig(lr=1e-2, seed=0, epochs=1), HyperConfig(lr=1e-2, seed=1, epochs=2)]
+    with pytest.raises(ValueError, match=re.escape("grid runs must share epochs and batch size, "
+                                                   "got [(1, 32), (2, 32)]")):
+        pipeline._fine_tune_runs(theta0, configs, bundle.train, bundle.val, "grid")
 
 
 def test_grid_generate_full_factorial(bundle, theta0):
