@@ -17,6 +17,7 @@ from soupkit import experiment
 from soupkit.data import TaskKind, gen_task
 from soupkit.experiment import (
     DEFAULT_ARCH,
+    SOUPS,
     ExperimentConfig,
     build_soups,
     cycle_schedule,
@@ -131,6 +132,14 @@ def test_readme_config_example_is_the_default_recipe():
     section = readme.split("## Experiment config", 1)[1]
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     assert ExperimentConfig.from_dict(json.loads(example)) == default_experiment_config("demo-rough-0", "rough", 0)
+
+
+def test_readme_soup_table_is_soups():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("Soup methods", 1)[1].split("\n\n", 2)[1]
+    rows = [[cell.strip(" `") for cell in line.strip("|").split("|")] for line in table.splitlines()[2:]]
+    assert [(row[0], row[-1]) for row in rows] == [
+        (name, "--ids" if section == "grid" else "--bases") for name, (section, _) in SOUPS.items()]
 
 
 def test_config_rejects_unknown_soup():
