@@ -30,7 +30,7 @@ _RESERVED_DIRS = ("experiments", "datasets")
 
 
 def _plain_name(name: str, reserved: tuple[str, ...] = ()) -> bool:
-    """The store's one naming rule: a name is one directory entry, so non-empty, no `/`, no leading `.`."""
+    """The store's one naming rule: one directory entry (non-empty, no `/`, no leading `.`), not `reserved`."""
     return bool(name) and "/" not in name and not name.startswith(".") and name not in reserved
 
 
