@@ -26,7 +26,7 @@ from .analysis import (
     plane_basis,
 )
 from .data import AugmentLevel, TaskSpec, gen_task
-from .experiment import SOUPS, ExperimentConfig, build_soups, cycle_schedule, run_experiment
+from .experiment import SOUPS, ExperimentConfig, _repeated, build_soups, cycle_schedule, run_experiment
 from .nn import ArchSpec, MetricKind, evaluate
 from .pipeline import (
     HyperConfig,
@@ -65,9 +65,12 @@ def _names(text: str) -> list[str]:
 
 
 def _id_list(text: str | None, flag: str) -> list[str]:
-    """The ids a comma-separated flag names; naming none is an error that names the flag."""
+    """The ids a comma-separated flag names; naming none, or one twice, is an
+    error that names the flag."""
     if not (ids := _names(text or "")):
         raise ValueError(f"{flag} must name at least one checkpoint id")
+    if repeated := _repeated(ids):
+        raise ValueError(f"{flag} names {repeated} more than once")
     return ids
 
 

@@ -243,7 +243,7 @@ def split(dataset: LabeledDataset, ratios: tuple[float, float, float], seed: int
 def augment(batch: Batch, level: AugmentLevel | str, rng: np.random.Generator,
             sigma: float | None = None, dropout_p: float | None = None) -> Batch:
     """Feature-space augmentation; labels pass through untouched. The
-    one-row case of `_jitter`."""
+    one-row case of `_Jitter`."""
     base_sigma, base_p = AUGMENT_PARAMS[AugmentLevel(level)]
     sigma = base_sigma if sigma is None else sigma
     dropout_p = base_p if dropout_p is None else dropout_p
@@ -252,47 +252,63 @@ def augment(batch: Batch, level: AugmentLevel | str, rng: np.random.Generator,
     if math.copysign(1.0, sigma) < 0.0 and not math.isnan(sigma):
         raise ValueError("scale < 0")  # what `Generator.normal` says, -0.0 included
     feats = batch.features[None].copy()
-    _jitter(feats, [(0, sigma, dropout_p, rng)])
+    _Jitter(feats.shape, [(0, sigma, dropout_p, rng)])(feats)
     return Batch(feats[0], batch.labels)
 
 
-def _jitter(features: np.ndarray,
-            members: Sequence[tuple[int, float, float, np.random.Generator]]) -> None:
-    """Gaussian jitter then feature dropout, in place on a (K, n, d) stack.
+class _Jitter:
+    """Gaussian jitter then feature dropout, in place on (K, n, d) stacks of
+    at most `shape`'s n rows, with its buffers built once for all calls.
 
     `members` lists (row, sigma, dropout_p, rng) for the rows to perturb, in
-    draw order; other rows, and rows with sigma and dropout_p both 0, are
-    left bitwise untouched. Each row draws from its own rng exactly what
-    `rng.normal(0.0, sigma, (n, d))` and then, with dropout on,
-    `rng.random((n, d))` would, and gets `(x + noise) * (u >= dropout_p)`
+    draw order; other rows, rows with sigma and dropout_p both 0, and rows
+    `stop` has been called on are left bitwise untouched. On each call every
+    perturbed row draws from its own rng exactly what `rng.normal(0.0, sigma,
+    (n, d))` and then, with dropout on, `rng.random((n, d))` would, into the
+    leading n rows of its buffers, and gets `(x + noise) * (u >= dropout_p)`
     bit for bit. Only the draws are per row: scaling, adding and masking run
     once over the stack. Unchecked: `augment` refuses a negative sigma.
     """
-    draws = [(k, sigma, p, rng) for k, sigma, p, rng in members if sigma != 0.0 or p != 0.0]
-    if not draws:
-        return
-    # Rows left alone get noise -0.0 and keep-mask 1.0: x + -0.0 and x * 1.0
-    # are x for every float x, signed zeros and NaN included.
-    noise = np.full(features.shape, -0.0)
-    scale = np.ones(features.shape[0])
-    shift = np.full(features.shape[0], -0.0)
-    dropping = any(p > 0.0 for _, _, p, _ in draws)
-    if dropping:
-        uniform = np.ones(features.shape)
-        keep_below = np.zeros(features.shape[0])
-    for k, sigma, p, rng in draws:
-        rng.standard_normal(out=noise[k])
-        scale[k], shift[k] = sigma, 0.0
-        if p > 0.0:
-            rng.random(out=uniform[k])
-            keep_below[k] = p
-    # `Generator.normal` returns loc + scale * z, so the 0.0 is added too: it
-    # turns a -0.0 noise value into +0.0.
-    noise *= scale[:, None, None]
-    noise += shift[:, None, None]
-    features += noise
-    if dropping:
-        features *= uniform >= keep_below[:, None, None]
+
+    def __init__(self, shape: tuple[int, int, int],
+                 members: Sequence[tuple[int, float, float, np.random.Generator]]) -> None:
+        column = (shape[0], 1, 1)
+        # Rows left alone get noise -0.0 and keep-mask 1.0: x + -0.0 and x * 1.0
+        # are x for every float x, signed zeros and NaN included.
+        self._noise = np.full(shape, -0.0)
+        self._uniform = np.ones(shape)
+        # one value per row, shaped to broadcast over the stack
+        self._scale, self._shift, self._keep_below = np.ones(column), np.full(column, -0.0), np.zeros(column)
+        self._draws = []
+        for row, sigma, p, rng in members:
+            if sigma != 0.0 or p != 0.0:
+                self._draws.append((row, p, rng))
+                self._scale[row], self._shift[row], self._keep_below[row] = sigma, 0.0, p
+        self._dropping = any(p > 0.0 for _, p, _ in self._draws)
+
+    def stop(self, row: int) -> None:
+        """Leave `row` untouched from now on; its rng draws no more."""
+        self._draws = [d for d in self._draws if d[0] != row]
+        self._dropping = any(p > 0.0 for _, p, _ in self._draws)
+        self._noise[row], self._uniform[row] = -0.0, 1.0
+        self._scale[row], self._shift[row], self._keep_below[row] = 1.0, -0.0, 0.0
+
+    def __call__(self, features: np.ndarray) -> None:
+        if not self._draws:
+            return
+        n = features.shape[1]
+        noise, uniform = self._noise[:, :n], self._uniform[:, :n]
+        for row, p, rng in self._draws:
+            rng.standard_normal(out=noise[row])
+            if p > 0.0:
+                rng.random(out=uniform[row])
+        # `Generator.normal` returns loc + scale * z, so the 0.0 is added too:
+        # it turns a -0.0 noise value into +0.0.
+        noise *= self._scale
+        noise += self._shift
+        features += noise
+        if self._dropping:
+            features *= uniform >= self._keep_below
 
 
 def _atomic_write(path: Path, raw: bytes) -> None:

@@ -12,6 +12,7 @@ defaults; with `lmc_barriers` they back the headline empirical claims.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -225,6 +226,16 @@ def cycle_schedule(cycle_epochs: int, train_rows: int, batch_size: int,
     return CyclicalSchedule(c, alpha1, alpha2)
 
 
+def _repeated(ids: Sequence[str]) -> str | None:
+    """The first id that `ids` names more than once, if any."""
+    seen: set[str] = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
+    return None
+
+
 def _base_groups(groups: Sequence[tuple[Checkpoint, Sequence[Checkpoint]]]) -> dict[str, list[Checkpoint]]:
     """One group per base model, keyed by base id: the base, then its snapshots,
     which must all come from one fission run of that base."""
@@ -240,13 +251,18 @@ def _base_groups(groups: Sequence[tuple[Checkpoint, Sequence[Checkpoint]]]) -> d
 
 
 def _lr_groups(grid: Sequence[Checkpoint]) -> dict[str, list[Checkpoint]]:
-    """The grid grouped by learning rate, keyed ``lr=<lr>`` in sorted key order."""
-    by_lr: dict[str, list[Checkpoint]] = {}
+    """The grid grouped by learning rate, in sorted key order. A group is
+    keyed ``lr=<lr:g>``, or ``lr=<repr(lr)>`` where distinct rates share
+    that spelling."""
+    by_lr: dict[float, list[Checkpoint]] = {}
     for c in grid:
         if c.config is None:
             raise ValueError(f"checkpoint {c.id} has no training config to group by learning rate")
-        by_lr.setdefault(f"lr={c.config.lr:g}", []).append(c)
-    return {key: by_lr[key] for key in sorted(by_lr)}
+        by_lr.setdefault(c.config.lr, []).append(c)
+    spellings = Counter(f"{lr:g}" for lr in by_lr)
+    named = {f"lr={lr:g}" if spellings[f"{lr:g}"] == 1 else f"lr={lr!r}": group
+             for lr, group in by_lr.items()}
+    return {key: named[key] for key in sorted(named)}
 
 
 def build_soups(methods: Sequence[str], metric: MetricKind | str, arch: ArchSpec,
@@ -260,6 +276,9 @@ def build_soups(methods: Sequence[str], metric: MetricKind | str, arch: ArchSpec
     metric_key = MetricKind(metric).value
     eval_fn = _evaluator(arch, val, metric_key)  # checks the split at the first score, after the lineage checks
     snapshot_pool = [c for base, snapshots in groups for c in (base, *snapshots)]
+    for pool, name in ((grid, "grid"), (snapshot_pool, "snapshot")):
+        if repeated := _repeated([c.id for c in pool]):
+            raise ValueError(f"the {name} pool holds checkpoint {repeated} more than once")
     out: list[tuple[str, SoupResult]] = []
     for name in methods:
         if name not in SOUPS:

@@ -398,14 +398,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         e /= e.sum(axis=-1, keepdims=True)
         return e
-    m = logits[..., :1].copy()
+    m = logits[..., 0].copy()
     for j in range(1, k):
-        np.maximum(m, logits[..., j : j + 1], out=m)
-    e = np.exp(logits - m)
-    s = e[..., :1].copy()
+        np.maximum(m, logits[..., j], out=m)
+    e = np.exp(logits - m[..., None])
+    s = e[..., 0].copy()
     for j in range(1, k):
-        s += e[..., j : j + 1]
-    e /= s
+        s += e[..., j]
+    e /= s[..., None]
     return e
 
 
@@ -457,13 +457,15 @@ def _gradient_into(layers: list[tuple[np.ndarray, np.ndarray]], activation: str,
     reductions bit for bit: the softmax's (see `softmax`), and each bias
     gradient's running sum over the rows, which `einsum` adds row by row into
     its output as `sum` over a non-last axis does, at about a third of the
-    cost. The one-hot label subtraction subtracts 1.0 at the label and 0.0
-    elsewhere, which leaves every other entry as it was. Temporaries are
-    updated in place.
+    cost. The one-hot label subtraction subtracts 1.0 at each row's label,
+    found by its flat position, and leaves every other entry as it was.
+    Temporaries are updated in place.
     """
     acts = _forward_cached(layers, activation, features)
     delta = softmax(acts[-1])
-    delta -= labels[..., None] == np.arange(delta.shape[-1])
+    # softmax returns a fresh C-contiguous array, so the flat view writes through
+    k = delta.shape[-1]
+    delta.reshape(-1)[np.arange(0, delta.size, k) + labels.reshape(-1)] -= 1.0
     delta /= labels.shape[-1]
     for li in range(len(layers) - 1, -1, -1):
         gw, gb = out[li]

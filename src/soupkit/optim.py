@@ -58,36 +58,41 @@ def adamw_step(params: ParamVector, grads: ParamVector, state: AdamWState, lr: f
     """One decoupled-weight-decay update; returns new params and state."""
     if lr < 0.0:
         raise ValueError(f"learning rate must be non-negative, got {lr}")
-    if params.size != grads.size or params.size != state.m.size:
+    values, g = params.values, grads.values
+    if values.size != g.size or values.size != state.m.size:
         raise ValueError(
-            f"size mismatch: params {params.size}, grads {grads.size}, state {state.m.size}"
+            f"size mismatch: params {values.size}, grads {g.size}, state {state.m.size}"
         )
     if params.arch_signature != grads.arch_signature:
         raise ValueError("gradient signature does not match parameters")
-    if not np.isfinite(grads.values).all():
+    if not np.isfinite(g).all():
         raise ValueError("non-finite gradient")
+    beta1, beta2 = state.beta1, state.beta2
     t = state.step_count + 1
-    g = grads.values
     # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g**2,
     # then p - lr * wd * p - lr * m_hat / (sqrt(v_hat) + eps), in that float
     # order; every temporary but the new m and v is reused in place.
-    m = state.beta1 * state.m
-    step = (1.0 - state.beta1) * g
+    m = beta1 * state.m
+    step = (1.0 - beta1) * g
     m += step
-    v = state.beta2 * state.v
+    v = beta2 * state.v
     denom = np.square(g)
-    denom *= 1.0 - state.beta2
+    denom *= 1.0 - beta2
     v += denom
-    np.divide(m, 1.0 - state.beta1**t, out=step)
+    np.divide(m, 1.0 - beta1**t, out=step)
     step *= lr
-    np.divide(v, 1.0 - state.beta2**t, out=denom)
+    np.divide(v, 1.0 - beta2**t, out=denom)
     np.sqrt(denom, out=denom)
     denom += state.eps
     step /= denom
-    new_values = params.values * (lr * state.weight_decay)
-    np.subtract(params.values, new_values, out=new_values)
+    new_values = values * (lr * state.weight_decay)
+    np.subtract(values, new_values, out=new_values)
     new_values -= step
-    return ParamVector(new_values, params.arch_signature), state._advanced(m, v, t)
+    # built without __post_init__: the values are a fresh contiguous 1-D
+    # float64 array by construction
+    updated = object.__new__(ParamVector)
+    updated.values, updated.arch_signature = new_values, params.arch_signature
+    return updated, state._advanced(m, v, t)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import AUGMENT_PARAMS, AugmentLevel, LabeledDataset, _jitter
+from .data import AUGMENT_PARAMS, AugmentLevel, LabeledDataset, _Jitter
 from .nn import (
     ArchSpec,
     MetricKind,
@@ -197,14 +197,14 @@ def _train_population(
     call per step on row views of the stack (so the AdamW arithmetic and its
     checks live in one place). Rows, the forward and backward pass, and the
     finiteness checks are shared: one gather, one backprop over the stack,
-    one `isfinite` per check. Every member's weights are bit-identical to its
-    solo run.
+    one `isfinite` per check. The augmentation buffers are built once per
+    stage. Every member's weights are bit-identical to its solo run.
 
     A member whose gradient or parameters turn non-finite is frozen: it gets
-    no more updates or snapshots, and its `error` records why. The others
-    carry on. When `trainable` is given, only that flat slice is updated and
-    the rest of each row is left bitwise untouched (the optimizer state
-    covers the slice alone, so weight decay cannot leak into frozen
+    no more updates, snapshots or rng draws, and its `error` records why. The
+    others carry on. When `trainable` is given, only that flat slice is
+    updated and the rest of each row is left bitwise untouched (the optimizer
+    state covers the slice alone, so weight decay cannot leak into frozen
     coordinates).
 
     Inputs are checked once, here at stage entry, not per step.
@@ -227,21 +227,23 @@ def _train_population(
     # The optimizer sees views of each member's trainable part of both stacks.
     views = [(ParamVector(v, sig), ParamVector(g, sig)) for v, g in zip(values[:, part], grad[:, part])]
     states = [AdamWState.fresh(p.size, weight_decay=m.config.weight_decay) for (p, _), m in zip(views, members)]
-    # (row, sigma, dropout_p, rng) of each member, as `_jitter` takes them
-    noise = [(i, *AUGMENT_PARAMS[m.config.augment], m.rng) for i, m in enumerate(members)]
+    # the stage's augmentation buffers, one row per member; a batch fills the leading rows
+    jitter = _Jitter((len(members), min(bs, n), train.dims),
+                     [(i, *AUGMENT_PARAMS[m.config.augment], m.rng) for i, m in enumerate(members)])
     alive = list(range(len(members)))
-    # one row per member, refilled each epoch: shuffling arange(n) in place
-    # draws exactly what `rng.permutation(n)` draws
+    # one row per member, refilled each epoch while it lives: shuffling
+    # arange(n) in place draws exactly what `rng.permutation(n)` draws
     perms = np.empty((len(members), n), dtype=np.int64)
 
     def freeze(finite: np.ndarray, error: str) -> None:
         """Freeze every live member whose row of the stack is not all finite."""
         nonlocal alive
-        if finite[alive].all():
+        if finite.all() or finite[alive].all():
             return
         for i in alive:
             if not finite[i]:
                 members[i].error = error
+                jitter.stop(i)
         alive = [i for i in alive if finite[i]]
 
     step = 0
@@ -249,20 +251,21 @@ def _train_population(
     # overflow warnings on the way there are just noise
     with np.errstate(over="ignore", invalid="ignore"):
         while step < total_steps and alive:
-            for i, m in enumerate(members):
+            for i in alive:
                 perms[i] = np.arange(n)
-                m.rng.shuffle(perms[i])
+                members[i].rng.shuffle(perms[i])
             for b in range(min(spe, total_steps - step)):
                 step += 1
                 rows = perms[:, b * bs : (b + 1) * bs]
                 feats = train.features[rows]
-                _jitter(feats, [noise[i] for i in alive])
+                jitter(feats)
                 _gradient_into(layers, arch.activation, feats, train.labels[rows], grad_layers)
                 freeze(np.isfinite(grad).all(axis=1), f"non-finite gradient at step {step}/{total_steps}")
                 lrs = rates[step - 1].tolist()
                 for i in alive:
-                    updated, states[i] = adamw_step(*views[i], states[i], lrs[i])
-                    values[i, part] = updated.values
+                    p, g = views[i]
+                    updated, states[i] = adamw_step(p, g, states[i], lrs[i])
+                    p.values[...] = updated.values
                 freeze(np.isfinite(values).all(axis=1), f"non-finite parameters at step {step}/{total_steps}")
                 if step in collect_steps:
                     for i in alive:

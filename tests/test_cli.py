@@ -218,6 +218,22 @@ def test_a_list_flag_that_names_nothing_is_a_one_line_error(pipe, tmp_path, comm
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag", [("soup", "--ids"), ("soup", "--bases"), ("report", "--ids"),
+                                           ("budget", "--ids")])
+def test_a_list_flag_that_names_an_id_twice_is_a_one_line_error(pipe, tmp_path, command, flag):
+    a, b = pipe["bases"] if flag == "--bases" else pipe["grid"][:2]
+    flags = {"soup": ("--data", "demo", "--metric", "accuracy",
+                      "--method", "gou" if flag == "--bases" else "uniform"),
+             "report": ("--data", "demo", "--metric", "accuracy", "--out", str(tmp_path / "out.csv")),
+             "budget": ("--out", str(tmp_path / "out.csv"))}[command]
+    before = sorted(os.listdir(pipe["store"]))
+    rc, out, err = _run("--store", pipe["store"], command, *flags, flag, f"{a}, {b},{a}")
+    assert rc == 1 and out == ""
+    assert err == f"error: {flag} names {a} more than once\n"
+    assert not (tmp_path / "out.csv").exists()
+    assert sorted(os.listdir(pipe["store"])) == before
+
+
 def test_budget_covers_all_stages(pipe, tmp_path):
     out = _ok("--store", pipe["store"], "budget", "--out", str(tmp_path / "b.csv"))
     stages = out["stage_epochs"]

@@ -11,7 +11,7 @@ from soupkit.data import (
     LabeledDataset,
     TaskKind,
     TaskSpec,
-    _jitter,
+    _Jitter,
     augment,
     gen_task,
     load_csv,
@@ -237,7 +237,7 @@ def test_augment_overrides():
 
 
 # The one-row augmentation as it was before it ran over the member stack:
-# the stacked `_jitter` must draw and produce exactly this, row by row.
+# the stacked `_Jitter` must draw and produce exactly this, row by row.
 def _reference_jitter(features, sigma, dropout_p, rng):
     if sigma == 0.0 and dropout_p == 0.0:
         return features
@@ -251,18 +251,25 @@ def _reference_jitter(features, sigma, dropout_p, rng):
 def test_stacked_jitter_matches_per_row_reference(rows):
     rng = np.random.default_rng(rows)
     noise = [AUGMENT_PARAMS[level] for level in AugmentLevel] * 3 + [(0.0, 0.3), (0.2, 0.0)]
-    stack = rng.normal(size=(len(noise) + 1, rows, 6))
-    stack[rng.random(stack.shape) < 0.1] = -0.0
-    stack[0, 0, :3] = [np.inf, -np.inf, np.nan]
     # the last row is not listed: untouched, like a frozen member
     members = [(k, sigma, p, np.random.default_rng([rows, k])) for k, (sigma, p) in enumerate(noise)]
     reference_rngs = [np.random.default_rng([rows, k]) for k in range(len(noise))]
-    want = stack.copy()
-    for k, (sigma, p) in enumerate(noise):
-        want[k] = _reference_jitter(want[k], sigma, p, reference_rngs[k])
-    got = stack.copy()
-    _jitter(got, members)
-    assert got.tobytes() == want.tobytes()
+    # buffers for 32-row batches, kept across calls: a full batch, a batch of
+    # `rows` in the leading rows, then a full batch after row 5 (heavy) stops
+    jitter = _Jitter((len(noise) + 1, 32, 6), members)
+    for call, n in enumerate([32, rows, 32]):
+        if call == 2:
+            jitter.stop(5)
+        stack = rng.normal(size=(len(noise) + 1, n, 6))
+        stack[rng.random(stack.shape) < 0.1] = -0.0
+        stack[0, 0, :3] = [np.inf, -np.inf, np.nan]
+        want = stack.copy()
+        for k, (sigma, p) in enumerate(noise):
+            if not (call == 2 and k == 5):
+                want[k] = _reference_jitter(want[k], sigma, p, reference_rngs[k])
+        got = stack.copy()
+        jitter(got)
+        assert got.tobytes() == want.tobytes(), call
     for (_, _, _, used), reference in zip(members, reference_rngs):
         assert used.bit_generator.state == reference.bit_generator.state
 

@@ -226,6 +226,37 @@ def test_build_soups_names_and_membership():
         assert soup.val_score == pytest.approx(eval_fn(soup.params))
 
 
+@pytest.mark.parametrize("pool", ["grid", "snapshot"])
+def test_build_soups_refuses_a_pool_that_holds_one_checkpoint_twice(pool):
+    cfg = _tiny_config(soups=())
+    bundle = gen_task(cfg.task, cfg.split_ratios)
+    recipe = run_recipe(cfg, bundle)
+    grid, groups = recipe.grid, recipe.groups
+    if pool == "grid":
+        twice, grid = grid[1], [*grid, grid[1]]
+    else:
+        (base, snapshots), *rest = groups
+        twice, groups = snapshots[0], [(base, [*snapshots, snapshots[0]]), *rest]
+    for name in ("uniform", "gou"):
+        with pytest.raises(ValueError, match=f"the {pool} pool holds checkpoint {twice.id} more than once"):
+            build_soups([name], cfg.metric, cfg.arch, bundle.val, grid, groups)
+
+
+def test_lr_groups_keep_rates_that_share_a_spelling_apart():
+    cfg = _tiny_config(soups=())
+    d = cfg.to_dict()
+    d["grid"]["lrs"] = [0.001, 0.0010000001, 0.003]
+    d.update(fgg=None)
+    cfg = ExperimentConfig.from_dict(d)
+    bundle = gen_task(cfg.task, cfg.split_ratios)
+    grid = run_recipe(cfg, bundle).grid
+    groups = experiment._lr_groups(grid)
+    assert list(groups) == ["lr=0.001", "lr=0.0010000001", "lr=0.003"]
+    assert [[c.config.lr for c in g] for g in groups.values()] == [[0.001], [0.0010000001], [0.003]]
+    [(_, soup)] = build_soups(["gs_gog"], cfg.metric, cfg.arch, bundle.val, grid, [])
+    assert sorted(soup.level_members) == ["local-lr=0.001", "local-lr=0.0010000001", "local-lr=0.003"]
+
+
 def test_build_soups_checks_the_split_once(split_checks):
     cfg = _tiny_config(soups=())
     bundle = gen_task(cfg.task, cfg.split_ratios)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soupkit import nn
+from soupkit import nn, pipeline
 from soupkit.data import AugmentLevel, LabeledDataset, TaskKind, TaskSpec, gen_task
 from soupkit.nn import ArchSpec, MetricKind, ParamVector, init_params
 from soupkit.optim import CyclicalSchedule, cyclical_alpha
@@ -121,6 +121,49 @@ def test_diverging_member_freezes_alone(bundle):
     for (start, config), seed, run in zip(specs, [5, 6, 7], runs):
         _assert_same(run, _solo(ARCH, bundle.train, start, config, total, seed, collect))
     assert runs[0][2] is None and runs[2][2] is None
+
+
+def test_members_that_stop_or_never_draw_leave_their_rows_alone(bundle, monkeypatch):
+    """Every member's rng ends where its solo run's does, so a frozen member
+    stops drawing; the rows of a member that never draws, and of a frozen
+    one after it froze, reach the gradient exactly as gathered."""
+    spe = steps_per_epoch(bundle.train.n, 32)
+    assert bundle.train.n % 32, "each epoch should end on a partial batch"
+    wild = HyperConfig(lr=1e-2, seed=0, augment=AugmentLevel.HEAVY,
+                       schedule="cyclical", cyclical=CyclicalSchedule(2 * spe, 1e30, 1e-6))
+    specs = [_spec(ARCH, 0, 1e-2, 0, AugmentLevel.MINIMAL), (init_params(ARCH, 1), wild),
+             _spec(ARCH, 2, 3e-3, 1, AugmentLevel.MEDIUM), _spec(ARCH, 3, 1e-2, 2, AugmentLevel.HEAVY)]
+    seeds, total = [5, 6, 7, 8], 3 * spe
+    batches = []
+    gradient_into = pipeline._gradient_into
+
+    def spy(layers, activation, features, labels, out):
+        batches.append(features.copy())
+        gradient_into(layers, activation, features, labels, out)
+    monkeypatch.setattr(pipeline, "_gradient_into", spy)
+
+    def run(specs, seeds):
+        members = [_Member(start, config, np.random.default_rng(seed)) for (start, config), seed in zip(specs, seeds)]
+        rates = np.stack([_rates(config, spe, total) for _, config in specs], axis=1)
+        _train_population(members, ARCH, bundle.train, rates)
+        return members
+
+    members = run(specs, seeds)
+    steps = batches[:]
+    assert [m.error is None for m in members] == [True, False, True, True]
+    frozen_at = int(members[1].error.split(" at step ")[1].split("/")[0])
+    assert 1 < frozen_at <= 2 * spe, "the wild member should freeze before the last epoch starts"
+    for m, spec, seed in zip(members, specs, seeds):
+        [solo] = run([spec], [seed])
+        assert m.rng.bit_generator.state == solo.rng.bit_generator.state
+
+    gathered = {row.tobytes() for row in bundle.train.features}
+    untouched = lambda rows: all(row.tobytes() in gathered for row in rows)
+    assert len(steps) == total and {f.shape[1] for f in steps} == {32, bundle.train.n % 32}
+    for step, features in enumerate(steps, start=1):
+        assert untouched(features[0])
+        assert untouched(features[1]) == (step > frozen_at)
+        assert not untouched(features[2]) and not untouched(features[3])
 
 
 def test_population_rejects_mixed_batch_sizes(bundle):
