@@ -171,11 +171,11 @@ def cmd_soup(args) -> dict:
     loaded = [store.load_checkpoint(i) for i in _id_list(getattr(args, flag), f"--{flag}")]
     grid, groups = loaded, []
     if flag == "bases":
-        # Lineage is read from the manifests, so only the requested bases'
-        # snapshots are loaded and checksummed.
+        # Lineage is read from the fission manifests in one pass, so only the
+        # requested bases' snapshots are loaded and checksummed.
         base_ids = {b.id for b in loaded}
-        snapshots = [store.load_checkpoint(i) for i in store.list_checkpoints()
-                     if i.startswith("fission-") and store.read_manifest(i)["lineage"]["base_id"] in base_ids]
+        snapshots = [store.load_checkpoint(i) for i, m in store.manifests("fission-")
+                     if m["lineage"]["base_id"] in base_ids]
         snapshots.sort(key=lambda f: f.lineage.cycle_index or 0)
         grid, groups = [], [(b, [f for f in snapshots if f.lineage.base_id == b.id]) for b in loaded]
     soup = build_soups([args.method], args.metric, loaded[0].arch, val, grid, groups)[0][1]
@@ -244,10 +244,10 @@ def cmd_report(args) -> dict:
 
 def cmd_budget(args) -> dict:
     store = _store(args)
-    ids = _id_list(args.ids, "--ids") if args.ids is not None else store.list_checkpoints()
     # The manifests hold each run's stage and epoch count: no weights are read,
     # and each manifest is dropped once read.
-    manifests = (store.read_manifest(i) for i in ids)
+    manifests = ((m for _, m in store.manifests()) if args.ids is None
+                 else (store.read_manifest(i) for i in _id_list(args.ids, "--ids")))
     budget = _stage_budget((m["lineage"]["stage"], m["epochs_consumed"]) for m in manifests)
     out = {"command": "budget", "stage_epochs": budget.stage_epochs,
            "grid_total": budget.grid_total, "fgg_total": budget.fgg_total,

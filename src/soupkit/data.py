@@ -342,14 +342,6 @@ def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
     _atomic_write(Path(path), "\r\n".join(lines).encode("ascii"))
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
-
-
 def load_csv(path: str | Path, label_column: int | str = "label",
              role: str = "train", task_id: str | None = None,
              class_count: int | None = None) -> LabeledDataset:
@@ -360,7 +352,9 @@ def load_csv(path: str | Path, label_column: int | str = "label",
     if not rows:
         raise ValueError(f"{path}: empty file")
     header: list[str] | None = None
-    if any(not _is_number(cell) for cell in rows[0]):
+    try:  # a first row with a cell that float() refuses is the header
+        np.array(rows[0], dtype=np.float64)
+    except ValueError:
         header = rows[0]
         rows = rows[1:]
         if not rows:
@@ -378,22 +372,24 @@ def load_csv(path: str | Path, label_column: int | str = "label",
     if not -width <= label_idx < width:
         raise ValueError(f"{path}: label column {label_idx} out of range for {width} columns")
     label_idx %= width
-    feats = np.empty((len(rows), width - 1))
-    labels = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(f"{path}: row {i + 1}, column {j + 1}: non-numeric cell {cell!r}") from None
-            if j == label_idx:
-                if value != int(value):
+    try:  # one conversion, which applies float() to each cell in C
+        values = np.array(rows, dtype=np.float64)
+        labels = values[:, label_idx]
+        whole = np.all((labels == np.trunc(labels)) & (labels >= -2.0**63) & (labels < 2.0**63))
+    except ValueError:  # a ragged row or a non-numeric cell
+        whole = False
+    if not whole:  # walk the cells to raise the first bad one's error
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+            for j, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: row {i + 1}, column {j + 1}: non-numeric cell {cell!r}") from None
+                if j == label_idx and value != np.int64(int(value)):  # raises on nan, inf or int64 overflow
                     raise ValueError(f"{path}: row {i + 1}, column {j + 1}: non-integer label {cell!r}")
-                labels[i] = int(value)
-            else:
-                feats[i, j if j < label_idx else j - 1] = value
+    feats, labels = np.delete(values, label_idx, axis=1), labels.astype(np.int64)
     inferred = int(labels.max()) + 1 if labels.size else 0
     return LabeledDataset(
         feats, labels,

@@ -11,12 +11,15 @@ recognizable debris and ignored.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
+import stat
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -40,6 +43,29 @@ class StoreError(Exception):
 
 class ChecksumError(StoreError):
     """Stored weights do not match the checksum in their manifest."""
+
+
+def _schema_checked(raw: bytes) -> dict:
+    manifest = json.loads(raw)
+    if manifest.get("schema_version") != SCHEMA_VERSION:
+        raise StoreError(f"unsupported manifest schema {manifest.get('schema_version')} (expected {SCHEMA_VERSION})")
+    return manifest
+
+
+def _read_regular(path: str) -> bytes | None:
+    """A regular file's bytes from one open, one fstat and one read of its size (the store replaces files by
+    rename, never in place), or None where none is: absent, a directory, a FIFO (opened non-blocking), a bad symlink."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except OSError as exc:
+        if exc.errno in (errno.ENOENT, errno.ENOTDIR, errno.ELOOP):
+            return None
+        raise
+    try:
+        info = os.fstat(fd)
+        return os.read(fd, info.st_size) if stat.S_ISREG(info.st_mode) else None
+    finally:
+        os.close(fd)
 
 
 def _checksum(raw: bytes) -> str:
@@ -91,15 +117,16 @@ class Store:
         d = self._dir(ck.id)
         raw = encode_weights(ck.params.values)
         digest = _checksum(raw)
-        if self.exists(ck.id):
-            stored = json.loads((d / "manifest.json").read_text())
-            if exist_ok and stored.get("weights_checksum") == digest:
+        try:  # a fresh id costs one mkdir: the store is looked at only on a collision
+            d.mkdir(parents=True)
+        except FileExistsError:
+            if self.exists(ck.id):
+                if not exist_ok or json.loads((d / "manifest.json").read_text()).get("weights_checksum") != digest:
+                    raise StoreError(f"checkpoint id {ck.id} already exists") from None
                 return ck.id
-            raise StoreError(f"checkpoint id {ck.id} already exists")
-        # A directory without a manifest is debris of a crashed save or the
-        # work of a concurrent writer: the renames below replace its weights,
-        # and deleting its files could pull a temp file from under that writer.
-        d.mkdir(parents=True, exist_ok=True)
+            # A directory without a manifest is debris of a crashed save or the
+            # work of a concurrent writer: the renames below replace its weights,
+            # and deleting its files could pull a temp file from under that writer.
         _atomic_write(d / "weights.bin", raw)
         manifest = {
             "schema_version": SCHEMA_VERSION,
@@ -119,16 +146,9 @@ class Store:
 
     def read_manifest(self, checkpoint_id: str) -> dict:
         """A checkpoint's manifest, schema-checked, without reading its weights."""
-        try:
-            with open(self._file(checkpoint_id, "manifest.json"), "rb") as fh:
-                manifest = json.loads(fh.read())
-        except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
-            raise StoreError(f"no checkpoint {checkpoint_id} in {self.root}") from None
-        if manifest.get("schema_version") != SCHEMA_VERSION:
-            raise StoreError(
-                f"unsupported manifest schema {manifest.get('schema_version')} (expected {SCHEMA_VERSION})"
-            )
-        return manifest
+        if (raw := _read_regular(self._file(checkpoint_id, "manifest.json"))) is None:
+            raise StoreError(f"no checkpoint {checkpoint_id} in {self.root}")
+        return _schema_checked(raw)
 
     def load_checkpoint(self, checkpoint_id: str) -> Checkpoint:
         manifest = self.read_manifest(checkpoint_id)
@@ -154,15 +174,30 @@ class Store:
             trained_on=manifest.get("trained_on", ""),
         )
 
+    def _names(self, prefix: str = "") -> list[str]:
+        with os.scandir(self.root) as entries:
+            return sorted(e.name for e in entries if e.name.startswith(prefix) and _plain_name(e.name, _RESERVED_DIRS))
+
     def list_checkpoints(self) -> list[str]:
         # A regular manifest.json implies a directory; DirEntry.is_dir raises on a symlink loop.
-        with os.scandir(self.root) as entries:
-            return sorted(e.name for e in entries if _plain_name(e.name, _RESERVED_DIRS)
-                          and os.path.isfile(os.path.join(e.path, "manifest.json")))
+        return [name for name in self._names() if os.path.isfile(f"{self.root}/{name}/manifest.json")]
+
+    def manifests(self, prefix: str = "") -> Iterator[tuple[str, dict]]:
+        """`(id, manifest)` of the checkpoints whose ids start with `prefix`, in `list_checkpoints`
+        order: one directory pass, each manifest opened once with no stat before it."""
+        for name in self._names(prefix):  # debris, and a checkpoint removed since the pass, read as absent
+            if (raw := _read_regular(f"{self.root}/{name}/manifest.json")) is not None:
+                yield name, _schema_checked(raw)
 
     def save_soup(self, soup: SoupResult, arch: ArchSpec, metric: str,
                   exist_ok: bool = False) -> str:
-        """Persist a soup as a stage=soup checkpoint plus an audit sidecar."""
+        """Persist a soup as a stage=soup checkpoint plus an audit sidecar. The id does not name
+        the metric: a second record whose audit differs is refused, an identical one writes nothing."""
+        audit = json.dumps(soup.audit_dict(), indent=2, sort_keys=True).encode("ascii")
+        stored = _read_regular(self._file(soup.id, "audit.json"))
+        if stored is not None and stored != audit:
+            scored = ", ".join(self.read_manifest(soup.id)["val_metrics"]) or "none"
+            raise StoreError(f"soup {soup.id} is already stored under metric {scored} with a different audit")
         ck = Checkpoint(
             id=soup.id, arch=arch, params=soup.params, config=None,
             lineage=Lineage("soup"),
@@ -170,15 +205,14 @@ class Store:
             epochs_consumed=0.0,
         )
         self.save_checkpoint(ck, exist_ok=exist_ok)
-        _atomic_write(self._dir(soup.id) / "audit.json",
-                      json.dumps(soup.audit_dict(), indent=2, sort_keys=True).encode("ascii"))
+        if stored is None:
+            _atomic_write(self._dir(soup.id) / "audit.json", audit)
         return soup.id
 
     def load_audit(self, soup_id: str) -> dict:
-        path = self._dir(soup_id) / "audit.json"
-        if not path.is_file():
+        if (raw := _read_regular(self._file(soup_id, "audit.json"))) is None:
             raise StoreError(f"no audit record for {soup_id}")
-        return json.loads(path.read_text())
+        return json.loads(raw)
 
     # -- datasets ---------------------------------------------------------
 
@@ -189,10 +223,9 @@ class Store:
         """Write the splits and spec; a name taken by a different spec is refused."""
         d = self.dataset_dir(name)
         spec_path = d / "task.json"
-        if spec is not None and spec_path.is_file():
-            stored = TaskSpec.from_dict(json.loads(spec_path.read_text()))
-            if stored != spec:
-                raise StoreError(f"dataset {name!r} already exists with a different task spec")
+        stored = _read_regular(str(spec_path)) if spec is not None else None
+        if stored is not None and TaskSpec.from_dict(json.loads(stored)) != spec:
+            raise StoreError(f"dataset {name!r} already exists with a different task spec")
         d.mkdir(parents=True, exist_ok=True)
         for role, ds in bundle.splits().items():
             save_csv(ds, d / f"{role}.csv")
@@ -201,17 +234,13 @@ class Store:
         return d
 
     def load_dataset(self, name: str, role: str) -> LabeledDataset:
-        path = self.dataset_dir(name) / f"{role}.csv"
-        if not path.is_file():
+        d = self.dataset_dir(name)
+        if not (d / f"{role}.csv").is_file():
             raise StoreError(f"no {role} split for dataset {name!r} in {self.root}")
-        class_count = None
-        task_id = name
-        spec_path = self.dataset_dir(name) / "task.json"
-        if spec_path.is_file():
-            spec = TaskSpec.from_dict(json.loads(spec_path.read_text()))
-            class_count = spec.class_count
-            task_id = spec.task_id
-        return load_csv(path, "label", role=role, task_id=task_id, class_count=class_count)
+        raw = _read_regular(f"{d}/task.json")
+        spec = None if raw is None else TaskSpec.from_dict(json.loads(raw))
+        return load_csv(d / f"{role}.csv", "label", role=role, task_id=name if spec is None else spec.task_id,
+                        class_count=None if spec is None else spec.class_count)
 
     # -- experiments ------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import errno
+import os
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,34 @@ def split_checks(monkeypatch):
 
     monkeypatch.setattr(nn, "_check_fit", spy)
     return checks
+
+
+@pytest.fixture
+def add_debris():
+    """`add_debris(root, manifest)`: fill a store root with every kind of
+    entry that is not a checkpoint, under `grid-` and `fission-` names alike,
+    `manifest` (a checkpoint's manifest bytes) copied to where a careless
+    listing would find it. Returns the names it made."""
+
+    def add(root: Path, manifest: bytes) -> list[str]:
+        made = []
+        for prefix in ("grid", "fission"):
+            (root / f"{prefix}-debris").mkdir()
+            (root / f"{prefix}-debris" / "weights.bin").write_bytes(b"\x00" * 16)
+            (root / f"{prefix}-dirmanifest" / "manifest.json").mkdir(parents=True)
+            (root / f"{prefix}-fifo").mkdir()
+            os.mkfifo(root / f"{prefix}-fifo" / "manifest.json")
+            (root / f"{prefix}-plainfile").write_bytes(manifest)
+            (root / f"{prefix}-tofile").symlink_to(root / f"{prefix}-plainfile")
+            (root / f"{prefix}-dangling").symlink_to(root / "nowhere")
+            (root / f"{prefix}-loop").symlink_to(root / f"{prefix}-loop")
+            (root / f".{prefix}-hidden").mkdir()
+            (root / f".{prefix}-hidden" / "manifest.json").write_bytes(manifest)
+            made += [f"{prefix}-{kind}" for kind in ("debris", "dirmanifest", "fifo", "plainfile", "tofile",
+                                                     "dangling", "loop")] + [f".{prefix}-hidden"]
+        for reserved in ("experiments", "datasets"):
+            (root / reserved).mkdir(exist_ok=True)
+            (root / reserved / "manifest.json").write_bytes(manifest)
+        return made
+
+    return add

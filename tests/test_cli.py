@@ -4,6 +4,7 @@ Each test drives cli_dispatch directly so exit codes and the one-line JSON
 contract are exercised exactly as a shell user would see them.
 """
 
+import builtins
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import soupkit
-from soupkit.analysis import compute_budget
+from soupkit.analysis import _stage_budget, compute_budget
 from soupkit.cli import cli_dispatch
 from soupkit.experiment import SOUPS, build_soups
 from soupkit.store import Store
@@ -157,6 +158,104 @@ def test_soup_hierarchical_loads_only_requested_snapshots(pipe, monkeypatch):
         "--metric", "accuracy", "--bases", base)
     assert sorted(i for i in loaded if i.startswith("fission-")) == sorted(pipe["fissions"][base])
     assert not set(loaded) & set(pipe["fissions"][other])
+
+
+def test_a_soup_under_a_second_metric_is_refused_and_leaves_the_audit(pipe, tmp_path):
+    root = tmp_path / "store"
+    shutil.copytree(pipe["store"], root)
+    argv = ("--store", str(root), "soup", "--data", "demo", "--method", "uniform", "--ids", ",".join(pipe["grid"]))
+    first = _ok(*argv, "--metric", "accuracy")
+    audit = root / first["id"] / "audit.json"
+    before = audit.read_bytes(), audit.stat().st_ino
+    rc, out, err = _run(*argv, "--metric", "roc_auc_ovr")
+    assert rc == 1 and out == ""
+    assert err == f"error: soup {first['id']} is already stored under metric accuracy with a different audit\n"
+    assert (audit.read_bytes(), audit.stat().st_ino) == before
+    assert _ok(*argv, "--metric", "accuracy") == first
+    assert (audit.read_bytes(), audit.stat().st_ino) == before  # the identical record wrote nothing
+
+
+def test_discovery_and_budget_in_a_store_with_debris_match_list_then_read(pipe, tmp_path, add_debris):
+    root = tmp_path / "store"
+    shutil.copytree(pipe["store"], root)
+    store = Store(root)
+    add_debris(root, (root / pipe["fissions"][pipe["bases"][0]][0] / "manifest.json").read_bytes())
+    # snapshot discovery and budget as they were: list every checkpoint, then read manifests
+    base_ids = set(pipe["bases"])
+    snapshots = sorted((store.load_checkpoint(i) for i in store.list_checkpoints()
+                        if i.startswith("fission-") and store.read_manifest(i)["lineage"]["base_id"] in base_ids),
+                       key=lambda f: f.lineage.cycle_index or 0)
+    bases = [store.load_checkpoint(b) for b in pipe["bases"]]
+    groups = [(b, [f for f in snapshots if f.lineage.base_id == b.id]) for b in bases]
+    val = store.load_dataset("demo", "val")
+    for method in ("gou", "gog"):
+        [(_, soup)] = build_soups([method], "accuracy", bases[0].arch, val, [], groups)
+        out = _ok("--store", str(root), "soup", "--data", "demo", "--method", method,
+                  "--metric", "accuracy", "--bases", ",".join(pipe["bases"]))
+        assert (out["id"], out["members"], out["val_score"]) == (soup.id, soup.members, soup.val_score), method
+    _stage_budget((m["lineage"]["stage"], m["epochs_consumed"])
+                  for m in map(store.read_manifest, store.list_checkpoints())).write_csv(tmp_path / "want.csv")
+    _ok("--store", str(root), "budget", "--out", str(tmp_path / "got.csv"))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _file_calls(monkeypatch, root):
+    """The opens and stats of paths under `root` from now on, as (call, path
+    relative to root) pairs. An `os.open` made by `open` (its opener) is part
+    of that one open, and an `os.fstat` of an open file is not a stat of a path."""
+    calls = []
+    prefix = f"{root}/"
+    depth = [0]
+
+    def spy(call, real):
+        def wrapper(path, *args, **kwargs):
+            if not depth[0] and isinstance(path, (str, os.PathLike)) and os.fspath(path).startswith(prefix):
+                calls.append((call, os.fspath(path)[len(prefix):]))
+            depth[0] += 1
+            try:
+                return real(path, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for owner, attr, call in ((builtins, "open", "open"), (io, "open", "open"), (os, "open", "open"),
+                              (os, "stat", "stat")):
+        monkeypatch.setattr(owner, attr, spy(call, getattr(owner, attr)))
+    return calls
+
+
+def _never_list(self):
+    raise AssertionError("list_checkpoints called")
+
+
+def test_budget_reads_each_manifest_once_and_stats_no_entry(pipe, tmp_path, monkeypatch):
+    root = tmp_path / "store"
+    shutil.copytree(pipe["store"], root)
+    ids = Store(root).list_checkpoints()
+    monkeypatch.setattr(Store, "list_checkpoints", _never_list)
+    calls = _file_calls(monkeypatch, root)
+    _ok("--store", str(root), "budget", "--out", str(tmp_path / "budget.csv"))
+    assert [c for c in calls if c[0] == "stat"] == []
+    assert sorted(calls) == sorted(("open", f"{i}/manifest.json") for i in ids)
+
+
+def test_snapshot_discovery_opens_only_fission_manifests(pipe, tmp_path, monkeypatch):
+    root = tmp_path / "store"
+    shutil.copytree(pipe["store"], root)
+    base = pipe["bases"][0]
+    fissions = [i for i in Store(root).list_checkpoints() if i.startswith("fission-")]
+    monkeypatch.setattr(Store, "list_checkpoints", _never_list)
+    calls = _file_calls(monkeypatch, root)
+    soup = _ok("--store", str(root), "soup", "--data", "demo", "--method", "gou",
+               "--metric", "accuracy", "--bases", base)["id"]
+    # Outside the dataset and the soup being saved, no entry is stat'ed and
+    # only the base's and the snapshots' manifests are opened: each snapshot
+    # once by discovery, the base's snapshots once more as they load.
+    entries = [(call, path) for call, path in calls if path.split("/")[0] not in ("datasets", soup)]
+    assert [c for c in entries if c[0] == "stat"] == []
+    opened = sorted(path for call, path in entries if path.endswith("/manifest.json"))
+    want = [base, *fissions, *pipe["fissions"][base]]
+    assert opened == sorted(f"{i}/manifest.json" for i in want)
 
 
 def test_module_entry_prints_usage():

@@ -1,7 +1,12 @@
 """Task generator, augmentation, split, and CSV round-trip tests."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soupkit.data import (
     AUGMENT_PARAMS,
@@ -405,3 +410,149 @@ def test_save_csv_failing_mid_write_keeps_previous_file(tmp_path, full_disk):
         save_csv(bundle.val, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
+
+
+# ---------------------------------------------------------------------------
+# One-shot CSV parsing against the per-cell reference
+
+def _per_cell_load_csv(path, label_column="label", role="train", task_id=None, class_count=None):
+    """`load_csv` as it was, `float()` on one cell at a time: the parsing reference."""
+    import csv
+
+    def is_number(cell):
+        try:
+            float(cell)
+            return True
+        except ValueError:
+            return False
+
+    path = Path(path)
+    with path.open(newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header = None
+    if any(not is_number(cell) for cell in rows[0]):
+        header = rows[0]
+        rows = rows[1:]
+        if not rows:
+            raise ValueError(f"{path}: header but no data rows")
+    if isinstance(label_column, str):
+        if header is None:
+            raise ValueError(f"{path}: label column {label_column!r} needs a header row")
+        try:
+            label_idx = header.index(label_column)
+        except ValueError:
+            raise ValueError(f"{path}: no column named {label_column!r} in header {header}") from None
+    else:
+        label_idx = label_column
+    width = len(rows[0])
+    if not -width <= label_idx < width:
+        raise ValueError(f"{path}: label column {label_idx} out of range for {width} columns")
+    label_idx %= width
+    feats = np.empty((len(rows), width - 1))
+    labels = np.empty(len(rows), dtype=np.int64)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: row {i + 1}, column {j + 1}: non-numeric cell {cell!r}") from None
+            if j == label_idx:
+                if value != int(value):
+                    raise ValueError(f"{path}: row {i + 1}, column {j + 1}: non-integer label {cell!r}")
+                labels[i] = int(value)
+            else:
+                feats[i, j if j < label_idx else j - 1] = value
+    inferred = int(labels.max()) + 1 if labels.size else 0
+    return LabeledDataset(
+        feats, labels,
+        class_count=class_count if class_count is not None else max(inferred, 2),
+        role=role,
+        task_id=task_id if task_id is not None else path.stem,
+    )
+
+
+def _outcome(load, path, **kw):
+    """What a loader returns, as bytes, or the type and text of what it raises."""
+    try:
+        ds = load(path, **kw)
+    except Exception as exc:  # the reference's exception is the expected one
+        return type(exc).__name__, str(exc)
+    return (ds.features.tobytes(), ds.features.shape, ds.labels.tobytes(), ds.labels.dtype,
+            ds.class_count, ds.role, ds.task_id)
+
+
+@pytest.mark.parametrize("kind", [TaskKind.ROUGH, TaskKind.SMOOTH])
+def test_load_csv_parses_every_split_as_the_per_cell_reference(tmp_path, kind):
+    bundle = gen_task(_spec(kind=kind, label_noise_rate=0.1, class_count=4))
+    for role, ds in bundle.splits().items():
+        path = tmp_path / f"{kind.value}-{role}.csv"
+        save_csv(ds, path)
+        want = _outcome(_per_cell_load_csv, path, role=role, task_id=ds.task_id)
+        assert _outcome(load_csv, path, role=role, task_id=ds.task_id) == want, role
+        assert want[0] == ds.features.tobytes() and want[2] == ds.labels.tobytes(), role
+
+
+_ODD_FEATURES = ["-0.0", "5e-324", "1.7976931348623157e+308", "1e-05", "+1.5", " 2.5 ", "1_000", "-2.0e-308",
+                  "0.1", "1.0000000000000002", "-4.9406564584124654e-324", "\u0661\u0662"]
+_ODD_LABELS = ["0", "1.0", "+2", "-0.0", "2e0", " 1 "]
+
+
+@pytest.mark.parametrize("label_column", ["label", 0, 1, -1])
+def test_load_csv_parses_hand_written_cells_as_the_per_cell_reference(tmp_path, label_column):
+    rows = []
+    for k, (a, b) in enumerate(zip(_ODD_FEATURES, _ODD_FEATURES[::-1])):
+        row = [a, b]
+        row.insert(len(row) if label_column in ("label", -1) else label_column, _ODD_LABELS[k % len(_ODD_LABELS)])
+        rows.append(",".join(row))
+    header = ["f0,f1,label"] if label_column == "label" else []
+    path = tmp_path / "odd.csv"
+    path.write_text("\n".join(header + rows) + "\n", encoding="utf-8")
+    want = _outcome(_per_cell_load_csv, path, label_column=label_column)
+    assert isinstance(want[0], bytes), want
+    assert _outcome(load_csv, path, label_column=label_column) == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("f0,f1,label\n1,2,0\n3,4\n", "row 2 has 2 cells, expected 3"),
+    ("f0,f1,label\n1,2,0\n3,4,1,5\n", "row 2 has 4 cells, expected 3"),
+    ("f0,f1,label\n1,2,0\n3,x,1\n", "row 2, column 2: non-numeric cell 'x'"),
+    ("f0,f1,label\n1,,0\n", "row 1, column 2: non-numeric cell ''"),
+    ("f0,f1,label\n1,2,a\n", "row 1, column 3: non-numeric cell 'a'"),
+    ("f0,f1,label\n1,2,0\n1,2,0.5\n", "row 2, column 3: non-integer label '0.5'"),
+    ("f0,f1,label\n1,2,0\n3,4,1\nx,5,1.5\n", "row 3, column 1: non-numeric cell 'x'"),
+    ("f0,f1,label\n1,2,nan\n", None),
+    ("f0,f1,label\n1,2,inf\n", None),
+    ("f0,f1,label\n1,2,1e400\n", None),
+    ("f0,f1,label\n1,2,1e19\n", None),
+    ("f0,f1,label\n1,2,-9223372036854775808\n", None),
+    ("f0,f1,label\n1,2,-1\n", None),
+    ("f0,f1,label\nnan,2,0\n", None),
+    ("f0,f1,label\n1,-inf,0\n", None),
+])
+def test_load_csv_errors_are_those_of_the_per_cell_reference(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    want = _outcome(_per_cell_load_csv, path)
+    assert isinstance(want[0], str), want
+    assert _outcome(load_csv, path) == want
+    if message is not None:
+        assert want == ("ValueError", f"{path}: {message}")
+
+
+_CELLS = st.one_of(st.floats().map(repr), st.integers(-2, 4).map(str),
+                   st.sampled_from(["x", "", "nan", "-inf", "1e400", " 3 ", "+0", "-0.0", "0.5", "1e19", "label"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=4), min_size=1, max_size=6),
+       label_column=st.integers(-3, 3))
+def test_load_csv_agrees_with_the_per_cell_reference_on_any_cells(rows, label_column):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "cells.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        assert _outcome(load_csv, path, label_column=label_column) == _outcome(
+            _per_cell_load_csv, path, label_column=label_column)

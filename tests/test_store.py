@@ -4,10 +4,12 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import struct
 import sys
 import tempfile
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -169,9 +171,98 @@ def test_reading_what_is_not_a_checkpoint_names_the_missing_id(tmp_path, read):
     (tmp_path / "grid-dirmanifest" / "manifest.json").mkdir(parents=True)
     (tmp_path / "grid-plainfile").write_text("{}")
     (tmp_path / "grid-debris").mkdir()
-    for cid in ("grid-dirmanifest", "grid-plainfile", "grid-debris", "grid-absent"):
+    (tmp_path / "grid-fifo").mkdir()
+    os.mkfifo(tmp_path / "grid-fifo" / "manifest.json")
+    (tmp_path / "grid-dangling").symlink_to(tmp_path / "nowhere")
+    (tmp_path / "grid-loop").symlink_to(tmp_path / "grid-loop")
+    for cid in ("grid-dirmanifest", "grid-plainfile", "grid-debris", "grid-absent", "grid-fifo", "grid-dangling",
+                "grid-loop"):
         with pytest.raises(StoreError, match=re.escape(f"no checkpoint {cid} in {tmp_path}")):
-            getattr(store, read)(cid)
+            _soon(lambda: getattr(store, read)(cid))
+
+
+# ---------------------------------------------------------------------------
+# One directory pass: `manifests`
+
+def _lineage_store(root):
+    """Bases, their snapshots, and checkpoints of other stages whose ids sort
+    among the snapshots' (`fission`, `fission-c0`, `fission_grid`)."""
+    store = Store(root)
+    cks = [_checkpoint("base-a", seed=0, stage="base"), _checkpoint("base-b", seed=1, stage="base")]
+    for k, (cid, base, cycle) in enumerate([("fission-a1", "base-a", 1), ("fission-a2", "base-a", 2),
+                                            ("fission-b1", "base-b", 1)]):
+        lineage = Lineage("fission", base_id=base, cycle_index=cycle)
+        cks.append(replace(_checkpoint(cid, seed=2 + k, stage="fission"), lineage=lineage))
+    for k, cid in enumerate(["fission", "fission-c0", "fission_grid", "fissio-n", "grid-x"]):
+        cks.append(_checkpoint(cid, seed=5 + k))
+    for ck in cks:
+        store.save_checkpoint(ck)
+    return store, sorted(ck.id for ck in cks)
+
+
+def _soon(fn, seconds=30.0):
+    """`fn()`, failing rather than hanging when it blocks (as opening a FIFO
+    for reading would); what `fn` raises is raised here."""
+    out = []
+
+    def run():
+        try:
+            out.append((True, fn()))
+        except BaseException as exc:  # handed to the caller's thread
+            out.append((False, exc))
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert out, f"{fn} did not return within {seconds} s"
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
+
+def test_manifests_yield_what_list_checkpoints_lists_in_its_order(tmp_path, add_debris):
+    store, ids = _lineage_store(tmp_path)
+    add_debris(tmp_path, (tmp_path / "base-a" / "manifest.json").read_bytes())
+    assert store.list_checkpoints() == ids
+    every = _soon(lambda: list(store.manifests()))
+    assert [cid for cid, _ in every] == ids
+    assert every == [(cid, store.read_manifest(cid)) for cid in ids]
+    for prefix in ("fission-", "fission", "base-", "grid-", "none-"):
+        got = _soon(lambda: [cid for cid, _ in store.manifests(prefix)])
+        assert got == [cid for cid in ids if cid.startswith(prefix)], prefix
+
+
+def test_snapshot_discovery_by_manifests_matches_list_then_read(tmp_path, add_debris):
+    store, ids = _lineage_store(tmp_path)
+    add_debris(tmp_path, (tmp_path / "fission-a1" / "manifest.json").read_bytes())
+    for bases in ({"base-a"}, {"base-b"}, {"base-a", "base-b"}, set()):
+        listed = [cid for cid in store.list_checkpoints()
+                  if cid.startswith("fission-") and store.read_manifest(cid)["lineage"]["base_id"] in bases]
+        found = [cid for cid, m in store.manifests("fission-") if m["lineage"]["base_id"] in bases]
+        assert found == listed, bases
+
+
+def test_manifests_raise_on_a_manifest_of_another_schema(tmp_path):
+    store, _ = _lineage_store(tmp_path)
+    path = tmp_path / "fission-a2" / "manifest.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), schema_version=99)))
+    with pytest.raises(StoreError, match=re.escape("unsupported manifest schema 99 (expected 1)")):
+        list(store.manifests("fission-"))
+    assert [cid for cid, _ in store.manifests("base-")] == ["base-a", "base-b"]
+
+
+@pytest.mark.parametrize("removed", ["manifest", "checkpoint"])
+def test_a_checkpoint_removed_after_the_directory_pass_is_skipped(tmp_path, removed):
+    store, ids = _lineage_store(tmp_path)
+    gone = "fission-b1"
+    it = store.manifests()
+    assert next(it)[0] == ids[0]  # the pass is done: every name is listed
+    if removed == "manifest":
+        (tmp_path / gone / "manifest.json").unlink()
+    else:
+        shutil.rmtree(tmp_path / gone)
+    assert [cid for cid, _ in it] == [cid for cid in ids[1:] if cid != gone]
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +510,27 @@ def test_load_audit_missing(tmp_path):
     store.save_checkpoint(_checkpoint())
     with pytest.raises(StoreError, match="no audit"):
         store.load_audit(_checkpoint().id)
+
+
+def _uniform(val_score):
+    a = _checkpoint("grid-aa0000000000", seed=0)
+    b = _checkpoint("grid-bb0000000000", seed=1)
+    return SoupResult(params=uniform_soup([a.params, b.params]), method=SoupMethod.UNIFORM,
+                      members=sorted([a.id, b.id]), val_score=val_score)
+
+
+@pytest.mark.parametrize("first, second, stored", [(0.8, 0.9, "accuracy"), (None, 0.9, "none")])
+def test_a_second_soup_record_with_a_different_audit_is_refused(tmp_path, first, second, stored):
+    store = Store(tmp_path)
+    soup = _uniform(first)
+    store.save_soup(soup, ARCH, "accuracy")
+    files = {p.name: (p.read_bytes(), p.stat().st_ino) for p in (tmp_path / soup.id).iterdir()}
+    with pytest.raises(StoreError, match=re.escape(
+            f"soup {soup.id} is already stored under metric {stored} with a different audit")):
+        store.save_soup(_uniform(second), ARCH, "roc_auc_ovr", exist_ok=True)
+    # an identical record writes nothing
+    assert store.save_soup(_uniform(first), ARCH, "accuracy", exist_ok=True) == soup.id
+    assert {p.name: (p.read_bytes(), p.stat().st_ino) for p in (tmp_path / soup.id).iterdir()} == files
 
 
 # ---------------------------------------------------------------------------
