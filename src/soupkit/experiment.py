@@ -15,7 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -226,9 +226,9 @@ def cycle_schedule(cycle_epochs: int, train_rows: int, batch_size: int,
     return CyclicalSchedule(c, alpha1, alpha2)
 
 
-def _repeated(ids: Sequence[str]) -> str | None:
-    """The first id that `ids` names more than once, if any."""
-    seen: set[str] = set()
+def _repeated(ids: Sequence[Hashable]) -> Hashable | None:
+    """The first id (or other value) that `ids` names more than once, if any."""
+    seen: set[Hashable] = set()
     for i in ids:
         if i in seen:
             return i

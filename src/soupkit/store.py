@@ -152,7 +152,11 @@ class Store:
 
     def load_checkpoint(self, checkpoint_id: str) -> Checkpoint:
         manifest = self.read_manifest(checkpoint_id)
-        with open(self._file(checkpoint_id, manifest["weights_file"]), "rb") as fh:
+        # The directory is the checkpoint: a manifest naming another id or weights file is refused, not followed.
+        for key, want in (("id", checkpoint_id), ("weights_file", "weights.bin")):
+            if manifest.get(key) != want:
+                raise StoreError(f"manifest of {checkpoint_id} names {key} {manifest.get(key)!r}, not {want!r}")
+        with open(self._file(checkpoint_id, "weights.bin"), "rb") as fh:
             raw = fh.read()
         if _checksum(raw) != manifest["weights_checksum"]:
             raise ChecksumError(f"checksum mismatch for {checkpoint_id}")
@@ -164,7 +168,7 @@ class Store:
             )
         config = HyperConfig.from_dict(manifest["config"]) if manifest["config"] else None
         return Checkpoint(
-            id=manifest["id"],
+            id=checkpoint_id,
             arch=arch,
             params=ParamVector(values, arch.signature),
             config=config,

@@ -333,6 +333,44 @@ def test_a_list_flag_that_names_an_id_twice_is_a_one_line_error(pipe, tmp_path, 
     assert sorted(os.listdir(pipe["store"])) == before
 
 
+@pytest.mark.parametrize("command, flag, named, problem", [
+    ("grid", "--lrs", ",", "must name at least one value"),
+    ("grid", "--seeds", ",", "must name at least one value"),
+    ("grid", "--augments", " , ", "must name at least one value"),
+    ("fgg-base", "--lrs", ",", "must name at least one value"),
+    ("grid", "--lrs", "0.01,0.01", "names 0.01 more than once"),
+    ("grid", "--lrs", "1e-2, 0.003,0.01", "names 0.01 more than once"),
+    ("grid", "--seeds", "0,1,0", "names 0 more than once"),
+    ("grid", "--augments", "minimal,heavy,minimal", "names minimal more than once"),
+    ("fgg-base", "--lrs", "0.003,0.01,0.003", "names 0.003 more than once"),
+])
+def test_a_stage_list_flag_that_names_nothing_or_a_value_twice_is_a_one_line_error(pipe, command, flag, named,
+                                                                                   problem):
+    flags = {"--theta0": pipe["warm"], "--lrs": "0.01", "--epochs": "1", flag: named}
+    before = sorted(os.listdir(pipe["store"]))
+    rc, out, err = _run("--store", pipe["store"], command, "--data", "demo",
+                        *(part for item in flags.items() for part in item))
+    assert rc == 1 and out == ""
+    assert err == f"error: {flag} {problem}\n"
+    assert sorted(os.listdir(pipe["store"])) == before
+
+
+@pytest.mark.parametrize("resolution", ["4", "4,4,4", "4,x", "4.5,4", "", "4;4"])
+def test_a_landscape_resolution_other_than_two_integers_is_a_one_line_error(pipe, tmp_path, resolution):
+    rc, out, err = _run("--store", pipe["store"], "landscape", "--ids", ",".join(pipe["grid"]), "--data", "demo",
+                        "--metric", "accuracy", "--resolution", resolution, "--out", str(tmp_path / "surface.csv"))
+    assert rc == 1 and out == ""
+    assert err == f"error: --resolution must be two comma-separated integers, got {resolution!r}\n"
+    assert not (tmp_path / "surface.csv").exists()
+
+
+def test_landscape_refuses_an_anchor_named_twice(pipe):
+    a, b = pipe["grid"][:2]
+    rc, out, err = _run("--store", pipe["store"], "landscape", "--ids", f"{a},{b},{a}", "--data", "demo",
+                        "--metric", "accuracy")
+    assert rc == 1 and out == "" and err == f"error: --ids names {a} more than once\n"
+
+
 def test_budget_covers_all_stages(pipe, tmp_path):
     out = _ok("--store", pipe["store"], "budget", "--out", str(tmp_path / "b.csv"))
     stages = out["stage_epochs"]

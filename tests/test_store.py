@@ -379,6 +379,32 @@ def test_weights_that_do_not_fit_the_architecture_are_refused(tmp_path):
         store.load_checkpoint(ck.id)
 
 
+def test_a_manifest_that_points_at_another_checkpoints_weights_is_refused(tmp_path):
+    store = Store(tmp_path)
+    ck, other = _checkpoint(), _checkpoint("grid-other000000", seed=1)
+    store.save_checkpoint(ck)
+    store.save_checkpoint(other)
+    mpath = tmp_path / ck.id / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    other_manifest = json.loads((tmp_path / other.id / "manifest.json").read_text())
+    manifest.update(weights_file=f"../{other.id}/weights.bin", weights_checksum=other_manifest["weights_checksum"])
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(StoreError) as exc:
+        store.load_checkpoint(ck.id)
+    assert str(exc.value) == f"manifest of {ck.id} names weights_file '../{other.id}/weights.bin', not 'weights.bin'"
+
+
+def test_a_copied_checkpoint_directory_is_refused_under_its_new_name(tmp_path):
+    store = Store(tmp_path)
+    ck = _checkpoint()
+    store.save_checkpoint(ck)
+    shutil.copytree(tmp_path / ck.id, tmp_path / "grid-copy")
+    assert store.load_checkpoint(ck.id).id == ck.id
+    with pytest.raises(StoreError) as exc:
+        store.load_checkpoint("grid-copy")
+    assert str(exc.value) == f"manifest of grid-copy names id '{ck.id}', not 'grid-copy'"
+
+
 def test_schema_version_mismatch(tmp_path):
     store = Store(tmp_path)
     ck = _checkpoint()
