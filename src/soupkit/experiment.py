@@ -348,14 +348,12 @@ def run_recipe(config: ExperimentConfig, bundle: TaskBundle) -> Recipe:
     return Recipe(bundle, pretrained, theta0, grid, bases, groups, failures, soups)
 
 
-def run_experiment(config: ExperimentConfig | dict, store: Store) -> dict:
+def run_experiment(config: ExperimentConfig, store: Store) -> dict:
     """Run the config's recipe, persist its checkpoints, soups and CSV reports.
 
     Returns a summary dict (also written to the experiment directory). Safe
     to re-run: existing identical checkpoints are verified, not rewritten.
     """
-    if isinstance(config, dict):
-        config = ExperimentConfig.from_dict(config)
     exp_dir = store.experiment_dir(config.name)
     bundle = gen_task(config.task, config.split_ratios)
     store.save_task_bundle(config.name, bundle, config.task)  # a taken name fails before training

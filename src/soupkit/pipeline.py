@@ -98,10 +98,6 @@ class Checkpoint:
     epochs_consumed: float
     trained_on: str = ""
 
-    @property
-    def root_id(self) -> str | None:
-        return self.lineage.root_id
-
 
 @dataclass(frozen=True)
 class GridFailure:
@@ -297,7 +293,7 @@ def _checkpoint(stage: str, arch: ArchSpec, config: HyperConfig, params: ParamVe
     if stage == "warmstart":
         root = cid
     else:
-        root = None if base is None else base.root_id or base.id
+        root = None if base is None else base.lineage.root_id or base.id
     return Checkpoint(
         id=cid, arch=arch, params=params, config=config,
         lineage=Lineage(stage, base_id=base_id, cycle_index=cycle, root_id=root),

@@ -140,14 +140,13 @@ def greedy_soup(
             return c.val_metrics[metric_key]
         return eval_fn(c.params)
 
-    ordered = sorted(candidates, key=lambda c: (-rank_score(c), c.id))
-    best = ordered[0]
+    ordered = sorted(((rank_score(c), c) for c in candidates), key=lambda sc: (-sc[0], sc[1].id))
+    current, best = ordered[0]
     member_params: list[ParamVector] = [best.params]
     members = [best.id]
     current_params = uniform_soup(member_params)
-    current = rank_score(best)
     audit = [AuditEntry(best.id, current, True)]
-    for cand in ordered[1:]:
+    for _, cand in ordered[1:]:
         trial = uniform_soup(member_params + [cand.params])
         score = eval_fn(trial)
         accepted = score >= current

@@ -98,15 +98,12 @@ class Store:
             raise StoreError(f"invalid {what} {name!r}")
         return name
 
-    def _dir(self, checkpoint_id: str) -> Path:
-        return self.root / self._checked(checkpoint_id)
-
     def _file(self, checkpoint_id: str, name: str) -> str:
         """A checkpoint's file as a string path, for the reads: no `Path` is built."""
         return f"{self.root}/{self._checked(checkpoint_id)}/{name}"
 
     def exists(self, checkpoint_id: str) -> bool:
-        return (self._dir(checkpoint_id) / "manifest.json").is_file()
+        return os.path.isfile(self._file(checkpoint_id, "manifest.json"))
 
     def save_checkpoint(self, ck: Checkpoint, exist_ok: bool = False) -> str:
         """Write weights first, then the manifest atomically.
@@ -114,14 +111,14 @@ class Store:
         A colliding id raises unless exist_ok is set and the stored weights
         are byte-identical to the ones being saved.
         """
-        d = self._dir(ck.id)
+        d = self.root / self._checked(ck.id)
         raw = encode_weights(ck.params.values)
         digest = _checksum(raw)
         try:  # a fresh id costs one mkdir: the store is looked at only on a collision
             d.mkdir(parents=True)
         except FileExistsError:
-            if self.exists(ck.id):
-                if not exist_ok or json.loads((d / "manifest.json").read_text()).get("weights_checksum") != digest:
+            if (stored := _read_regular(f"{d}/manifest.json")) is not None:
+                if not exist_ok or json.loads(stored).get("weights_checksum") != digest:
                     raise StoreError(f"checkpoint id {ck.id} already exists") from None
                 return ck.id
             # A directory without a manifest is debris of a crashed save or the
@@ -156,8 +153,8 @@ class Store:
         for key, want in (("id", checkpoint_id), ("weights_file", "weights.bin")):
             if manifest.get(key) != want:
                 raise StoreError(f"manifest of {checkpoint_id} names {key} {manifest.get(key)!r}, not {want!r}")
-        with open(self._file(checkpoint_id, "weights.bin"), "rb") as fh:
-            raw = fh.read()
+        if (raw := _read_regular(self._file(checkpoint_id, "weights.bin"))) is None:
+            raise StoreError(f"checkpoint {checkpoint_id} has no weights.bin in {self.root}")
         if _checksum(raw) != manifest["weights_checksum"]:
             raise ChecksumError(f"checksum mismatch for {checkpoint_id}")
         arch = ArchSpec.from_dict(manifest["arch"])
@@ -210,7 +207,7 @@ class Store:
         )
         self.save_checkpoint(ck, exist_ok=exist_ok)
         if stored is None:
-            _atomic_write(self._dir(soup.id) / "audit.json", audit)
+            _atomic_write(Path(self._file(soup.id, "audit.json")), audit)
         return soup.id
 
     def load_audit(self, soup_id: str) -> dict:
