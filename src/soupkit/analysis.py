@@ -44,14 +44,26 @@ class LmcCurve:
                                *([repr(float(lam)), repr(float(s))] for lam, s in zip(self.lambdas, self.scores))])
 
 
+def _check_points(n_points: int) -> None:
+    """An LMC sweep's point count is at least two; also checked where a config is read."""
+    if n_points < 2:
+        raise ValueError(f"need at least two interpolation points, got {n_points}")
+
+
+def _resolution_checked(resolution: tuple[int, int]) -> tuple[int, int]:
+    """A landscape's (nx, ny), at least 2x2; also checked where a config is read."""
+    if min(resolution) < 2:
+        raise ValueError(f"resolution must be at least 2x2, got {resolution}")
+    return resolution
+
+
 def lmc_sweep(a: Checkpoint, b: Checkpoint, n_points: int,
               dataset: LabeledDataset, metric: MetricKind | str) -> LmcCurve:
     """Score lam*A + (1-lam)*B at evenly spaced lam in [0, 1].
 
     lam=0 evaluates B's exact weights and lam=1 evaluates A's.
     """
-    if n_points < 2:
-        raise ValueError(f"need at least two interpolation points, got {n_points}")
+    _check_points(n_points)
     if a.arch.signature != b.arch.signature:
         raise ValueError("endpoints have different architectures")
     metric = MetricKind(metric)
@@ -130,9 +142,7 @@ def landscape_grid(basis: PlaneBasis, extent: tuple[float, float, float, float],
     """Validation-error surface over the slice; values[i][j] is the cell at
     (xs[j], ys[i])."""
     metric = MetricKind(metric)
-    nx, ny = resolution
-    if nx < 2 or ny < 2:
-        raise ValueError(f"resolution must be at least 2x2, got {resolution}")
+    nx, ny = _resolution_checked(resolution)
     xmin, xmax, ymin, ymax = extent
     if not (xmin < xmax and ymin < ymax):
         raise ValueError(f"empty extent {extent}")

@@ -19,7 +19,7 @@ from .analysis import (DEFAULT_EXTENT_MARGIN, DEFAULT_LMC_POINTS, DEFAULT_RESOLU
                        count_local_minima, default_extent, landscape_grid, lmc_sweep, ood_report, plane_basis)
 from .data import ROLES, AugmentLevel, TaskKind, TaskSpec, gen_task
 from .experiment import (DEFAULT_ARCH, FGG_AUGMENT, FGG_CYCLE_EPOCHS, FGG_SEED, GRID_AUGMENTS, GRID_SEEDS, SOUPS,
-                         ExperimentConfig, _repeated, build_soups, cycle_schedule, default_task_spec, run_experiment)
+                         ExperimentConfig, _distinct, build_soups, cycle_schedule, default_task_spec, run_experiment)
 from .nn import ACTIVATIONS, ArchSpec, MetricKind, evaluate
 from .pipeline import (HyperConfig, TrainingDivergedError, fgg_base_generate, fgg_fission, grid_generate,
                        linear_probe_warmup, pretrain_source)
@@ -36,13 +36,8 @@ def _names(text: str) -> list[str]:
 
 
 def _listed(text: str | None, flag: str, parse=str, what: str = "value") -> list:
-    """The values a comma-separated list flag names, each read by `parse`;
-    naming none, or one twice, is an error that names the flag."""
-    if not (values := [parse(x) for x in _names(text or "")]):
-        raise ValueError(f"{flag} must name at least one {what}")
-    if (repeated := _repeated(values)) is not None:
-        raise ValueError(f"{flag} names {repeated} more than once")
-    return values
+    """The values a comma-separated list flag names, each read by `parse`, under the stage-list rule."""
+    return _distinct([parse(x) for x in _names(text or "")], flag, what)
 
 
 def _ids(args, flag: str = "ids") -> list[str]:

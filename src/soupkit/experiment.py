@@ -23,6 +23,8 @@ from .analysis import (
     DEFAULT_EXTENT_MARGIN,
     DEFAULT_LMC_POINTS,
     DEFAULT_RESOLUTION,
+    _check_points,
+    _resolution_checked,
     compute_budget,
     count_local_minima,
     default_extent,
@@ -40,6 +42,7 @@ from .pipeline import (
     HyperConfig,
     fgg_base_generate,
     fgg_fission_many,
+    fission_total_steps,
     grid_generate,
     linear_probe_warmup,
     pretrain_source,
@@ -103,6 +106,12 @@ class GridSection(_Record):
     seeds: tuple[int, ...]
     epochs: int
 
+    def __post_init__(self) -> None:
+        for name in ("lrs", "augments", "seeds"):
+            _distinct(getattr(self, name), name)
+        for lr in self.lrs:  # the stage's own rate check, at load
+            HyperConfig(lr=lr, seed=0)
+
 
 @dataclass(frozen=True)
 class FggSection(_Record):
@@ -115,12 +124,22 @@ class FggSection(_Record):
     augment: AugmentLevel = FGG_AUGMENT
     seed: int = FGG_SEED
 
+    def __post_init__(self) -> None:
+        for lr in _distinct(self.lrs, "lrs"):
+            HyperConfig(lr=lr, seed=0)
+        # The fission stage's checks of its rates and snapshot count; its cycle length needs the train split.
+        fission_total_steps(CyclicalSchedule(2, self.alpha1, self.alpha2), self.n_collect)
+
 
 @dataclass(frozen=True)
 class AnalysisSection(_Record):
     lmc_points: int = DEFAULT_LMC_POINTS
     landscape_resolution: tuple[int, int] = DEFAULT_RESOLUTION
     landscape_margin: float = DEFAULT_EXTENT_MARGIN
+
+    def __post_init__(self) -> None:
+        _check_points(self.lmc_points)
+        _resolution_checked(self.landscape_resolution)
 
 
 # Every soup a config or `soupkit soup` can name: the config section it merges, and how.
@@ -165,6 +184,8 @@ class ExperimentConfig(_Record):
                 raise ValueError(f"unknown soup method {s!r}, expected one of {tuple(SOUPS)}")
             if getattr(self, SOUPS[s][0]) is None:
                 raise ValueError(f"soup {s!r} requested but no {SOUPS[s][0]} section configured")
+        if (repeated := _repeated(self.soups)) is not None:
+            raise ValueError(f"soups names {repeated} more than once")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -234,6 +255,15 @@ def _repeated(ids: Sequence[Hashable]) -> Hashable | None:
             return i
         seen.add(i)
     return None
+
+
+def _distinct(values: Sequence[Hashable], label: str, what: str = "value") -> Sequence[Hashable]:
+    """`values`, unless empty or naming one value (an enum by its file spelling) twice: the one stage-list rule."""
+    if not values:
+        raise ValueError(f"{label} must name at least one {what}")
+    if (repeated := _repeated(values)) is not None:
+        raise ValueError(f"{label} names {getattr(repeated, 'value', repeated)} more than once")
+    return values
 
 
 def _base_groups(groups: Sequence[tuple[Checkpoint, Sequence[Checkpoint]]]) -> dict[str, list[Checkpoint]]:
@@ -375,7 +405,7 @@ def run_experiment(config: ExperimentConfig, store: Store) -> dict:
 
     files = ["report.csv", "budget.csv"]
     local_minima = None
-    if config.analysis and ranked:
+    if config.analysis and len(ranked) >= 2:
         curve = lmc_sweep(ranked[0], ranked[1], config.analysis.lmc_points, bundle.val, config.metric)
         curve.write_csv(exp_dir / "lmc_curve.csv")
         files.append("lmc_curve.csv")

@@ -99,7 +99,7 @@ class Store:
         return name
 
     def _file(self, checkpoint_id: str, name: str) -> str:
-        """A checkpoint's file as a string path, for the reads: no `Path` is built."""
+        """A checkpoint's file as a string path, with no `Path` built; ids become paths only here and in `_checked`."""
         return f"{self.root}/{self._checked(checkpoint_id)}/{name}"
 
     def exists(self, checkpoint_id: str) -> bool:

@@ -403,6 +403,15 @@ def test_budget_reads_no_weights(pipe, tmp_path):
     assert rc != 0 and "checksum mismatch" in err
 
 
+def test_eval_of_a_checkpoint_without_weights_is_a_one_line_error_naming_it(pipe, tmp_path):
+    root = tmp_path / "store"
+    shutil.copytree(pipe["store"], root)
+    victim = pipe["grid"][0]
+    (root / victim / "weights.bin").unlink()
+    rc, out, err = _run("--store", str(root), "eval", "--id", victim, "--data", "demo", "--metric", "accuracy")
+    assert (rc, out, err) == (1, "", f"error: checkpoint {victim} has no weights.bin in {root}\n")
+
+
 def test_budget_refuses_a_manifest_of_an_unknown_stage(pipe, tmp_path):
     root = tmp_path / "store"
     shutil.copytree(pipe["store"], root)

@@ -118,6 +118,35 @@ def test_config_refuses_a_value_of_the_wrong_type(edit, message):
         ExperimentConfig.from_dict(d)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["grid"].__setitem__("seeds", []), "grid: seeds must name at least one value"),
+    (lambda d: d["grid"].__setitem__("augments", []), "grid: augments must name at least one value"),
+    (lambda d: d["grid"].__setitem__("lrs", []), "grid: lrs must name at least one value"),
+    (lambda d: d["fgg"].__setitem__("lrs", []), "fgg: lrs must name at least one value"),
+    (lambda d: d["grid"].__setitem__("lrs", [0.01, 0.01]), "grid: lrs names 0.01 more than once"),
+    (lambda d: d["grid"].__setitem__("augments", ["heavy", "minimal", "heavy"]),
+     "grid: augments names heavy more than once"),
+    (lambda d: d["grid"].__setitem__("seeds", [1, 0, 1]), "grid: seeds names 1 more than once"),
+    (lambda d: d["fgg"].__setitem__("lrs", [0.01, 1e-2]), "fgg: lrs names 0.01 more than once"),
+    (lambda d: d["grid"]["lrs"].__setitem__(2, -0.01), "grid: lr must be positive and finite, got -0.01"),
+    (lambda d: d["fgg"]["lrs"].__setitem__(0, 0), "fgg: lr must be positive and finite, got 0.0"),
+    (lambda d: d["fgg"].__setitem__("n_collect", 0), "fgg: n_collect must be positive, got 0"),
+    (lambda d: d["fgg"].update(alpha1=1e-3, alpha2=1e-2), "fgg: alpha2 must not exceed alpha1, got 0.01 > 0.001"),
+    (lambda d: d["analysis"].__setitem__("lmc_points", 1), "analysis: need at least two interpolation points, got 1"),
+    (lambda d: d["analysis"].__setitem__("landscape_resolution", [5, 1]),
+     "analysis: resolution must be at least 2x2, got (5, 1)"),
+    (lambda d: d.__setitem__("soups", ["uniform", "gou", "uniform"]), "soups names uniform more than once"),
+], ids=["grid-no-seeds", "grid-no-augments", "grid-no-lrs", "fgg-no-lrs", "grid-lr-twice", "grid-augment-twice",
+        "grid-seed-twice", "fgg-lr-twice", "grid-negative-lr", "fgg-zero-lr", "no-collect", "alpha2-over-alpha1",
+        "one-lmc-point", "thin-landscape", "soup-twice"])
+def test_config_refuses_at_load_what_a_stage_would_refuse_after_training(edit, message):
+    d = default_experiment_config("demo", "rough", 0).to_dict()
+    edit(d)
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig.from_dict(d)
+    assert str(exc.value) == message
+
+
 def test_config_takes_an_integral_float_as_an_int():
     d = default_experiment_config("demo", "rough", 0).to_dict()
     d["grid"]["epochs"] = 2.0
@@ -377,6 +406,16 @@ def test_run_experiment_refuses_a_taken_name_before_training(tmp_path, monkeypat
     with pytest.raises(StoreError, match="different task spec"):
         run_experiment(cfg, store)
     assert store.list_checkpoints() == []
+
+
+def test_a_one_model_grid_with_analysis_writes_no_lmc_curve(tmp_path):
+    d = _tiny_config(soups=("greedy",)).to_dict()
+    d["grid"].update(lrs=[0.01])
+    d["fgg"] = None
+    summary = run_experiment(ExperimentConfig.from_dict(d), Store(tmp_path))
+    assert summary["files"] == ["report.csv", "budget.csv"] and summary["local_minima"] is None
+    assert sorted(p.name for p in (tmp_path / "experiments" / "tiny").iterdir()) == [
+        "budget.csv", "config.json", "report.csv", "summary.json"]
 
 
 def test_best_grid_breaks_ties_like_greedy_and_lmc(tmp_path, monkeypatch):

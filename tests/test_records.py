@@ -26,9 +26,13 @@ _cyclical = st.builds(lambda half, a, b: CyclicalSchedule(2 * half, max(a, b), m
                       st.integers(1, 2**40), _positive, _positive)
 _hyper = st.builds(HyperConfig, lr=_positive, seed=_ints, augment=_augments, epochs=_counts,
                    warmup_epochs=_counts, batch_size=st.integers(1, 2**40), weight_decay=_non_negative)
-_grid = st.builds(GridSection, st.lists(_finite).map(tuple), st.lists(_augments).map(tuple),
-                  st.lists(_ints).map(tuple), _ints)
-_fgg = st.builds(FggSection, st.lists(_finite).map(tuple), _ints, _ints, _finite, _finite, _ints, _augments, _ints)
+# Sections a config may hold: stage lists non-empty and without repeats, positive rates, alpha2 <= alpha1.
+_lrs = st.lists(_positive, min_size=1, unique=True).map(tuple)
+_grid = st.builds(GridSection, _lrs, st.lists(_augments, min_size=1, unique=True).map(tuple),
+                  st.lists(_ints, min_size=1, unique=True).map(tuple), _ints)
+_fgg = st.builds(lambda a, b, **kw: FggSection(alpha1=max(a, b), alpha2=min(a, b), **kw), _positive, _positive,
+                 lrs=_lrs, epochs=_ints, cycle_epochs=_ints, n_collect=st.integers(1, 2**40), augment=_augments,
+                 seed=_ints)
 
 
 @st.composite
@@ -42,7 +46,7 @@ def _experiment(draw):
         split_ratios=draw(st.tuples(_finite, _finite, _finite)), batch_size=draw(_ints),
         weight_decay=draw(_finite), pretrain_lr=draw(_finite), pretrain_epochs=draw(_ints),
         pretrain_seed=draw(_ints), warmup_lr=draw(_finite), warmup_epochs=draw(_ints), grid=grid, fgg=fgg,
-        soups=tuple(draw(st.lists(st.sampled_from(allowed), max_size=8))) if allowed else (),
+        soups=tuple(draw(st.lists(st.sampled_from(allowed), max_size=8, unique=True))) if allowed else (),
         analysis=draw(st.none() | _RECORDS[AnalysisSection]),
     )
 
@@ -62,7 +66,8 @@ _RECORDS = {
                                                                 schedule=st.just("cyclical"), cyclical=st.just(c))),
     GridSection: _grid,
     FggSection: _fgg,
-    AnalysisSection: st.builds(AnalysisSection, _ints, st.tuples(_ints, _ints), _finite),
+    AnalysisSection: st.builds(AnalysisSection, st.integers(2, 2**70), st.tuples(*[st.integers(2, 2**70)] * 2),
+                               _finite),
     ExperimentConfig: _experiment(),
     AuditEntry: st.builds(AuditEntry, _texts, _finite, st.booleans()),
 }

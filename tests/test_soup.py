@@ -231,6 +231,20 @@ def test_greedy_falls_back_to_evaluator_for_unscored():
     assert result.members == ["grid-a", "grid-b"]
 
 
+def test_greedy_scores_each_unscored_candidate_once():
+    cks = [_ck(f"grid-{i}", _const(float(i))) for i in range(4)]  # no recorded metrics
+    scored = []
+
+    def score(params):
+        scored.append(params.values.tobytes())
+        return float(params.values[0])
+
+    result = greedy_soup(cks, MetricKind.ACCURACY, evaluate_fn=score)
+    # one ranking score per candidate, then one trial per candidate after the seed
+    assert len(scored) == len(cks) + len(cks) - 1
+    assert result.audit[0] == AuditEntry("grid-3", 3.0, True)
+
+
 def test_greedy_soup_checks_the_val_split_once(split_checks):
     rng = np.random.default_rng(9)
     val = LabeledDataset(rng.normal(size=(40, 3)), rng.integers(0, 2, size=40), class_count=2,

@@ -6,6 +6,7 @@ import os
 import re
 import shutil
 import struct
+import subprocess
 import sys
 import tempfile
 import threading
@@ -377,6 +378,43 @@ def test_weights_that_do_not_fit_the_architecture_are_refused(tmp_path):
     with pytest.raises(StoreError, match=f"{ck.id}: {ARCH.param_count + 1} stored parameters "
                                          f"but architecture needs {ARCH.param_count}"):
         store.load_checkpoint(ck.id)
+
+
+def test_missing_weights_are_a_store_error_naming_the_checkpoint(tmp_path):
+    store = Store(tmp_path)
+    ck = _checkpoint()
+    store.save_checkpoint(ck)
+    (tmp_path / ck.id / "weights.bin").unlink()
+    with pytest.raises(StoreError) as exc:
+        store.load_checkpoint(ck.id)
+    assert str(exc.value) == f"checkpoint {ck.id} has no weights.bin in {tmp_path}"
+
+
+def test_a_fifo_in_place_of_the_weights_is_a_store_error_not_a_hang(tmp_path):
+    store = Store(tmp_path)
+    ck = _checkpoint()
+    store.save_checkpoint(ck)
+    (tmp_path / ck.id / "weights.bin").unlink()
+    os.mkfifo(tmp_path / ck.id / "weights.bin")
+    # In a child process: a load that opens the FIFO for reading blocks until killed.
+    code = ("import sys\nfrom soupkit.store import Store, StoreError\n"
+            "try:\n    Store(sys.argv[1]).load_checkpoint(sys.argv[2])\n"
+            "except StoreError as exc:\n    print(exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), ck.id],
+                          capture_output=True, text=True, env=env, timeout=60)
+    want = f"checkpoint {ck.id} has no weights.bin in {tmp_path}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+
+def test_a_collision_check_reads_a_fifo_manifest_as_debris(tmp_path):
+    store = Store(tmp_path)
+    ck = _checkpoint()
+    (tmp_path / ck.id).mkdir()
+    os.mkfifo(tmp_path / ck.id / "manifest.json")
+    assert _soon(lambda: store.save_checkpoint(ck)) == ck.id
+    assert store.load_checkpoint(ck.id).params.values.tobytes() == ck.params.values.tobytes()
 
 
 def test_a_manifest_that_points_at_another_checkpoints_weights_is_refused(tmp_path):
