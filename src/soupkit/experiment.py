@@ -399,6 +399,7 @@ def run_experiment(config: ExperimentConfig, store: Store) -> dict:
     ranked = recipe.ranked_grid(config.metric)
     best = [("best_grid", ranked[0])] if ranked else []
     report = ood_report([*best, *recipe.soups], bundle.test, [bundle.ood], config.metric, config.arch)
+    exp_dir.mkdir(parents=True, exist_ok=True)
     report.write_csv(exp_dir / "report.csv")
     budget = compute_budget(checkpoints)
     budget.write_csv(exp_dir / "budget.csv")

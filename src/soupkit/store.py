@@ -87,8 +87,7 @@ class Store:
     root: Path
 
     def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.root = Path(root)  # created by the first save: a store no save has written to reads as empty
 
     # -- checkpoints ------------------------------------------------------
 
@@ -176,8 +175,12 @@ class Store:
         )
 
     def _names(self, prefix: str = "") -> list[str]:
-        with os.scandir(self.root) as entries:
-            return sorted(e.name for e in entries if e.name.startswith(prefix) and _plain_name(e.name, _RESERVED_DIRS))
+        try:
+            with os.scandir(self.root) as entries:
+                return sorted(e.name for e in entries
+                              if e.name.startswith(prefix) and _plain_name(e.name, _RESERVED_DIRS))
+        except FileNotFoundError:  # no save has made the root yet
+            return []
 
     def list_checkpoints(self) -> list[str]:
         # A regular manifest.json implies a directory; DirEntry.is_dir raises on a symlink loop.
@@ -220,32 +223,28 @@ class Store:
     def dataset_dir(self, name: str) -> Path:
         return self.root / "datasets" / self._checked(name, "dataset name", ())
 
-    def save_task_bundle(self, name: str, bundle: TaskBundle, spec: TaskSpec | None = None) -> Path:
-        """Write the splits and spec; a name taken by a different spec is refused."""
+    def save_task_bundle(self, name: str, bundle: TaskBundle, spec: TaskSpec) -> Path:
+        """Write the splits, then `task.json`, the dataset's record; a name taken by a different spec is refused."""
         d = self.dataset_dir(name)
-        spec_path = d / "task.json"
-        stored = _read_regular(str(spec_path)) if spec is not None else None
+        stored = _read_regular(f"{d}/task.json")
         if stored is not None and TaskSpec.from_dict(json.loads(stored)) != spec:
             raise StoreError(f"dataset {name!r} already exists with a different task spec")
         d.mkdir(parents=True, exist_ok=True)
         for role, ds in bundle.splits().items():
             save_csv(ds, d / f"{role}.csv")
-        if spec is not None:
-            _atomic_write(spec_path, json.dumps(spec.to_dict(), indent=2, sort_keys=True).encode("ascii"))
+        _atomic_write(d / "task.json", json.dumps(spec.to_dict(), indent=2, sort_keys=True).encode("ascii"))
         return d
 
     def load_dataset(self, name: str, role: str) -> LabeledDataset:
+        """A split of a saved dataset; splits without a `task.json` are debris of a crashed save and read as absent."""
         d = self.dataset_dir(name)
-        if not (d / f"{role}.csv").is_file():
+        if (raw := _read_regular(f"{d}/task.json")) is None or not (d / f"{role}.csv").is_file():
             raise StoreError(f"no {role} split for dataset {name!r} in {self.root}")
-        raw = _read_regular(f"{d}/task.json")
-        spec = None if raw is None else TaskSpec.from_dict(json.loads(raw))
-        return load_csv(d / f"{role}.csv", "label", role=role, task_id=name if spec is None else spec.task_id,
-                        class_count=None if spec is None else spec.class_count)
+        spec = TaskSpec.from_dict(json.loads(raw))
+        return load_csv(d / f"{role}.csv", "label", role=role, task_id=spec.task_id, class_count=spec.class_count)
 
     # -- experiments ------------------------------------------------------
 
     def experiment_dir(self, name: str) -> Path:
-        d = self.root / "experiments" / self._checked(name, "experiment name", ())
-        d.mkdir(parents=True, exist_ok=True)
-        return d
+        """The experiment's directory path; `run_experiment` creates it with its first write."""
+        return self.root / "experiments" / self._checked(name, "experiment name", ())

@@ -599,7 +599,20 @@ def test_gen_data_under_a_name_outside_the_store_is_a_one_line_error(tmp_path):
         rc, out, err = _run("--store", str(tmp_path / "outer" / "store"), "gen-data", "--name", name)
         assert rc == 1 and out == ""
         assert err == f"error: invalid dataset name {name!r}\n"
-    assert [p.name for p in tmp_path.rglob("*")] == ["outer", "store"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("budget",), (0, '{"command": "budget", "fgg_total": 0.0, "grid_total": 0.0, "ratio": null, '
+                      '"stage_epochs": {}}\n', "")),
+    (("eval", "--id", "grid-x", "--data", "d", "--split", "val", "--metric", "accuracy"),
+     (1, "", "error: no checkpoint grid-x in {root}\n")),
+])
+def test_a_read_only_command_on_a_missing_store_creates_nothing(tmp_path, argv, want):
+    root = tmp_path / "absent" / "store"
+    rc, out, err = _run("--store", str(root), *argv)
+    assert (rc, out, err) == (want[0], want[1], want[2].format(root=root))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_data_refuses_a_different_spec_under_a_taken_name(tmp_path):

@@ -408,6 +408,15 @@ def test_run_experiment_refuses_a_taken_name_before_training(tmp_path, monkeypat
     assert store.list_checkpoints() == []
 
 
+def test_a_refused_run_experiment_leaves_no_experiment_directory(tmp_path):
+    cfg, other = _tiny_config(), _tiny_config(seed=2)
+    store = Store(tmp_path)
+    store.save_task_bundle(cfg.name, gen_task(other.task, other.split_ratios), other.task)
+    with pytest.raises(StoreError, match="different task spec"):
+        run_experiment(cfg, store)
+    assert [p.name for p in tmp_path.iterdir()] == ["datasets"]
+
+
 def test_a_one_model_grid_with_analysis_writes_no_lmc_curve(tmp_path):
     d = _tiny_config(soups=("greedy",)).to_dict()
     d["grid"].update(lrs=[0.01])

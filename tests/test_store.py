@@ -153,6 +153,7 @@ def test_a_symlinked_checkpoint_directory_is_listed_and_loads(tmp_path):
     ck = _checkpoint()
     elsewhere.save_checkpoint(ck)
     store = Store(tmp_path / "store")
+    store.root.mkdir()
     (store.root / ck.id).symlink_to(elsewhere.root / ck.id)
     assert store.list_checkpoints() == [ck.id]
     assert store.load_checkpoint(ck.id).params.values.tobytes() == ck.params.values.tobytes()
@@ -619,6 +620,27 @@ def test_load_dataset_missing_split(tmp_path):
         Store(tmp_path).load_dataset("nope", "train")
 
 
+def test_a_store_no_save_has_written_to_reads_as_empty_and_is_not_created(tmp_path):
+    store = Store(tmp_path / "absent" / "store")
+    assert store.list_checkpoints() == [] and list(store.manifests()) == []
+    with pytest.raises(StoreError, match=re.escape(f"no checkpoint grid-x in {store.root}")):
+        store.load_checkpoint("grid-x")
+    with pytest.raises(StoreError, match="no val split"):
+        store.load_dataset("x", "val")
+    assert store.experiment_dir("e") == store.root / "experiments" / "e"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_dataset_without_its_task_json_reads_as_absent(tmp_path):
+    spec = TaskSpec(kind="rough", seed=0, dims=4, class_count=3, n_samples=120)
+    store = Store(tmp_path)
+    store.save_task_bundle("x", gen_task(spec), spec)
+    assert store.load_dataset("x", "val").task_id == spec.task_id
+    (store.dataset_dir("x") / "task.json").unlink()
+    with pytest.raises(StoreError, match=re.escape(f"no val split for dataset 'x' in {tmp_path}")):
+        store.load_dataset("x", "val")
+
+
 def test_dataset_and_experiment_names_stay_inside_the_store(tmp_path):
     store = Store(tmp_path / "store")
     spec = TaskSpec(kind="rough", seed=0, dims=4, class_count=3, n_samples=120)
@@ -629,8 +651,7 @@ def test_dataset_and_experiment_names_stay_inside_the_store(tmp_path):
             store.save_task_bundle(bad, gen_task(spec), spec)
         with pytest.raises(StoreError, match=re.escape(f"invalid experiment name {bad!r}")):
             store.experiment_dir(bad)
-    assert [p.name for p in tmp_path.iterdir()] == ["store"]
-    assert list((tmp_path / "store").iterdir()) == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_task_bundle_refuses_a_different_spec_under_a_taken_name(tmp_path):
