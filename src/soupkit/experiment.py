@@ -33,7 +33,7 @@ from .analysis import (
     ood_report,
     plane_basis,
 )
-from .data import AugmentLevel, LabeledDataset, TaskBundle, TaskKind, TaskSpec, _atomic_write, gen_task
+from .data import AugmentLevel, LabeledDataset, TaskBundle, TaskKind, TaskSpec, _atomic_write, _split_sizes, gen_task
 from .nn import ArchSpec, MetricKind, _Record, _evaluator, _scores
 from .optim import CyclicalSchedule
 from .pipeline import (
@@ -49,7 +49,7 @@ from .pipeline import (
     steps_per_epoch,
 )
 from .soup import LineageError, SoupMethod, SoupResult, _flat_soup, hierarchical_soup
-from .store import Store, _plain_name
+from .store import Store, StoreError, _plain_name, _read_regular
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -186,6 +186,15 @@ class ExperimentConfig(_Record):
                 raise ValueError(f"soup {s!r} requested but no {SOUPS[s][0]} section configured")
         if (repeated := _repeated(self.soups)) is not None:
             raise ValueError(f"soups names {repeated} more than once")
+        try:
+            n_train = _split_sizes(self.task.n_samples, self.split_ratios)[0]
+        except ValueError as exc:
+            raise ValueError(f"split_ratios: {exc}") from None
+        if self.fgg and self.batch_size >= 1:  # the fission stage's cycle check (pretraining refuses a batch < 1)
+            try:
+                cycle_schedule(self.fgg.cycle_epochs, n_train, self.batch_size, self.fgg.alpha1, self.fgg.alpha2)
+            except ValueError as exc:
+                raise ValueError(f"fgg: {exc}") from None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -385,6 +394,9 @@ def run_experiment(config: ExperimentConfig, store: Store) -> dict:
     to re-run: existing identical checkpoints are verified, not rewritten.
     """
     exp_dir = store.experiment_dir(config.name)
+    record = json.dumps(config.to_dict(), indent=2, sort_keys=True).encode("ascii")
+    if _read_regular(f"{exp_dir}/config.json") not in (None, record):  # a name is bound to its first config
+        raise StoreError(f"experiment {config.name!r} already exists with a different config")
     bundle = gen_task(config.task, config.split_ratios)
     store.save_task_bundle(config.name, bundle, config.task)  # a taken name fails before training
 
@@ -419,7 +431,7 @@ def run_experiment(config: ExperimentConfig, store: Store) -> dict:
             files.append("landscape.csv")
             local_minima = count_local_minima(surface)
 
-    _atomic_write(exp_dir / "config.json", json.dumps(config.to_dict(), indent=2, sort_keys=True).encode("ascii"))
+    _atomic_write(exp_dir / "config.json", record)
     summary = {
         "name": config.name,
         "metric": metric_key,

@@ -19,7 +19,7 @@ import pytest
 import soupkit
 from soupkit.analysis import _stage_budget, compute_budget
 from soupkit.cli import cli_dispatch
-from soupkit.experiment import SOUPS, build_soups
+from soupkit.experiment import SOUPS, build_soups, default_experiment_config
 from soupkit.store import Store
 
 
@@ -478,6 +478,20 @@ def test_run_experiment_refuses_a_bad_config_in_one_line(tmp_path, config, probl
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and problem in err and err.count("\n") == 1
     assert not (tmp_path / "store" / "datasets").exists()
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda d: (d["task"].update(n_samples=240), d["fgg"].update(cycle_epochs=1)),
+     "fgg: cycle length must be a positive even integer, got 7"),
+    (lambda d: d.update(split_ratios=[0.9, 0.1, 0.1]), "split_ratios: ratios must sum to 1, got 1.1"),
+], ids=["odd-cycle", "ratios-over-one"])
+def test_run_experiment_refuses_an_odd_cycle_or_bad_ratios_before_writing(tmp_path, edit, problem):
+    d = default_experiment_config("e", "rough", 0).to_dict()
+    edit(d)
+    (tmp_path / "exp.json").write_text(json.dumps(d))
+    rc, out, err = _run("--store", str(tmp_path / "store"), "run-experiment", str(tmp_path / "exp.json"))
+    assert (rc, out, err) == (1, "", f"error: {problem}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
 
 @pytest.mark.parametrize("edit, problem", [

@@ -147,6 +147,22 @@ def test_config_refuses_at_load_what_a_stage_would_refuse_after_training(edit, m
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: (d["task"].update(n_samples=240), d["fgg"].update(cycle_epochs=1)),
+     "fgg: cycle length must be a positive even integer, got 7"),
+    (lambda d: d.update(split_ratios=[0.9, 0.1, 0.1]), "split_ratios: ratios must sum to 1, got 1.1"),
+    (lambda d: d.update(split_ratios=[1.0, 0.0, 0.0]), "split_ratios: need three positive ratios, got (1.0, 0.0, 0.0)"),
+    (lambda d: (d["task"].update(n_samples=40), d.update(split_ratios=[0.96, 0.02, 0.02])),
+     "split_ratios: split of 40 rows by (0.96, 0.02, 0.02) leaves an empty part"),
+], ids=["odd-cycle", "ratios-over-one", "zero-ratio", "empty-val"])
+def test_config_refuses_at_load_a_cycle_or_split_that_needs_the_split_sizes(edit, message):
+    d = default_experiment_config("demo", "rough", 0).to_dict()
+    edit(d)
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig.from_dict(d)
+    assert str(exc.value) == message
+
+
 def test_config_takes_an_integral_float_as_an_int():
     d = default_experiment_config("demo", "rough", 0).to_dict()
     d["grid"]["epochs"] = 2.0
@@ -415,6 +431,25 @@ def test_a_refused_run_experiment_leaves_no_experiment_directory(tmp_path):
     with pytest.raises(StoreError, match="different task spec"):
         run_experiment(cfg, store)
     assert [p.name for p in tmp_path.iterdir()] == ["datasets"]
+
+
+def test_an_experiment_name_is_bound_to_its_config(tmp_path, monkeypatch):
+    cfg = _tiny_config(soups=("uniform",))
+    store = Store(tmp_path)
+    run_experiment(cfg, store)
+    exp = store.experiment_dir(cfg.name)
+    before = {p.name: p.read_bytes() for p in exp.iterdir()}
+    d = cfg.to_dict()
+    d["grid"].update(lrs=[0.01, 0.003])
+
+    def no_task(*args, **kwargs):
+        raise AssertionError("made a task under a name bound to another config")
+
+    monkeypatch.setattr(experiment, "gen_task", no_task)
+    with pytest.raises(StoreError) as exc:
+        run_experiment(ExperimentConfig.from_dict(d), store)
+    assert str(exc.value) == "experiment 'tiny' already exists with a different config"
+    assert {p.name: p.read_bytes() for p in exp.iterdir()} == before
 
 
 def test_a_one_model_grid_with_analysis_writes_no_lmc_curve(tmp_path):

@@ -2,6 +2,7 @@
 also through JSON text, for random records of every `_Record` type."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -37,13 +38,19 @@ _fgg = st.builds(lambda a, b, **kw: FggSection(alpha1=max(a, b), alpha2=min(a, b
 
 @st.composite
 def _experiment(draw):
+    """A config that loads: also valid split ratios over at least 20 rows, a positive batch size, and an even
+    number of fgg cycle epochs, so that the cycle is an even number of steps."""
     grid, fgg = draw(st.none() | _grid), draw(st.none() | _fgg)
+    if fgg is not None:
+        fgg = replace(fgg, cycle_epochs=2 * draw(st.integers(1, 2**40)))
+    val, test = draw(st.floats(0.05, 0.45)), draw(st.floats(0.05, 0.45))
     sections = {"grid": grid, "fgg": fgg}
     allowed = [s for s, (section, _) in SOUPS.items() if sections[section] is not None]
     return ExperimentConfig(
         name=draw(st.text(min_size=1, max_size=12).filter(lambda s: "/" not in s and not s.startswith("."))),
-        metric=draw(st.sampled_from(MetricKind)), arch=draw(_RECORDS[ArchSpec]), task=draw(_RECORDS[TaskSpec]),
-        split_ratios=draw(st.tuples(_finite, _finite, _finite)), batch_size=draw(_ints),
+        metric=draw(st.sampled_from(MetricKind)), arch=draw(_RECORDS[ArchSpec]),
+        task=replace(draw(_RECORDS[TaskSpec]), n_samples=draw(st.integers(20, 2**40))),
+        split_ratios=(1.0 - val - test, val, test), batch_size=draw(st.integers(1, 2**40)),
         weight_decay=draw(_finite), pretrain_lr=draw(_finite), pretrain_epochs=draw(_ints),
         pretrain_seed=draw(_ints), warmup_lr=draw(_finite), warmup_epochs=draw(_ints), grid=grid, fgg=fgg,
         soups=tuple(draw(st.lists(st.sampled_from(allowed), max_size=8, unique=True))) if allowed else (),
@@ -99,7 +106,7 @@ def test_a_record_survives_its_codec(kind, data):
 @pytest.mark.parametrize("sections", [(), ("grid",), ("fgg",), ("grid", "fgg", "analysis")])
 def test_an_experiment_config_survives_its_codec_with_and_without_sections(sections):
     record = ExperimentConfig(
-        name="x", metric=MetricKind.ACCURACY, arch=ArchSpec((2, 2)), task=TaskSpec(TaskKind.ROUGH, 0, 2, 2, 10),
+        name="x", metric=MetricKind.ACCURACY, arch=ArchSpec((2, 2)), task=TaskSpec(TaskKind.ROUGH, 0, 2, 2, 40),
         grid=GridSection((0.01,), (AugmentLevel.HEAVY,), (0,), 1) if "grid" in sections else None,
         fgg=FggSection((0.01,), 1, 2, 0.1, 0.001, 3) if "fgg" in sections else None,
         analysis=AnalysisSection() if "analysis" in sections else None)
