@@ -392,10 +392,11 @@ def run_experiment(config: ExperimentConfig, store: Store) -> dict:
 
     Returns a summary dict (also written to the experiment directory). Safe
     to re-run: existing identical checkpoints are verified, not rewritten.
+    A name whose stored `config.json` holds another config is refused.
     """
     exp_dir = store.experiment_dir(config.name)
     record = json.dumps(config.to_dict(), indent=2, sort_keys=True).encode("ascii")
-    if _read_regular(f"{exp_dir}/config.json") not in (None, record):  # a name is bound to its first config
+    if _read_regular(f"{exp_dir}/config.json") not in (None, record):
         raise StoreError(f"experiment {config.name!r} already exists with a different config")
     bundle = gen_task(config.task, config.split_ratios)
     store.save_task_bundle(config.name, bundle, config.task)  # a taken name fails before training
