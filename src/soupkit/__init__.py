@@ -26,7 +26,6 @@ from .data import (
     gen_task,
     load_csv,
     save_csv,
-    split,
 )
 from .experiment import ExperimentConfig, default_experiment_config, method_comparison, run_experiment
 from .nn import (

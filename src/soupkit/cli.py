@@ -71,7 +71,7 @@ def _stage_inputs(args, start: str):
 
 
 def _saved(store: Store, checkpoints) -> list[str]:
-    return [store.save_checkpoint(ck, exist_ok=True) for ck in checkpoints]
+    return [store.save_checkpoint(ck) for ck in checkpoints]
 
 
 def _written(args, table, summary: dict) -> dict:
@@ -151,7 +151,7 @@ def cmd_soup(args) -> dict:
         snapshots.sort(key=lambda f: f.lineage.cycle_index or 0)
         grid, groups = [], [(b, [f for f in snapshots if f.lineage.base_id == b.id]) for b in loaded]
     soup = build_soups([args.method], args.metric, loaded[0].arch, val, grid, groups)[0][1]
-    store.save_soup(soup, loaded[0].arch, args.metric, exist_ok=True)
+    store.save_soup(soup, loaded[0].arch, args.metric)
     return {"command": "soup", "id": soup.id, "method": args.method,
             "members": soup.members, "val_score": soup.val_score}
 

@@ -226,20 +226,6 @@ def gen_task(spec: TaskSpec, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1
     return TaskBundle(**sets)
 
 
-def split(dataset: LabeledDataset, ratios: tuple[float, float, float], seed: int) -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
-    """Disjoint, exhaustive train/val/test partition by seeded shuffle."""
-    n_train, n_val, n_test = _split_sizes(dataset.n, ratios)
-    perm = np.random.default_rng(np.random.SeedSequence([0x5B11, int(seed)])).permutation(dataset.n)
-    out = []
-    bounds = [(0, n_train, "train"), (n_train, n_train + n_val, "val"), (n_train + n_val, dataset.n, "test")]
-    for lo, hi, role in bounds:
-        idx = perm[lo:hi]
-        out.append(
-            LabeledDataset(dataset.features[idx], dataset.labels[idx], dataset.class_count, role, dataset.task_id)
-        )
-    return out[0], out[1], out[2]
-
-
 def augment(batch: Batch, level: AugmentLevel | str, rng: np.random.Generator,
             sigma: float | None = None, dropout_p: float | None = None) -> Batch:
     """Feature-space augmentation; labels pass through untouched. The
@@ -332,51 +318,36 @@ def _write_csv_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
     _atomic_write(Path(path), buf.getvalue().encode("utf-8"))
 
 
-def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
-    """Feature columns then the label column; floats as shortest round-trip
-    repr. The bytes are those of `csv.writer`: no cell needs quoting."""
+def _csv_bytes(dataset: LabeledDataset) -> bytes:
+    """What `save_csv` writes: feature columns then the label column, under a header row; floats as shortest
+    round-trip repr. The bytes are those of `csv.writer`: no cell needs quoting."""
     lines = [",".join([f"f{i}" for i in range(dataset.dims)] + ["label"])]
     lines += [",".join(map(repr, row)) + f",{label}"
               for row, label in zip(dataset.features.tolist(), dataset.labels.tolist())]
     lines.append("")
-    _atomic_write(Path(path), "\r\n".join(lines).encode("ascii"))
+    return "\r\n".join(lines).encode("ascii")
 
 
-def load_csv(path: str | Path, label_column: int | str = "label",
-             role: str = "train", task_id: str | None = None,
-             class_count: int | None = None) -> LabeledDataset:
-    """Read a dataset; header row auto-detected, label column by name or index."""
-    path = Path(path)
-    with path.open(newline="") as fh:
+def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
+    _atomic_write(Path(path), _csv_bytes(dataset))
+
+
+def load_csv(path: str | Path, role: str, task_id: str, class_count: int) -> LabeledDataset:
+    """Read what `save_csv` writes: a header row with a `label` column, then numeric rows."""
+    with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header: list[str] | None = None
-    try:  # a first row with a cell that float() refuses is the header
-        np.array(rows[0], dtype=np.float64)
-    except ValueError:
-        header = rows[0]
-        rows = rows[1:]
-        if not rows:
-            raise ValueError(f"{path}: header but no data rows")
-    if isinstance(label_column, str):
-        if header is None:
-            raise ValueError(f"{path}: label column {label_column!r} needs a header row")
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise ValueError(f"{path}: no column named {label_column!r} in header {header}") from None
-    else:
-        label_idx = label_column
-    width = len(rows[0])
-    if not -width <= label_idx < width:
-        raise ValueError(f"{path}: label column {label_idx} out of range for {width} columns")
-    label_idx %= width
+    if len(rows) < 2:
+        raise ValueError(f"{path}: {'header but no data rows' if rows else 'empty file'}")
+    header, rows = rows[0], rows[1:]
+    if "label" not in header:
+        raise ValueError(f"{path}: no column named 'label' in header {header}")
+    label_idx, width = header.index("label"), len(header)
     try:  # one conversion, which applies float() to each cell in C
         values = np.array(rows, dtype=np.float64)
         labels = values[:, label_idx]
-        whole = np.all((labels == np.trunc(labels)) & (labels >= -2.0**63) & (labels < 2.0**63))
-    except ValueError:  # a ragged row or a non-numeric cell
+        whole = values.shape[1] == width and np.all(
+            (labels == np.trunc(labels)) & (labels >= -2.0**63) & (labels < 2.0**63))
+    except (ValueError, IndexError):  # a ragged row, a non-numeric cell, or rows narrower than the header
         whole = False
     if not whole:  # walk the cells to raise the first bad one's error
         for i, row in enumerate(rows):
@@ -390,10 +361,4 @@ def load_csv(path: str | Path, label_column: int | str = "label",
                 if j == label_idx and value != np.int64(int(value)):  # raises on nan, inf or int64 overflow
                     raise ValueError(f"{path}: row {i + 1}, column {j + 1}: non-integer label {cell!r}")
     feats, labels = np.delete(values, label_idx, axis=1), labels.astype(np.int64)
-    inferred = int(labels.max()) + 1 if labels.size else 0
-    return LabeledDataset(
-        feats, labels,
-        class_count=class_count if class_count is not None else max(inferred, 2),
-        role=role,
-        task_id=task_id if task_id is not None else path.stem,
-    )
+    return LabeledDataset(feats, labels, class_count=class_count, role=role, task_id=task_id)

@@ -404,10 +404,10 @@ def run_experiment(config: ExperimentConfig, store: Store) -> dict:
     recipe = run_recipe(config, bundle)
     checkpoints = recipe.checkpoints
     for ck in checkpoints:
-        store.save_checkpoint(ck, exist_ok=True)
+        store.save_checkpoint(ck)
     metric_key = config.metric.value
     for _, soup in recipe.soups:
-        store.save_soup(soup, config.arch, metric_key, exist_ok=True)
+        store.save_soup(soup, config.arch, metric_key)
 
     ranked = recipe.ranked_grid(config.metric)
     best = [("best_grid", ranked[0])] if ranked else []

@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .data import LabeledDataset, TaskBundle, TaskSpec, _atomic_write, load_csv, save_csv
+from .data import LabeledDataset, TaskBundle, TaskSpec, _atomic_write, _csv_bytes, load_csv, save_csv
 from .nn import ArchSpec, ParamVector
 from .pipeline import Checkpoint, HyperConfig, Lineage
 from .soup import SoupResult
@@ -104,11 +104,11 @@ class Store:
     def exists(self, checkpoint_id: str) -> bool:
         return os.path.isfile(self._file(checkpoint_id, "manifest.json"))
 
-    def save_checkpoint(self, ck: Checkpoint, exist_ok: bool = False) -> str:
+    def save_checkpoint(self, ck: Checkpoint) -> str:
         """Write weights first, then the manifest atomically.
 
-        A colliding id raises unless exist_ok is set and the stored weights
-        are byte-identical to the ones being saved.
+        A taken id whose stored weights are byte-identical writes nothing;
+        other weights under it are refused.
         """
         d = self.root / self._checked(ck.id)
         raw = encode_weights(ck.params.values)
@@ -117,7 +117,7 @@ class Store:
             d.mkdir(parents=True)
         except FileExistsError:
             if (stored := _read_regular(f"{d}/manifest.json")) is not None:
-                if not exist_ok or json.loads(stored).get("weights_checksum") != digest:
+                if json.loads(stored).get("weights_checksum") != digest:
                     raise StoreError(f"checkpoint id {ck.id} already exists") from None
                 return ck.id
             # A directory without a manifest is debris of a crashed save or the
@@ -193,8 +193,7 @@ class Store:
             if (raw := _read_regular(f"{self.root}/{name}/manifest.json")) is not None:
                 yield name, _schema_checked(raw)
 
-    def save_soup(self, soup: SoupResult, arch: ArchSpec, metric: str,
-                  exist_ok: bool = False) -> str:
+    def save_soup(self, soup: SoupResult, arch: ArchSpec, metric: str) -> str:
         """Persist a soup as a stage=soup checkpoint plus an audit sidecar. The id does not name
         the metric: a second record whose audit differs is refused, an identical one writes nothing."""
         audit = json.dumps(soup.audit_dict(), indent=2, sort_keys=True).encode("ascii")
@@ -208,7 +207,7 @@ class Store:
             val_metrics={} if soup.val_score is None else {metric: soup.val_score},
             epochs_consumed=0.0,
         )
-        self.save_checkpoint(ck, exist_ok=exist_ok)
+        self.save_checkpoint(ck)
         if stored is None:
             _atomic_write(Path(self._file(soup.id, "audit.json")), audit)
         return soup.id
@@ -224,15 +223,22 @@ class Store:
         return self.root / "datasets" / self._checked(name, "dataset name", ())
 
     def save_task_bundle(self, name: str, bundle: TaskBundle, spec: TaskSpec) -> Path:
-        """Write the splits, then `task.json`, the dataset's record; a name taken by a different spec is refused."""
+        """Write the splits, then `task.json`, the dataset's record. A taken name is verified before
+        anything is written: another spec or split is refused, and only a missing split is written again."""
         d = self.dataset_dir(name)
-        stored = _read_regular(f"{d}/task.json")
-        if stored is not None and TaskSpec.from_dict(json.loads(stored)) != spec:
-            raise StoreError(f"dataset {name!r} already exists with a different task spec")
+        splits = bundle.splits()
+        if (stored := _read_regular(f"{d}/task.json")) is not None:
+            if TaskSpec.from_dict(json.loads(stored)) != spec:
+                raise StoreError(f"dataset {name!r} already exists with a different task spec")
+            on_disk = {role: _read_regular(f"{d}/{role}.csv") for role in splits}
+            if any(raw not in (None, _csv_bytes(splits[role])) for role, raw in on_disk.items()):
+                raise StoreError(f"dataset {name!r} already exists with different splits")
+            splits = {role: ds for role, ds in splits.items() if on_disk[role] is None}
         d.mkdir(parents=True, exist_ok=True)
-        for role, ds in bundle.splits().items():
+        for role, ds in splits.items():
             save_csv(ds, d / f"{role}.csv")
-        _atomic_write(d / "task.json", json.dumps(spec.to_dict(), indent=2, sort_keys=True).encode("ascii"))
+        if stored is None:
+            _atomic_write(d / "task.json", json.dumps(spec.to_dict(), indent=2, sort_keys=True).encode("ascii"))
         return d
 
     def load_dataset(self, name: str, role: str) -> LabeledDataset:
@@ -241,7 +247,7 @@ class Store:
         if (raw := _read_regular(f"{d}/task.json")) is None or not (d / f"{role}.csv").is_file():
             raise StoreError(f"no {role} split for dataset {name!r} in {self.root}")
         spec = TaskSpec.from_dict(json.loads(raw))
-        return load_csv(d / f"{role}.csv", "label", role=role, task_id=spec.task_id, class_count=spec.class_count)
+        return load_csv(d / f"{role}.csv", role, spec.task_id, spec.class_count)
 
     # -- experiments ------------------------------------------------------
 

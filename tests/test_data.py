@@ -1,4 +1,4 @@
-"""Task generator, augmentation, split, and CSV round-trip tests."""
+"""Task generator, augmentation, and CSV round-trip tests."""
 
 import tempfile
 from pathlib import Path
@@ -21,7 +21,6 @@ from soupkit.data import (
     gen_task,
     load_csv,
     save_csv,
-    split,
 )
 from soupkit.nn import Batch
 
@@ -172,28 +171,6 @@ def test_gen_task_rejects_degenerate():
 
 
 # ---------------------------------------------------------------------------
-# split()
-
-def test_split_partition_is_disjoint_and_exhaustive():
-    bundle = gen_task(_spec())
-    tr, va, te = split(bundle.source, (0.6, 0.2, 0.2), seed=0)
-    assert tr.n + va.n + te.n == bundle.source.n
-    stacked = np.vstack([tr.features, va.features, te.features])
-    # same multiset of rows as the input
-    assert sorted(map(tuple, stacked)) == sorted(map(tuple, bundle.source.features))
-    assert (tr.role, va.role, te.role) == ("train", "val", "test")
-
-
-def test_split_deterministic_in_seed():
-    bundle = gen_task(_spec())
-    a = split(bundle.source, (0.6, 0.2, 0.2), seed=4)[0]
-    b = split(bundle.source, (0.6, 0.2, 0.2), seed=4)[0]
-    c = split(bundle.source, (0.6, 0.2, 0.2), seed=5)[0]
-    assert np.array_equal(a.features, b.features)
-    assert not np.array_equal(a.features, c.features)
-
-
-# ---------------------------------------------------------------------------
 # augment
 
 def _batch(n=200, d=6, seed=0):
@@ -318,49 +295,35 @@ def test_csv_roundtrip_bitwise(tmp_path):
     assert back.class_count == 3
 
 
-def test_load_csv_headerless_with_index_column(tmp_path):
-    path = tmp_path / "plain.csv"
-    path.write_text("1.5,2.5,0\n-0.25,0.75,1\n")
-    ds = load_csv(path, label_column=2)
-    assert ds.n == 2
-    assert ds.class_count == 2
-    np.testing.assert_array_equal(ds.labels, [0, 1])
-    np.testing.assert_array_equal(ds.features, [[1.5, 2.5], [-0.25, 0.75]])
-    assert ds.task_id == "plain"
-
-
-def test_load_csv_label_column_by_name_needs_header(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("1.0,0\n2.0,1\n")
-    with pytest.raises(ValueError, match="header"):
-        load_csv(path, label_column="label")
+# What `Store.load_dataset` passes along with the path.
+_ARGS = dict(role="train", task_id="t", class_count=5)
 
 
 def test_load_csv_diagnostics(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("f0,label\n1.0,0\n2.0\n")
     with pytest.raises(ValueError, match="row 2"):
-        load_csv(ragged)
+        load_csv(ragged, **_ARGS)
 
     bad_cell = tmp_path / "bad.csv"
     bad_cell.write_text("f0,label\n1.0,0\nxyz,1\n")
     with pytest.raises(ValueError, match="non-numeric"):
-        load_csv(bad_cell)
+        load_csv(bad_cell, **_ARGS)
 
     frac_label = tmp_path / "frac.csv"
     frac_label.write_text("f0,label\n1.0,0.5\n")
     with pytest.raises(ValueError, match="non-integer label"):
-        load_csv(frac_label)
+        load_csv(frac_label, **_ARGS)
 
     missing = tmp_path / "missing.csv"
     missing.write_text("f0,f1\n1.0,2.0\n")
     with pytest.raises(ValueError, match="no column named"):
-        load_csv(missing, label_column="label")
+        load_csv(missing, **_ARGS)
 
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
-        load_csv(empty)
+        load_csv(empty, **_ARGS)
 
 
 def test_labeled_dataset_validation():
@@ -395,7 +358,7 @@ def test_save_csv_bytes_match_csv_writer(tmp_path):
         save_csv(ds, tmp_path / f"{name}.csv")
         _csv_writer_save(ds, tmp_path / f"{name}.ref.csv")
         assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}.ref.csv").read_bytes()
-    back = load_csv(tmp_path / "odd.csv", class_count=12)
+    back = load_csv(tmp_path / "odd.csv", "train", "t", 12)
     assert np.array_equal(back.features, feats)
     assert np.signbit(back.features[0, 0])
 
@@ -415,41 +378,23 @@ def test_save_csv_failing_mid_write_keeps_previous_file(tmp_path, full_disk):
 # ---------------------------------------------------------------------------
 # One-shot CSV parsing against the per-cell reference
 
-def _per_cell_load_csv(path, label_column="label", role="train", task_id=None, class_count=None):
+def _per_cell_load_csv(path, role, task_id, class_count):
     """`load_csv` as it was, `float()` on one cell at a time: the parsing reference."""
     import csv
-
-    def is_number(cell):
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
 
     path = Path(path)
     with path.open(newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
     if not rows:
         raise ValueError(f"{path}: empty file")
-    header = None
-    if any(not is_number(cell) for cell in rows[0]):
-        header = rows[0]
-        rows = rows[1:]
-        if not rows:
-            raise ValueError(f"{path}: header but no data rows")
-    if isinstance(label_column, str):
-        if header is None:
-            raise ValueError(f"{path}: label column {label_column!r} needs a header row")
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise ValueError(f"{path}: no column named {label_column!r} in header {header}") from None
-    else:
-        label_idx = label_column
-    width = len(rows[0])
-    if not -width <= label_idx < width:
-        raise ValueError(f"{path}: label column {label_idx} out of range for {width} columns")
-    label_idx %= width
+    header, rows = rows[0], rows[1:]
+    if not rows:
+        raise ValueError(f"{path}: header but no data rows")
+    try:
+        label_idx = header.index("label")
+    except ValueError:
+        raise ValueError(f"{path}: no column named 'label' in header {header}") from None
+    width = len(header)
     feats = np.empty((len(rows), width - 1))
     labels = np.empty(len(rows), dtype=np.int64)
     for i, row in enumerate(rows):
@@ -466,13 +411,7 @@ def _per_cell_load_csv(path, label_column="label", role="train", task_id=None, c
                 labels[i] = int(value)
             else:
                 feats[i, j if j < label_idx else j - 1] = value
-    inferred = int(labels.max()) + 1 if labels.size else 0
-    return LabeledDataset(
-        feats, labels,
-        class_count=class_count if class_count is not None else max(inferred, 2),
-        role=role,
-        task_id=task_id if task_id is not None else path.stem,
-    )
+    return LabeledDataset(feats, labels, class_count=class_count, role=role, task_id=task_id)
 
 
 def _outcome(load, path, **kw):
@@ -491,8 +430,8 @@ def test_load_csv_parses_every_split_as_the_per_cell_reference(tmp_path, kind):
     for role, ds in bundle.splits().items():
         path = tmp_path / f"{kind.value}-{role}.csv"
         save_csv(ds, path)
-        want = _outcome(_per_cell_load_csv, path, role=role, task_id=ds.task_id)
-        assert _outcome(load_csv, path, role=role, task_id=ds.task_id) == want, role
+        want = _outcome(_per_cell_load_csv, path, role=role, task_id=ds.task_id, class_count=4)
+        assert _outcome(load_csv, path, role=role, task_id=ds.task_id, class_count=4) == want, role
         assert want[0] == ds.features.tobytes() and want[2] == ds.labels.tobytes(), role
 
 
@@ -501,19 +440,20 @@ _ODD_FEATURES = ["-0.0", "5e-324", "1.7976931348623157e+308", "1e-05", "+1.5", "
 _ODD_LABELS = ["0", "1.0", "+2", "-0.0", "2e0", " 1 "]
 
 
-@pytest.mark.parametrize("label_column", ["label", 0, 1, -1])
-def test_load_csv_parses_hand_written_cells_as_the_per_cell_reference(tmp_path, label_column):
+@pytest.mark.parametrize("label_at", [0, 1, 2])
+def test_load_csv_parses_hand_written_cells_as_the_per_cell_reference(tmp_path, label_at):
     rows = []
     for k, (a, b) in enumerate(zip(_ODD_FEATURES, _ODD_FEATURES[::-1])):
         row = [a, b]
-        row.insert(len(row) if label_column in ("label", -1) else label_column, _ODD_LABELS[k % len(_ODD_LABELS)])
+        row.insert(label_at, _ODD_LABELS[k % len(_ODD_LABELS)])
         rows.append(",".join(row))
-    header = ["f0,f1,label"] if label_column == "label" else []
+    header = ["f0", "f1"]
+    header.insert(label_at, "label")
     path = tmp_path / "odd.csv"
-    path.write_text("\n".join(header + rows) + "\n", encoding="utf-8")
-    want = _outcome(_per_cell_load_csv, path, label_column=label_column)
+    path.write_text("\n".join([",".join(header)] + rows) + "\n", encoding="utf-8")
+    want = _outcome(_per_cell_load_csv, path, **_ARGS)
     assert isinstance(want[0], bytes), want
-    assert _outcome(load_csv, path, label_column=label_column) == want
+    assert _outcome(load_csv, path, **_ARGS) == want
 
 
 @pytest.mark.parametrize("text, message", [
@@ -532,13 +472,18 @@ def test_load_csv_parses_hand_written_cells_as_the_per_cell_reference(tmp_path, 
     ("f0,f1,label\n1,2,-1\n", None),
     ("f0,f1,label\nnan,2,0\n", None),
     ("f0,f1,label\n1,-inf,0\n", None),
+    ("f0,f1,label\n1,2\n", "row 1 has 2 cells, expected 3"),
+    ("f0,label,f1\n1,2\n3,4\n", "row 1 has 2 cells, expected 3"),
+    ("f0,f1\n1,2\n", "no column named 'label' in header ['f0', 'f1']"),
+    ("1.5,2.5,0\n-0.25,0.75,1\n", "no column named 'label' in header ['1.5', '2.5', '0']"),
+    ("f0,f1,label\n", "header but no data rows"),
 ])
 def test_load_csv_errors_are_those_of_the_per_cell_reference(tmp_path, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    want = _outcome(_per_cell_load_csv, path)
+    want = _outcome(_per_cell_load_csv, path, **_ARGS)
     assert isinstance(want[0], str), want
-    assert _outcome(load_csv, path) == want
+    assert _outcome(load_csv, path, **_ARGS) == want
     if message is not None:
         assert want == ("ValueError", f"{path}: {message}")
 
@@ -549,10 +494,13 @@ _CELLS = st.one_of(st.floats().map(repr), st.integers(-2, 4).map(str),
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=4), min_size=1, max_size=6),
-       label_column=st.integers(-3, 3))
-def test_load_csv_agrees_with_the_per_cell_reference_on_any_cells(rows, label_column):
+       width=st.integers(1, 4), label_at=st.integers(0, 4))
+def test_load_csv_agrees_with_the_per_cell_reference_on_any_cells(rows, width, label_at):
+    # a header `width` cells wide, with `label` at `label_at`, or with no `label` when that is past its end
+    header = [f"f{i}" for i in range(width)]
+    if label_at < width:
+        header[label_at] = "label"
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "cells.csv"
-        path.write_text("".join(",".join(r) + "\n" for r in rows))
-        assert _outcome(load_csv, path, label_column=label_column) == _outcome(
-            _per_cell_load_csv, path, label_column=label_column)
+        path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+        assert _outcome(load_csv, path, **_ARGS) == _outcome(_per_cell_load_csv, path, **_ARGS)

@@ -361,7 +361,7 @@ def test_run_experiment_is_rerunnable_in_place(tmp_path):
     cfg = _tiny_config()
     store = Store(tmp_path)
     first = run_experiment(cfg, store)
-    second = run_experiment(cfg, store)  # exist_ok path: verify, don't rewrite
+    second = run_experiment(cfg, store)  # identical checkpoints, soups and splits are verified, not rewritten
     assert first["checkpoints"] == second["checkpoints"]
     assert first["soups"] == second["soups"]
 

@@ -334,13 +334,18 @@ def test_random_checkpoints_among_debris_round_trip(data, names):
 # ---------------------------------------------------------------------------
 # Collisions
 
-def test_identical_resave_needs_exist_ok(tmp_path):
+def _files(directory):
+    """Each file's bytes and inode: an atomic rewrite always gives a new inode."""
+    return {p.name: (p.read_bytes(), p.stat().st_ino) for p in directory.iterdir()}
+
+
+def test_an_identical_resave_writes_nothing(tmp_path):
     store = Store(tmp_path)
     ck = _checkpoint()
     store.save_checkpoint(ck)
-    with pytest.raises(StoreError, match="already exists"):
-        store.save_checkpoint(ck)
-    assert store.save_checkpoint(ck, exist_ok=True) == ck.id
+    files = _files(tmp_path / ck.id)
+    assert store.save_checkpoint(ck) == ck.id
+    assert _files(tmp_path / ck.id) == files
 
 
 def test_colliding_id_with_different_weights_always_raises(tmp_path):
@@ -348,7 +353,7 @@ def test_colliding_id_with_different_weights_always_raises(tmp_path):
     store.save_checkpoint(_checkpoint(seed=0))
     other = _checkpoint(seed=1)  # same id, different weights
     with pytest.raises(StoreError, match="already exists"):
-        store.save_checkpoint(other, exist_ok=True)
+        store.save_checkpoint(other)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +532,7 @@ def test_concurrent_saves_of_one_checkpoint_all_succeed(tmp_path):
         try:
             for ck in checkpoints:
                 barrier.wait()
-                store.save_checkpoint(ck, exist_ok=True)
+                store.save_checkpoint(ck)
         except Exception as exc:
             errors.append(repr(exc))
             barrier.abort()
@@ -589,13 +594,13 @@ def test_a_second_soup_record_with_a_different_audit_is_refused(tmp_path, first,
     store = Store(tmp_path)
     soup = _uniform(first)
     store.save_soup(soup, ARCH, "accuracy")
-    files = {p.name: (p.read_bytes(), p.stat().st_ino) for p in (tmp_path / soup.id).iterdir()}
+    files = _files(tmp_path / soup.id)
     with pytest.raises(StoreError, match=re.escape(
             f"soup {soup.id} is already stored under metric {stored} with a different audit")):
-        store.save_soup(_uniform(second), ARCH, "roc_auc_ovr", exist_ok=True)
+        store.save_soup(_uniform(second), ARCH, "roc_auc_ovr")
     # an identical record writes nothing
-    assert store.save_soup(_uniform(first), ARCH, "accuracy", exist_ok=True) == soup.id
-    assert {p.name: (p.read_bytes(), p.stat().st_ino) for p in (tmp_path / soup.id).iterdir()} == files
+    assert store.save_soup(_uniform(first), ARCH, "accuracy") == soup.id
+    assert _files(tmp_path / soup.id) == files
 
 
 # ---------------------------------------------------------------------------
