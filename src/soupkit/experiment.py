@@ -109,8 +109,8 @@ class GridSection(_Record):
     def __post_init__(self) -> None:
         for name in ("lrs", "augments", "seeds"):
             _distinct(getattr(self, name), name)
-        for lr in self.lrs:  # the stage's own rate check, at load
-            HyperConfig(lr=lr, seed=0)
+        for lr in self.lrs:  # the stage's own rate and epoch checks, at load
+            HyperConfig(lr=lr, seed=0, epochs=self.epochs)
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class FggSection(_Record):
 
     def __post_init__(self) -> None:
         for lr in _distinct(self.lrs, "lrs"):
-            HyperConfig(lr=lr, seed=0)
+            HyperConfig(lr=lr, seed=0, epochs=self.epochs)
         # The fission stage's checks of its rates and snapshot count; its cycle length needs the train split.
         fission_total_steps(CyclicalSchedule(2, self.alpha1, self.alpha2), self.n_collect)
 
@@ -186,11 +186,17 @@ class ExperimentConfig(_Record):
                 raise ValueError(f"soup {s!r} requested but no {SOUPS[s][0]} section configured")
         if (repeated := _repeated(self.soups)) is not None:
             raise ValueError(f"soups names {repeated} more than once")
+        for stage in ("pretrain", "warmup"):  # the stages' own checks, at load
+            try:
+                HyperConfig(lr=getattr(self, f"{stage}_lr"), seed=0, epochs=getattr(self, f"{stage}_epochs"),
+                            batch_size=self.batch_size, weight_decay=self.weight_decay)
+            except ValueError as exc:
+                raise ValueError(f"{stage}: {exc}") from None
         try:
             n_train = _split_sizes(self.task.n_samples, self.split_ratios)[0]
         except ValueError as exc:
             raise ValueError(f"split_ratios: {exc}") from None
-        if self.fgg and self.batch_size >= 1:  # the fission stage's cycle check (pretraining refuses a batch < 1)
+        if self.fgg:  # the fission stage's cycle check
             try:
                 cycle_schedule(self.fgg.cycle_epochs, n_train, self.batch_size, self.fgg.alpha1, self.fgg.alpha2)
             except ValueError as exc:
@@ -391,8 +397,9 @@ def run_experiment(config: ExperimentConfig, store: Store) -> dict:
     """Run the config's recipe, persist its checkpoints, soups and CSV reports.
 
     Returns a summary dict (also written to the experiment directory). Safe
-    to re-run: existing identical checkpoints are verified, not rewritten.
-    A name whose stored `config.json` holds another config is refused.
+    to re-run: existing identical checkpoints, soups and dataset splits are
+    verified, not rewritten. A name whose stored `config.json` holds another
+    config, or whose dataset holds other splits, is refused before training.
     """
     exp_dir = store.experiment_dir(config.name)
     record = json.dumps(config.to_dict(), indent=2, sort_keys=True).encode("ascii")

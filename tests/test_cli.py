@@ -637,3 +637,36 @@ def test_gen_data_refuses_a_different_spec_under_a_taken_name(tmp_path):
     assert rc == 1 and out == "" and "different task spec" in err
     assert (tmp_path / "datasets" / "e" / "train.csv").read_bytes() == train
     _ok(*s, "gen-data", "--name", "e", "--seed", "0")
+
+
+def test_run_experiment_refuses_other_splits_of_a_dataset_before_training(tmp_path):
+    # README's gen-data line splits the calibrated rough task 0.8/0.1/0.1; a config splits it 0.85/0.05/0.10.
+    s = ("--store", str(tmp_path / "store"))
+    _ok(*s, "gen-data", "--name", "demo", "--kind", "rough", "--seed", "0", "--imbalance", "6",
+        "--label-noise", "0.15", "--heterogeneity", "1.5", "--shift", "1.5", "--source-shift", "2")
+    train = tmp_path / "store" / "datasets" / "demo" / "train.csv"
+    before = train.read_bytes()
+    assert len(before.splitlines()) == 1 + 720
+    (tmp_path / "exp.json").write_text(json.dumps(default_experiment_config("demo", "rough", 0).to_dict()))
+    rc, out, err = _run(*s, "run-experiment", str(tmp_path / "exp.json"))
+    assert (rc, out, err) == (1, "", "error: dataset 'demo' already exists with different splits\n")
+    assert [p.name for p in (tmp_path / "store").iterdir()] == ["datasets"]
+    assert train.read_bytes() == before
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda d: d.update(batch_size=0), "pretrain: batch_size must be positive, got 0"),
+    (lambda d: d.update(weight_decay=-1), "pretrain: weight_decay must be non-negative and finite, got -1.0"),
+    (lambda d: d["pretrain"].update(lr=0), "pretrain: lr must be positive and finite, got 0.0"),
+    (lambda d: d["warmup"].update(lr=-1), "warmup: lr must be positive and finite, got -1.0"),
+    (lambda d: d["grid"].update(epochs=-1), "grid: epoch counts must be non-negative"),
+    (lambda d: d["fgg"].update(epochs=-2), "fgg: epoch counts must be non-negative"),
+], ids=["zero-batch", "negative-decay", "zero-pretrain-lr", "negative-warmup-lr", "negative-grid-epochs",
+        "negative-fgg-epochs"])
+def test_run_experiment_refuses_bad_stage_settings_before_writing(tmp_path, edit, problem):
+    d = default_experiment_config("e", "rough", 0).to_dict()
+    edit(d)
+    (tmp_path / "exp.json").write_text(json.dumps(d))
+    rc, out, err = _run("--store", str(tmp_path / "store"), "run-experiment", str(tmp_path / "exp.json"))
+    assert (rc, out, err) == (1, "", f"error: {problem}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]

@@ -163,6 +163,25 @@ def test_config_refuses_at_load_a_cycle_or_split_that_needs_the_split_sizes(edit
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(batch_size=0), "pretrain: batch_size must be positive, got 0"),
+    (lambda d: d.update(weight_decay=-1), "pretrain: weight_decay must be non-negative and finite, got -1.0"),
+    (lambda d: d["pretrain"].update(lr=0), "pretrain: lr must be positive and finite, got 0.0"),
+    (lambda d: d["pretrain"].update(epochs=-1), "pretrain: epoch counts must be non-negative"),
+    (lambda d: d["warmup"].update(lr=-1), "warmup: lr must be positive and finite, got -1.0"),
+    (lambda d: d["warmup"].update(epochs=-1), "warmup: epoch counts must be non-negative"),
+    (lambda d: d["grid"].update(epochs=-1), "grid: epoch counts must be non-negative"),
+    (lambda d: d["fgg"].update(epochs=-2), "fgg: epoch counts must be non-negative"),
+], ids=["zero-batch", "negative-decay", "zero-pretrain-lr", "negative-pretrain-epochs", "negative-warmup-lr",
+        "negative-warmup-epochs", "negative-grid-epochs", "negative-fgg-epochs"])
+def test_config_refuses_at_load_bad_stage_settings(edit, message):
+    d = default_experiment_config("demo", "rough", 0).to_dict()
+    edit(d)
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig.from_dict(d)
+    assert str(exc.value) == message
+
+
 def test_config_takes_an_integral_float_as_an_int():
     d = default_experiment_config("demo", "rough", 0).to_dict()
     d["grid"]["epochs"] = 2.0

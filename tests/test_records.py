@@ -27,19 +27,20 @@ _cyclical = st.builds(lambda half, a, b: CyclicalSchedule(2 * half, max(a, b), m
                       st.integers(1, 2**40), _positive, _positive)
 _hyper = st.builds(HyperConfig, lr=_positive, seed=_ints, augment=_augments, epochs=_counts,
                    warmup_epochs=_counts, batch_size=st.integers(1, 2**40), weight_decay=_non_negative)
-# Sections a config may hold: stage lists non-empty and without repeats, positive rates, alpha2 <= alpha1.
+# Sections a config may hold: stage lists non-empty and without repeats, positive rates, epoch counts
+# non-negative, alpha2 <= alpha1.
 _lrs = st.lists(_positive, min_size=1, unique=True).map(tuple)
 _grid = st.builds(GridSection, _lrs, st.lists(_augments, min_size=1, unique=True).map(tuple),
-                  st.lists(_ints, min_size=1, unique=True).map(tuple), _ints)
+                  st.lists(_ints, min_size=1, unique=True).map(tuple), _counts)
 _fgg = st.builds(lambda a, b, **kw: FggSection(alpha1=max(a, b), alpha2=min(a, b), **kw), _positive, _positive,
-                 lrs=_lrs, epochs=_ints, cycle_epochs=_ints, n_collect=st.integers(1, 2**40), augment=_augments,
+                 lrs=_lrs, epochs=_counts, cycle_epochs=_ints, n_collect=st.integers(1, 2**40), augment=_augments,
                  seed=_ints)
 
 
 @st.composite
 def _experiment(draw):
-    """A config that loads: also valid split ratios over at least 20 rows, a positive batch size, and an even
-    number of fgg cycle epochs, so that the cycle is an even number of steps."""
+    """A config that loads: also valid split ratios over at least 20 rows, valid pretraining and warmup
+    settings, and an even number of fgg cycle epochs, so that the cycle is an even number of steps."""
     grid, fgg = draw(st.none() | _grid), draw(st.none() | _fgg)
     if fgg is not None:
         fgg = replace(fgg, cycle_epochs=2 * draw(st.integers(1, 2**40)))
@@ -51,8 +52,8 @@ def _experiment(draw):
         metric=draw(st.sampled_from(MetricKind)), arch=draw(_RECORDS[ArchSpec]),
         task=replace(draw(_RECORDS[TaskSpec]), n_samples=draw(st.integers(20, 2**40))),
         split_ratios=(1.0 - val - test, val, test), batch_size=draw(st.integers(1, 2**40)),
-        weight_decay=draw(_finite), pretrain_lr=draw(_finite), pretrain_epochs=draw(_ints),
-        pretrain_seed=draw(_ints), warmup_lr=draw(_finite), warmup_epochs=draw(_ints), grid=grid, fgg=fgg,
+        weight_decay=draw(_non_negative), pretrain_lr=draw(_positive), pretrain_epochs=draw(_counts),
+        pretrain_seed=draw(_ints), warmup_lr=draw(_positive), warmup_epochs=draw(_counts), grid=grid, fgg=fgg,
         soups=tuple(draw(st.lists(st.sampled_from(allowed), max_size=8, unique=True))) if allowed else (),
         analysis=draw(st.none() | _RECORDS[AnalysisSection]),
     )

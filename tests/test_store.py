@@ -646,6 +646,27 @@ def test_a_dataset_without_its_task_json_reads_as_absent(tmp_path):
         store.load_dataset("x", "val")
 
 
+def test_a_taken_dataset_name_is_verified_not_rewritten(tmp_path):
+    spec = TaskSpec(kind="rough", seed=0, dims=4, class_count=3, n_samples=120)
+    store = Store(tmp_path)
+    d = store.save_task_bundle("x", gen_task(spec), spec)
+    files = _files(d)
+    assert store.save_task_bundle("x", gen_task(spec), spec) == d
+    assert _files(d) == files
+    # the same spec split by other ratios, as a config's defaults split it
+    with pytest.raises(StoreError, match=re.escape("dataset 'x' already exists with different splits")):
+        store.save_task_bundle("x", gen_task(spec, (0.85, 0.05, 0.10)), spec)
+    assert _files(d) == files
+    (d / "val.csv").unlink()
+    with pytest.raises(StoreError, match="different splits"):  # refused before the missing split is written
+        store.save_task_bundle("x", gen_task(spec, (0.85, 0.05, 0.10)), spec)
+    assert not (d / "val.csv").exists()
+    store.save_task_bundle("x", gen_task(spec), spec)  # a missing split is written again, and nothing else
+    rewritten = _files(d)
+    assert rewritten.pop("val.csv")[0] == files.pop("val.csv")[0]
+    assert rewritten == files
+
+
 def test_dataset_and_experiment_names_stay_inside_the_store(tmp_path):
     store = Store(tmp_path / "store")
     spec = TaskSpec(kind="rough", seed=0, dims=4, class_count=3, n_samples=120)
