@@ -319,8 +319,7 @@ def _write_csv_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
 
 
 def _csv_bytes(dataset: LabeledDataset) -> bytes:
-    """What `save_csv` writes: feature columns then the label column, under a header row; floats as shortest
-    round-trip repr. The bytes are those of `csv.writer`: no cell needs quoting."""
+    """The bytes `save_csv` writes, for a store to compare with a stored split."""
     lines = [",".join([f"f{i}" for i in range(dataset.dims)] + ["label"])]
     lines += [",".join(map(repr, row)) + f",{label}"
               for row, label in zip(dataset.features.tolist(), dataset.labels.tolist())]
@@ -329,6 +328,8 @@ def _csv_bytes(dataset: LabeledDataset) -> bytes:
 
 
 def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
+    """Feature columns then the label column, under a header row; floats as shortest
+    round-trip repr. The bytes are those of `csv.writer`: no cell needs quoting."""
     _atomic_write(Path(path), _csv_bytes(dataset))
 
 
