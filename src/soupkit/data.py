@@ -43,7 +43,7 @@ class AugmentLevel(str, Enum):
     HEAVY = "heavy"
 
 
-# (jitter sigma, dropout probability) per level; overridable per call.
+# (jitter sigma, dropout probability) per level: the one augmentation table.
 AUGMENT_PARAMS: dict[AugmentLevel, tuple[float, float]] = {
     AugmentLevel.MINIMAL: (0.0, 0.0),
     AugmentLevel.MEDIUM: (0.05, 0.0),
@@ -226,17 +226,12 @@ def gen_task(spec: TaskSpec, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1
     return TaskBundle(**sets)
 
 
-def augment(batch: Batch, level: AugmentLevel | str, rng: np.random.Generator,
-            sigma: float | None = None, dropout_p: float | None = None) -> Batch:
-    """Feature-space augmentation; labels pass through untouched. The
-    one-row case of `_Jitter`."""
-    base_sigma, base_p = AUGMENT_PARAMS[AugmentLevel(level)]
-    sigma = base_sigma if sigma is None else sigma
-    dropout_p = base_p if dropout_p is None else dropout_p
+def augment(batch: Batch, level: AugmentLevel | str, rng: np.random.Generator) -> Batch:
+    """Feature-space augmentation at `level`'s AUGMENT_PARAMS; labels pass
+    through untouched. The one-row case of `_Jitter`."""
+    sigma, dropout_p = AUGMENT_PARAMS[AugmentLevel(level)]
     if sigma == 0.0 and dropout_p == 0.0:
         return batch
-    if math.copysign(1.0, sigma) < 0.0 and not math.isnan(sigma):
-        raise ValueError("scale < 0")  # what `Generator.normal` says, -0.0 included
     feats = batch.features[None].copy()
     _Jitter(feats.shape, [(0, sigma, dropout_p, rng)])(feats)
     return Batch(feats[0], batch.labels)
@@ -253,7 +248,7 @@ class _Jitter:
     (n, d))` and then, with dropout on, `rng.random((n, d))` would, into the
     leading n rows of its buffers, and gets `(x + noise) * (u >= dropout_p)`
     bit for bit. Only the draws are per row: scaling, adding and masking run
-    once over the stack. Unchecked: `augment` refuses a negative sigma.
+    once over the stack. Unchecked: each (sigma, dropout_p) is an AUGMENT_PARAMS row.
     """
 
     def __init__(self, shape: tuple[int, int, int],

@@ -236,9 +236,8 @@ class ExperimentConfig(_Record):
         return out
 
 
-def default_experiment_config(name: str, kind: TaskKind | str, seed: int,
-                              soups: Sequence[str] = ("uniform", "greedy", "gou", "gog")) -> ExperimentConfig:
-    """The calibrated full recipe as a ready-to-run config."""
+def default_experiment_config(name: str, kind: TaskKind | str, seed: int) -> ExperimentConfig:
+    """The calibrated full recipe as a ready-to-run config, with README's four soups."""
     return ExperimentConfig(
         name=name,
         metric=headline_metric(kind),
@@ -247,7 +246,7 @@ def default_experiment_config(name: str, kind: TaskKind | str, seed: int,
         pretrain_seed=seed,
         grid=GridSection(GRID_LRS, GRID_AUGMENTS, GRID_SEEDS, GRID_EPOCHS),
         fgg=FggSection(FGG_LRS, FGG_EPOCHS, FGG_CYCLE_EPOCHS, FGG_ALPHA1, FGG_ALPHA2, FGG_N_COLLECT),
-        soups=tuple(soups),
+        soups=("uniform", "greedy", "gou", "gog"),
         analysis=AnalysisSection(),
     )
 
@@ -498,15 +497,15 @@ LMC_CROSS_LRS = (3e-1, 1e-3)
 LMC_POINTS = 25
 
 
-def lmc_barriers(run: ComparisonRun, n_points: int = LMC_POINTS) -> dict[str, float]:
+def lmc_barriers(run: ComparisonRun) -> dict[str, float]:
     """Train-accuracy interpolation barriers: seed-only pair vs LR-only pair."""
     aug, grid, train = AugmentLevel.MINIMAL, run.recipe.grid, run.recipe.bundle.train
     seed_a = _find_grid(grid, LMC_SAME_LR, aug, GRID_SEEDS[0])
     seed_b = _find_grid(grid, LMC_SAME_LR, aug, GRID_SEEDS[1])
     lr_a = _find_grid(grid, LMC_CROSS_LRS[0], aug, GRID_SEEDS[0])
     lr_b = _find_grid(grid, LMC_CROSS_LRS[1], aug, GRID_SEEDS[0])
-    seed_curve = lmc_sweep(seed_a, seed_b, n_points, train, MetricKind.ACCURACY)
-    lr_curve = lmc_sweep(lr_a, lr_b, n_points, train, MetricKind.ACCURACY)
+    seed_curve = lmc_sweep(seed_a, seed_b, LMC_POINTS, train, MetricKind.ACCURACY)
+    lr_curve = lmc_sweep(lr_a, lr_b, LMC_POINTS, train, MetricKind.ACCURACY)
     return {"seed_pair": seed_curve.barrier(), "lr_pair": lr_curve.barrier()}
 
 
@@ -520,8 +519,7 @@ LC_RANK_METRIC = MetricKind.ACCURACY
 LC_METRIC = MetricKind.ROC_AUC_OVR
 
 
-def landscape_minima(seed: int, kind: TaskKind | str,
-                     resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> int:
+def landscape_minima(seed: int, kind: TaskKind | str) -> int:
     """Strict-local-minima count of the 3-best-model held-out error slice."""
     kind = TaskKind(kind)
     config = replace(default_experiment_config(f"lc-{kind.value}-{seed}", kind, seed),
@@ -530,11 +528,10 @@ def landscape_minima(seed: int, kind: TaskKind | str,
     ranked = recipe.ranked_grid(LC_RANK_METRIC)
     basis = plane_basis(ranked[0], ranked[1], ranked[2])
     extent = default_extent(basis.anchor_coords)
-    surface = landscape_grid(basis, extent, resolution, recipe.bundle.test, LC_METRIC)
+    surface = landscape_grid(basis, extent, DEFAULT_RESOLUTION, recipe.bundle.test, LC_METRIC)
     return count_local_minima(surface)
 
 
-def landscape_contrast(seed: int, resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> tuple[int, int]:
+def landscape_contrast(seed: int) -> tuple[int, int]:
     """(smooth, rough) strict-minima counts for one seed."""
-    return (landscape_minima(seed, TaskKind.SMOOTH, resolution),
-            landscape_minima(seed, TaskKind.ROUGH, resolution))
+    return landscape_minima(seed, TaskKind.SMOOTH), landscape_minima(seed, TaskKind.ROUGH)

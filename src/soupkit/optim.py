@@ -14,6 +14,9 @@ import numpy as np
 
 from .nn import ParamVector, _Record
 
+# AdamW's moment decay rates and denominator guard, the same for every run.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class AdamWState:
@@ -22,16 +25,9 @@ class AdamWState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError(f"betas must lie in (0, 1), got ({self.beta1}, {self.beta2})")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.weight_decay < 0.0:
             raise ValueError(f"weight decay must be non-negative, got {self.weight_decay}")
         if self.m.shape != self.v.shape:
@@ -47,8 +43,8 @@ class AdamWState:
 
     def _advanced(self, m: np.ndarray, v: np.ndarray, step_count: int) -> "AdamWState":
         """The state after one update, built without __post_init__: the
-        hyperparameters are this state's, already checked, and a second moment
-        of beta2 * v + (1 - beta2) * g**2 over finite g stays non-negative."""
+        weight decay is this state's, already checked, and a second moment of
+        BETA2 * v + (1 - BETA2) * g**2 over finite g stays non-negative."""
         new = object.__new__(AdamWState)
         new.__dict__.update(self.__dict__, m=m, v=v, step_count=step_count)
         return new
@@ -67,23 +63,22 @@ def adamw_step(params: ParamVector, grads: ParamVector, state: AdamWState, lr: f
         raise ValueError("gradient signature does not match parameters")
     if not np.isfinite(g).all():
         raise ValueError("non-finite gradient")
-    beta1, beta2 = state.beta1, state.beta2
     t = state.step_count + 1
-    # m = beta1 * m + (1 - beta1) * g and v = beta2 * v + (1 - beta2) * g**2,
-    # then p - lr * wd * p - lr * m_hat / (sqrt(v_hat) + eps), in that float
+    # m = BETA1 * m + (1 - BETA1) * g and v = BETA2 * v + (1 - BETA2) * g**2,
+    # then p - lr * wd * p - lr * m_hat / (sqrt(v_hat) + EPS), in that float
     # order; every temporary but the new m and v is reused in place.
-    m = beta1 * state.m
-    step = (1.0 - beta1) * g
+    m = BETA1 * state.m
+    step = (1.0 - BETA1) * g
     m += step
-    v = beta2 * state.v
+    v = BETA2 * state.v
     denom = np.square(g)
-    denom *= 1.0 - beta2
+    denom *= 1.0 - BETA2
     v += denom
-    np.divide(m, 1.0 - beta1**t, out=step)
+    np.divide(m, 1.0 - BETA1**t, out=step)
     step *= lr
-    np.divide(v, 1.0 - beta2**t, out=denom)
+    np.divide(v, 1.0 - BETA2**t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += EPS
     step /= denom
     new_values = values * (lr * state.weight_decay)
     np.subtract(values, new_values, out=new_values)
@@ -144,18 +139,16 @@ def is_collection_point(i: int, c: int) -> bool:
 class CosineSchedule:
     base_lr: float
     total_epochs: int
-    min_lr: float = 0.0
 
     def __post_init__(self) -> None:
         if self.total_epochs < 1:
             raise ValueError(f"total_epochs must be positive, got {self.total_epochs}")
-        if not 0.0 <= self.min_lr <= self.base_lr < np.inf:
-            raise ValueError(f"need finite base_lr >= min_lr >= 0, got base={self.base_lr}, min={self.min_lr}")
+        if not 0.0 <= self.base_lr < np.inf:
+            raise ValueError(f"base_lr must be non-negative and finite, got {self.base_lr}")
 
 
 def cosine_lr(epoch: int, schedule: CosineSchedule) -> float:
-    """Half-cosine decay from base_lr (epoch 0) to min_lr (epoch total_epochs)."""
+    """Half-cosine decay from base_lr (epoch 0) to 0 (epoch total_epochs)."""
     if epoch < 0 or epoch > schedule.total_epochs:
         raise ValueError(f"epoch {epoch} outside [0, {schedule.total_epochs}]")
-    span = schedule.base_lr - schedule.min_lr
-    return schedule.min_lr + 0.5 * span * (1.0 + np.cos(np.pi * epoch / schedule.total_epochs))
+    return 0.5 * schedule.base_lr * (1.0 + np.cos(np.pi * epoch / schedule.total_epochs))

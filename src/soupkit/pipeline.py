@@ -333,11 +333,11 @@ def linear_probe_warmup(pretrained: Checkpoint, train: LabeledDataset, config: H
 
 
 def fine_tune(theta0: Checkpoint, train: LabeledDataset, val: LabeledDataset,
-              config: HyperConfig, stage: str = "grid") -> Checkpoint:
+              config: HyperConfig) -> Checkpoint:
     """Full fine-tuning from a warmstart with per-epoch cosine decay: the
-    one-config case of `_fine_tune_runs`, raising `TrainingDivergedError`
-    where that records a failure."""
-    checkpoints, failures = _fine_tune_runs(theta0, [config], train, val, stage)
+    one-config case of the grid stage, raising `TrainingDivergedError` where
+    that records a failure."""
+    checkpoints, failures = _fine_tune_runs(theta0, [config], train, val, "grid")
     if failures:
         raise TrainingDivergedError(failures[0].error)
     return checkpoints[0]
@@ -346,9 +346,8 @@ def fine_tune(theta0: Checkpoint, train: LabeledDataset, val: LabeledDataset,
 def _fine_tune_runs(theta0: Checkpoint, configs: list[HyperConfig], train: LabeledDataset,
                     val: LabeledDataset, stage: str) -> tuple[list[Checkpoint], list[GridFailure]]:
     """Fine-tune θ0 once per config as one population, each run bit for bit
-    its solo run. Diverged runs are recorded, in config order, not raised."""
-    if stage not in ("grid", "base"):
-        raise ValueError(f"fine-tuning makes grid or base runs, not {stage!r}")
+    its solo run. Diverged runs are recorded, in config order, not raised.
+    `stage` is "grid" or "base"."""
     for cfg in configs:
         if cfg.schedule != "cosine":
             raise ValueError(f"{stage} runs use the cosine schedule, got {cfg.schedule!r}")

@@ -8,6 +8,7 @@ here we only cover the config surface and the cheap invariants.
 import csv
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from soupkit.store import Store, StoreError
 
 
 def _tiny_config(name="tiny", seed=1, soups=("uniform", "greedy", "gou", "gog"), kind="rough"):
-    cfg = default_experiment_config(name, kind, seed, soups=soups)
+    cfg = replace(default_experiment_config(name, kind, seed), soups=soups)
     d = cfg.to_dict()
     d["task"]["n_samples"] = 240
     d["task"]["dims"] = 4
@@ -208,7 +209,7 @@ def test_readme_soup_table_is_soups():
 
 def test_config_rejects_unknown_soup():
     with pytest.raises(ValueError, match="unknown soup"):
-        default_experiment_config("demo", "rough", 0, soups=("uniform", "magic"))
+        replace(default_experiment_config("demo", "rough", 0), soups=("uniform", "magic"))
 
 
 def test_config_soup_sections_must_exist():
@@ -226,7 +227,7 @@ def test_config_soup_sections_must_exist():
 @pytest.mark.parametrize("section", ["grid", "fgg", "analysis"])
 @pytest.mark.parametrize("form", ["null", "absent", "empty"])
 def test_config_section_that_is_null_absent_or_empty_stays_off(section, form):
-    d = default_experiment_config("demo", "rough", 0, soups=()).to_dict()
+    d = replace(default_experiment_config("demo", "rough", 0), soups=()).to_dict()
     if form == "absent":
         del d[section]
     else:

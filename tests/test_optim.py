@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from soupkit.nn import ParamVector
 from soupkit.optim import (
+    BETA1,
+    BETA2,
+    EPS,
     AdamWState,
     CosineSchedule,
     CyclicalSchedule,
@@ -43,11 +46,11 @@ def _reference_adamw_step(params, grads, state, lr):
     """The update as one expression with fresh temporaries, as it was before
     the in-place rewrite; the float order must not have changed."""
     t = state.step_count + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads.values
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads.values**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new = params.values - lr * state.weight_decay * params.values - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = BETA1 * state.m + (1.0 - BETA1) * grads.values
+    v = BETA2 * state.v + (1.0 - BETA2) * grads.values**2
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    new = params.values - lr * state.weight_decay * params.values - lr * m_hat / (np.sqrt(v_hat) + EPS)
     return new, m, v
 
 
@@ -61,8 +64,7 @@ def test_adamw_matches_the_single_expression_bitwise():
         g[rng.random(size) < 0.1] = -0.0
         p[rng.random(size) < 0.1] = -0.0
         state = AdamWState(m=rng.normal(size=size), v=rng.random(size) * 10.0 ** rng.integers(-10, 2),
-                           step_count=int(rng.integers(0, 5000)), beta1=float(rng.choice([0.5, 0.9, 0.99])),
-                           beta2=float(rng.choice([0.9, 0.999])), eps=float(rng.choice([1e-8, 1e-3])),
+                           step_count=int(rng.integers(0, 5000)),
                            weight_decay=float(rng.choice([0.0, 0.01, 0.3])))
         lr = float(rng.choice([0.0, 1e-3, 0.3, 1.0]))
         new, state2 = adamw_step(_pv(p), _pv(g), state, lr)
@@ -136,10 +138,6 @@ def test_adamw_validation():
 
 
 def test_adamw_state_validation():
-    with pytest.raises(ValueError):
-        AdamWState.fresh(2, beta1=1.0)
-    with pytest.raises(ValueError):
-        AdamWState.fresh(2, eps=0.0)
     with pytest.raises(ValueError):
         AdamWState.fresh(2, weight_decay=-0.01)
     with pytest.raises(ValueError):
@@ -250,10 +248,10 @@ def test_cyclical_schedule_dict_roundtrip():
 # Cosine schedule
 
 def test_cosine_endpoints_and_midpoint():
-    sched = CosineSchedule(base_lr=0.1, total_epochs=10, min_lr=0.001)
+    sched = CosineSchedule(base_lr=0.1, total_epochs=10)
     assert cosine_lr(0, sched) == pytest.approx(0.1, abs=1e-15)
-    assert cosine_lr(10, sched) == pytest.approx(0.001, abs=1e-15)
-    assert cosine_lr(5, sched) == pytest.approx((0.1 + 0.001) / 2, abs=1e-15)
+    assert cosine_lr(10, sched) == pytest.approx(0.0, abs=1e-15)
+    assert cosine_lr(5, sched) == pytest.approx(0.05, abs=1e-15)
 
 
 def test_cosine_monotone_decreasing():
@@ -262,17 +260,17 @@ def test_cosine_monotone_decreasing():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("base_lr, min_lr", [(math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan)])
-def test_cosine_schedule_refuses_a_non_finite_rate(base_lr, min_lr):
+@pytest.mark.parametrize("base_lr", [math.nan, math.inf])
+def test_cosine_schedule_refuses_a_non_finite_rate(base_lr):
     with pytest.raises(ValueError, match="finite"):
-        CosineSchedule(base_lr=base_lr, total_epochs=5, min_lr=min_lr)
+        CosineSchedule(base_lr=base_lr, total_epochs=5)
 
 
 def test_cosine_validation():
     with pytest.raises(ValueError):
         CosineSchedule(base_lr=0.1, total_epochs=0)
     with pytest.raises(ValueError):
-        CosineSchedule(base_lr=0.001, total_epochs=5, min_lr=0.01)
+        CosineSchedule(base_lr=-0.001, total_epochs=5)
     sched = CosineSchedule(base_lr=0.1, total_epochs=5)
     with pytest.raises(ValueError):
         cosine_lr(6, sched)

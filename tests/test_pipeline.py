@@ -187,14 +187,7 @@ def test_fine_tune_rejects_cyclical_for_grid(bundle, theta0):
     cfg = HyperConfig(lr=1e-2, seed=0, epochs=1,
                       schedule="cyclical", cyclical=CyclicalSchedule(4, 1e-2, 1e-4))
     with pytest.raises(ValueError):
-        fine_tune(theta0, bundle.train, bundle.val, cfg, stage="grid")
-
-
-@pytest.mark.parametrize("stage", ["pretrained", "warmstart", "fission", "soup"])
-def test_fine_tune_refuses_stages_other_than_grid_and_base(bundle, theta0, stage):
-    cfg = HyperConfig(lr=1e-2, seed=0, epochs=1)
-    with pytest.raises(ValueError, match="grid or base"):
-        fine_tune(theta0, bundle.train, bundle.val, cfg, stage=stage)
+        fine_tune(theta0, bundle.train, bundle.val, cfg)
 
 
 def test_fine_tune_runs_refuse_configs_of_different_epochs(bundle, theta0):
@@ -250,7 +243,8 @@ def test_fission_total_steps_formula():
 
 def _base(bundle, theta0, lr=1e-2):
     cfg = HyperConfig(lr=lr, seed=0, epochs=2, augment=AugmentLevel.HEAVY)
-    return fine_tune(theta0, bundle.train, bundle.val, cfg, stage="base")
+    (base,), _ = fgg_base_generate(theta0, [lr], bundle.train, bundle.val, cfg)
+    return base
 
 
 def test_fission_captures_at_troughs(bundle, theta0):
