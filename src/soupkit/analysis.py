@@ -57,6 +57,12 @@ def _resolution_checked(resolution: tuple[int, int]) -> tuple[int, int]:
     return resolution
 
 
+def _margin_checked(margin: float) -> None:
+    """A landscape's extent margin; at -0.5 or less the padded box is empty. Also checked where a config is read."""
+    if not margin > -0.5:
+        raise ValueError(f"margin must be greater than -0.5, got {margin}")
+
+
 def lmc_sweep(a: Checkpoint, b: Checkpoint, n_points: int,
               dataset: LabeledDataset, metric: MetricKind | str) -> LmcCurve:
     """Score lam*A + (1-lam)*B at evenly spaced lam in [0, 1].
@@ -114,6 +120,7 @@ def plane_basis(theta1: Checkpoint, theta2: Checkpoint, theta3: Checkpoint) -> P
 
 def default_extent(anchor_coords: np.ndarray, margin: float = DEFAULT_EXTENT_MARGIN) -> tuple[float, float, float, float]:
     """Anchor bounding box padded by `margin` of its size on every side."""
+    _margin_checked(margin)
     xs, ys = anchor_coords[:, 0], anchor_coords[:, 1]
     dx = (xs.max() - xs.min()) * margin
     dy = (ys.max() - ys.min()) * margin

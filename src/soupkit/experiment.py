@@ -23,7 +23,9 @@ from .analysis import (
     DEFAULT_EXTENT_MARGIN,
     DEFAULT_LMC_POINTS,
     DEFAULT_RESOLUTION,
+    DegeneratePlaneError,
     _check_points,
+    _margin_checked,
     _resolution_checked,
     compute_budget,
     count_local_minima,
@@ -140,6 +142,7 @@ class AnalysisSection(_Record):
     def __post_init__(self) -> None:
         _check_points(self.lmc_points)
         _resolution_checked(self.landscape_resolution)
+        _margin_checked(self.landscape_margin)
 
 
 # Every soup a config or `soupkit soup` can name: the config section it merges, and how.
@@ -429,8 +432,11 @@ def run_experiment(config: ExperimentConfig, store: Store) -> dict:
         curve = lmc_sweep(ranked[0], ranked[1], config.analysis.lmc_points, bundle.val, config.metric)
         curve.write_csv(exp_dir / "lmc_curve.csv")
         files.append("lmc_curve.csv")
-        if len(ranked) >= 3:
-            basis = plane_basis(ranked[0], ranked[1], ranked[2])
+        try:
+            basis = plane_basis(ranked[0], ranked[1], ranked[2]) if len(ranked) >= 3 else None
+        except DegeneratePlaneError:  # no plane through the three best: no slice, as with fewer
+            basis = None
+        if basis is not None:
             extent = default_extent(basis.anchor_coords, config.analysis.landscape_margin)
             surface = landscape_grid(basis, extent, config.analysis.landscape_resolution,
                                      bundle.val, config.metric)

@@ -364,6 +364,13 @@ def test_a_landscape_resolution_other_than_two_integers_is_a_one_line_error(pipe
     assert not (tmp_path / "surface.csv").exists()
 
 
+def test_a_landscape_margin_of_minus_half_is_a_one_line_error(pipe, tmp_path):
+    rc, out, err = _run("--store", pipe["store"], "landscape", "--ids", ",".join(pipe["grid"]), "--data", "demo",
+                        "--metric", "accuracy", "--margin", "-0.5", "--out", str(tmp_path / "surface.csv"))
+    assert (rc, out, err) == (1, "", "error: margin must be greater than -0.5, got -0.5\n")
+    assert not (tmp_path / "surface.csv").exists()
+
+
 def test_landscape_refuses_an_anchor_named_twice(pipe):
     a, b = pipe["grid"][:2]
     rc, out, err = _run("--store", pipe["store"], "landscape", "--ids", f"{a},{b},{a}", "--data", "demo",
@@ -492,6 +499,15 @@ def test_run_experiment_refuses_an_odd_cycle_or_bad_ratios_before_writing(tmp_pa
     rc, out, err = _run("--store", str(tmp_path / "store"), "run-experiment", str(tmp_path / "exp.json"))
     assert (rc, out, err) == (1, "", f"error: {problem}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+
+def test_run_experiment_refuses_a_landscape_margin_of_minus_half_before_training(tmp_path):
+    d = default_experiment_config("e", "rough", 0).to_dict()
+    d["analysis"]["landscape_margin"] = -0.5
+    (tmp_path / "exp.json").write_text(json.dumps(d))
+    rc, out, err = _run("--store", str(tmp_path / "store"), "run-experiment", str(tmp_path / "exp.json"))
+    assert (rc, out, err) == (1, "", "error: analysis: margin must be greater than -0.5, got -0.5\n")
+    assert not (tmp_path / "store" / "datasets").exists()
 
 
 @pytest.mark.parametrize("edit, problem", [

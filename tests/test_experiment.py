@@ -136,10 +136,12 @@ def test_config_refuses_a_value_of_the_wrong_type(edit, message):
     (lambda d: d["analysis"].__setitem__("lmc_points", 1), "analysis: need at least two interpolation points, got 1"),
     (lambda d: d["analysis"].__setitem__("landscape_resolution", [5, 1]),
      "analysis: resolution must be at least 2x2, got (5, 1)"),
+    (lambda d: d["analysis"].__setitem__("landscape_margin", -0.5),
+     "analysis: margin must be greater than -0.5, got -0.5"),
     (lambda d: d.__setitem__("soups", ["uniform", "gou", "uniform"]), "soups names uniform more than once"),
 ], ids=["grid-no-seeds", "grid-no-augments", "grid-no-lrs", "fgg-no-lrs", "grid-lr-twice", "grid-augment-twice",
         "grid-seed-twice", "fgg-lr-twice", "grid-negative-lr", "fgg-zero-lr", "no-collect", "alpha2-over-alpha1",
-        "one-lmc-point", "thin-landscape", "soup-twice"])
+        "one-lmc-point", "thin-landscape", "margin-leaving-no-extent", "soup-twice"])
 def test_config_refuses_at_load_what_a_stage_would_refuse_after_training(edit, message):
     d = default_experiment_config("demo", "rough", 0).to_dict()
     edit(d)
@@ -289,6 +291,18 @@ def test_build_soups_names_and_membership():
         locals_ = soup.level_members
         assert all(k.startswith("local-") for k in locals_)
         assert soup.val_score == pytest.approx(eval_fn(soup.params))
+
+
+def test_a_grid_whose_best_models_span_no_plane_writes_no_landscape(tmp_path):
+    # zero grid epochs leave every cell at θ0, so the three best anchors coincide
+    d = _tiny_config(soups=()).to_dict()
+    d["grid"]["epochs"] = 0
+    summary = run_experiment(ExperimentConfig.from_dict(d), Store(tmp_path / "store"))
+    assert summary["files"] == ["report.csv", "budget.csv", "lmc_curve.csv"]
+    assert summary["local_minima"] is None
+    exp_dir = tmp_path / "store" / "experiments" / "tiny"
+    assert not (exp_dir / "landscape.csv").exists()
+    assert json.loads((exp_dir / "summary.json").read_text()) == summary
 
 
 @pytest.mark.parametrize("pool", ["grid", "snapshot"])

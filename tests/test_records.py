@@ -75,7 +75,7 @@ _RECORDS = {
     GridSection: _grid,
     FggSection: _fgg,
     AnalysisSection: st.builds(AnalysisSection, st.integers(2, 2**70), st.tuples(*[st.integers(2, 2**70)] * 2),
-                               _finite),
+                               st.floats(min_value=-0.5, exclude_min=True, allow_infinity=False)),
     ExperimentConfig: _experiment(),
     AuditEntry: st.builds(AuditEntry, _texts, _finite, st.booleans()),
 }
