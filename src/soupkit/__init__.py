@@ -60,7 +60,6 @@ from .pipeline import (
     fgg_base_generate,
     fgg_fission,
     fgg_fission_many,
-    fine_tune,
     grid_generate,
     linear_probe_warmup,
     pretrain_source,

@@ -58,9 +58,12 @@ def _resolution_checked(resolution: tuple[int, int]) -> tuple[int, int]:
 
 
 def _margin_checked(margin: float) -> None:
-    """A landscape's extent margin; at -0.5 or less the padded box is empty. Also checked where a config is read."""
+    """A landscape's extent margin; at -0.5 or less the padded box is empty,
+    and at inf its coordinates are NaN. Also checked where a config is read."""
     if not margin > -0.5:
         raise ValueError(f"margin must be greater than -0.5, got {margin}")
+    if not margin < np.inf:
+        raise ValueError(f"margin must be finite, got {margin}")
 
 
 def lmc_sweep(a: Checkpoint, b: Checkpoint, n_points: int,

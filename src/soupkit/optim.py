@@ -18,9 +18,10 @@ from .nn import ParamVector, _Record
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamWState:
-    """First/second moment estimates and the completed step count."""
+    """First/second moment estimates and the completed step count, all
+    advanced in place by `adamw_step`."""
 
     m: np.ndarray
     v: np.ndarray
@@ -41,17 +42,11 @@ class AdamWState:
     def fresh(cls, n_params: int, **kwargs) -> "AdamWState":
         return cls(m=np.zeros(n_params), v=np.zeros(n_params), step_count=0, **kwargs)
 
-    def _advanced(self, m: np.ndarray, v: np.ndarray, step_count: int) -> "AdamWState":
-        """The state after one update, built without __post_init__: the
-        weight decay is this state's, already checked, and a second moment of
-        BETA2 * v + (1 - BETA2) * g**2 over finite g stays non-negative."""
-        new = object.__new__(AdamWState)
-        new.__dict__.update(self.__dict__, m=m, v=v, step_count=step_count)
-        return new
 
-
-def adamw_step(params: ParamVector, grads: ParamVector, state: AdamWState, lr: float) -> tuple[ParamVector, AdamWState]:
-    """One decoupled-weight-decay update; returns new params and state."""
+def adamw_step(params: ParamVector, grads: ParamVector, state: AdamWState, lr: float) -> None:
+    """One decoupled-weight-decay update of `params.values`, `state.m` and
+    `state.v` in place; `state.step_count` advances by one. Every check runs
+    before the first write, so a refused call changes nothing."""
     if lr < 0.0:
         raise ValueError(f"learning rate must be non-negative, got {lr}")
     values, g = params.values, grads.values
@@ -66,11 +61,12 @@ def adamw_step(params: ParamVector, grads: ParamVector, state: AdamWState, lr: f
     t = state.step_count + 1
     # m = BETA1 * m + (1 - BETA1) * g and v = BETA2 * v + (1 - BETA2) * g**2,
     # then p - lr * wd * p - lr * m_hat / (sqrt(v_hat) + EPS), in that float
-    # order; every temporary but the new m and v is reused in place.
-    m = BETA1 * state.m
+    # order; two temporaries serve every intermediate.
+    m, v = state.m, state.v
+    m *= BETA1
     step = (1.0 - BETA1) * g
     m += step
-    v = BETA2 * state.v
+    v *= BETA2
     denom = np.square(g)
     denom *= 1.0 - BETA2
     v += denom
@@ -80,14 +76,10 @@ def adamw_step(params: ParamVector, grads: ParamVector, state: AdamWState, lr: f
     np.sqrt(denom, out=denom)
     denom += EPS
     step /= denom
-    new_values = values * (lr * state.weight_decay)
-    np.subtract(values, new_values, out=new_values)
-    new_values -= step
-    # built without __post_init__: the values are a fresh contiguous 1-D
-    # float64 array by construction
-    updated = object.__new__(ParamVector)
-    updated.values, updated.arch_signature = new_values, params.arch_signature
-    return updated, state._advanced(m, v, t)
+    np.multiply(values, lr * state.weight_decay, out=denom)
+    values -= denom
+    values -= step
+    state.step_count = t
 
 
 @dataclass(frozen=True)

@@ -190,11 +190,11 @@ def _train_population(
 
     Each member draws its epoch permutation and augmentation noise from its
     own rng, in the order a solo run would, and gets exactly one `adamw_step`
-    call per step on row views of the stack (so the AdamW arithmetic and its
-    checks live in one place). Rows, the forward and backward pass, and the
-    finiteness checks are shared: one gather, one backprop over the stack,
-    one `isfinite` per check. The augmentation buffers are built once per
-    stage. Every member's weights are bit-identical to its solo run.
+    call per step, which updates its row views of the stack in place (so the
+    AdamW arithmetic and its checks live in one place). Rows, the forward and
+    backward pass, and the finiteness checks are shared: one gather, one
+    backprop over the stack, one `isfinite` per check. The augmentation
+    buffers are built once per stage. Every member's weights are bit-identical to its solo run.
 
     A member whose gradient or parameters turn non-finite is frozen: it gets
     no more updates, snapshots or rng draws, and its `error` records why. The
@@ -259,9 +259,7 @@ def _train_population(
                 freeze(np.isfinite(grad).all(axis=1), f"non-finite gradient at step {step}/{total_steps}")
                 lrs = rates[step - 1].tolist()
                 for i in alive:
-                    p, g = views[i]
-                    updated, states[i] = adamw_step(p, g, states[i], lrs[i])
-                    p.values[...] = updated.values
+                    adamw_step(*views[i], states[i], lrs[i])
                 freeze(np.isfinite(values).all(axis=1), f"non-finite parameters at step {step}/{total_steps}")
                 if step in collect_steps:
                     for i in alive:
@@ -332,32 +330,17 @@ def linear_probe_warmup(pretrained: Checkpoint, train: LabeledDataset, config: H
                        config.warmup_epochs, base=pretrained)
 
 
-def fine_tune(theta0: Checkpoint, train: LabeledDataset, val: LabeledDataset,
-              config: HyperConfig) -> Checkpoint:
-    """Full fine-tuning from a warmstart with per-epoch cosine decay: the
-    one-config case of the grid stage, raising `TrainingDivergedError` where
-    that records a failure."""
-    checkpoints, failures = _fine_tune_runs(theta0, [config], train, val, "grid")
-    if failures:
-        raise TrainingDivergedError(failures[0].error)
-    return checkpoints[0]
-
-
 def _fine_tune_runs(theta0: Checkpoint, configs: list[HyperConfig], train: LabeledDataset,
                     val: LabeledDataset, stage: str) -> tuple[list[Checkpoint], list[GridFailure]]:
     """Fine-tune θ0 once per config as one population, each run bit for bit
     its solo run. Diverged runs are recorded, in config order, not raised.
-    `stage` is "grid" or "base"."""
-    for cfg in configs:
-        if cfg.schedule != "cosine":
-            raise ValueError(f"{stage} runs use the cosine schedule, got {cfg.schedule!r}")
+    `stage` is "grid" or "base". The configs are cosine runs of one epoch
+    count and batch size, as `grid_generate` and `fgg_base_generate` build
+    them from one template."""
     if not configs:
         return [], []
-    shapes = {(c.epochs, c.batch_size) for c in configs}
-    if len(shapes) != 1:
-        raise ValueError(f"{stage} runs must share epochs and batch size, got {sorted(shapes)}")
-    epochs, batch_size = shapes.pop()
-    spe = steps_per_epoch(train.n, batch_size)
+    epochs = configs[0].epochs
+    spe = steps_per_epoch(train.n, configs[0].batch_size)
     members = [_Member(theta0.params, cfg, _rng(cfg.seed, _RNG_TUNE)) for cfg in configs]
     rates = np.stack([_cosine_rates(cfg.lr, epochs, spe) for cfg in configs], axis=1)
     values = _train_population(members, theta0.arch, train, rates)

@@ -1,6 +1,7 @@
 """Interpolation, plane-slice, minima-count, and report tests."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,14 @@ def test_default_extent_hand_case():
     xmin, xmax, ymin, ymax = default_extent(coords, margin=0.2)
     assert (xmin, xmax) == (-2.0, 12.0)
     assert (ymin, ymax) == (-1.0, 6.0)
+
+
+@pytest.mark.parametrize("margin, message", [(-0.5, "margin must be greater than -0.5, got -0.5"),
+                                             (np.inf, "margin must be finite, got inf")])
+def test_default_extent_refuses_a_margin_that_gives_no_box(margin, message):
+    coords = np.array([[0.0, 0.0], [10.0, 0.0], [4.0, 5.0]])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        default_extent(coords, margin)
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,13 @@ def test_a_landscape_margin_of_minus_half_is_a_one_line_error(pipe, tmp_path):
     assert not (tmp_path / "surface.csv").exists()
 
 
+def test_an_infinite_landscape_margin_is_a_one_line_error(pipe, tmp_path):
+    rc, out, err = _run("--store", pipe["store"], "landscape", "--ids", ",".join(pipe["grid"]), "--data", "demo",
+                        "--metric", "accuracy", "--margin", "inf", "--out", str(tmp_path / "surface.csv"))
+    assert (rc, out, err) == (1, "", "error: margin must be finite, got inf\n")
+    assert not (tmp_path / "surface.csv").exists()
+
+
 def test_landscape_refuses_an_anchor_named_twice(pipe):
     a, b = pipe["grid"][:2]
     rc, out, err = _run("--store", pipe["store"], "landscape", "--ids", f"{a},{b},{a}", "--data", "demo",

@@ -67,22 +67,22 @@ def test_adamw_matches_the_single_expression_bitwise():
                            step_count=int(rng.integers(0, 5000)),
                            weight_decay=float(rng.choice([0.0, 0.01, 0.3])))
         lr = float(rng.choice([0.0, 1e-3, 0.3, 1.0]))
-        new, state2 = adamw_step(_pv(p), _pv(g), state, lr)
         want_new, want_m, want_v = _reference_adamw_step(_pv(p), _pv(g), state, lr)
-        assert new.values.tobytes() == want_new.tobytes(), trial
-        assert state2.m.tobytes() == want_m.tobytes() and state2.v.tobytes() == want_v.tobytes(), trial
-        assert state2.step_count == state.step_count + 1
+        params, step_count = _pv(p), state.step_count
+        adamw_step(params, _pv(g), state, lr)
+        assert params.values.tobytes() == want_new.tobytes(), trial
+        assert state.m.tobytes() == want_m.tobytes() and state.v.tobytes() == want_v.tobytes(), trial
+        assert state.step_count == step_count + 1
 
 
 def test_adamw_single_step_hand_values():
     # p=1, g=0.5, lr=0.1: m_hat=g, v_hat=g^2, ratio ~ 1 => p' ~ 1 - 0.001 - 0.1
     params = _pv([1.0])
     state = AdamWState.fresh(1)
-    new, state2 = adamw_step(params, _pv([0.5]), state, lr=0.1)
+    assert adamw_step(params, _pv([0.5]), state, lr=0.1) is None
     want = 1.0 - 0.1 * 0.01 * 1.0 - 0.1 * 0.5 / (0.5 + 1e-8)
-    assert abs(new.values[0] - want) < 1e-15
-    assert state2.step_count == 1
-    assert state.step_count == 0  # input state untouched
+    assert abs(params.values[0] - want) < 1e-15
+    assert state.step_count == 1  # the state advances in place
 
 
 def test_adamw_matches_scalar_oracle_over_steps():
@@ -91,7 +91,7 @@ def test_adamw_matches_scalar_oracle_over_steps():
     p = _pv([2.0])
     state = AdamWState.fresh(1)
     for g in grads:
-        p, state = adamw_step(p, _pv([g]), state, lr=0.05)
+        adamw_step(p, _pv([g]), state, lr=0.05)
     want = _adamw_oracle(2.0, grads, lr=0.05)
     assert abs(p.values[0] - want) < 1e-14
 
@@ -101,10 +101,10 @@ def test_adamw_elementwise_independence():
     rng = np.random.default_rng(1)
     p0 = rng.normal(size=5)
     g_seq = rng.normal(size=(7, 5))
-    p = _pv(p0)
+    p = _pv(p0.copy())
     state = AdamWState.fresh(5)
     for g in g_seq:
-        p, state = adamw_step(p, _pv(g), state, lr=0.02)
+        adamw_step(p, _pv(g), state, lr=0.02)
     for k in range(5):
         want = _adamw_oracle(p0[k], g_seq[:, k], lr=0.02)
         assert abs(p.values[k] - want) < 1e-14
@@ -113,15 +113,45 @@ def test_adamw_elementwise_independence():
 def test_adamw_decay_is_decoupled():
     # zero gradient: the only movement is the weight-decay shrink
     p = _pv([3.0, -2.0])
-    new, _ = adamw_step(p, _pv([0.0, 0.0]), AdamWState.fresh(2), lr=0.5)
-    np.testing.assert_allclose(new.values, p.values * (1 - 0.5 * 0.01), rtol=0, atol=1e-16)
+    adamw_step(p, _pv([0.0, 0.0]), AdamWState.fresh(2), lr=0.5)
+    np.testing.assert_allclose(p.values, np.array([3.0, -2.0]) * (1 - 0.5 * 0.01), rtol=0, atol=1e-16)
 
 
 def test_adamw_zero_lr_is_identity_for_params():
     p = _pv([1.0, 2.0])
-    new, state = adamw_step(p, _pv([5.0, -5.0]), AdamWState.fresh(2), lr=0.0)
-    assert np.array_equal(new.values, p.values)
+    state = AdamWState.fresh(2)
+    adamw_step(p, _pv([5.0, -5.0]), state, lr=0.0)
+    assert np.array_equal(p.values, [1.0, 2.0])
     assert state.step_count == 1  # moments still advance
+
+
+def test_adamw_rewrites_one_row_of_a_stack_and_a_refused_call_changes_nothing():
+    # the trainer's use: views of one row of a (K, P) parameter and gradient stack
+    rng = np.random.default_rng(3)
+    stack, grad = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+    state = AdamWState(m=rng.normal(size=6), v=rng.random(6), step_count=7)
+    m, v = state.m, state.v
+    want_row, want_m, want_v = _reference_adamw_step(_pv(stack[2].copy()), _pv(grad[2]), state, 0.01)
+    stack_before, grad_before = stack.copy(), grad.copy()
+    adamw_step(ParamVector(stack[2], "sig"), ParamVector(grad[2], "sig"), state, 0.01)
+    assert stack[2].tobytes() == want_row.tobytes()
+    others = [0, 1, 3]
+    assert stack[others].tobytes() == stack_before[others].tobytes()
+    assert grad.tobytes() == grad_before.tobytes()
+    assert state.m is m and state.v is v
+    assert m.tobytes() == want_m.tobytes() and v.tobytes() == want_v.tobytes()
+    assert state.step_count == 8
+
+    before = stack.tobytes(), m.tobytes(), v.tobytes()
+    non_finite = grad[1].copy()
+    non_finite[3] = np.nan
+    for g, lr in ((grad[1], -0.1), (non_finite, 0.01), (grad[1, :5], 0.01)):
+        with pytest.raises(ValueError):
+            adamw_step(ParamVector(stack[1], "sig"), ParamVector(g, "sig"), state, lr)
+    with pytest.raises(ValueError):
+        adamw_step(ParamVector(stack[1], "sig"), ParamVector(grad[1], "other"), state, 0.01)
+    assert (stack.tobytes(), m.tobytes(), v.tobytes()) == before
+    assert state.step_count == 8
 
 
 def test_adamw_validation():

@@ -1,6 +1,5 @@
 """Training-stage tests: determinism, lineage, freezing, and fission capture."""
 
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +33,6 @@ from soupkit.pipeline import (
     fgg_base_generate,
     fgg_fission,
     fgg_fission_many,
-    fine_tune,
     fission_total_steps,
     grid_generate,
     linear_probe_warmup,
@@ -166,8 +164,8 @@ def test_warmup_lineage_roots_itself(bundle, theta0):
 
 def test_fine_tune_deterministic_and_lineage(bundle, theta0):
     cfg = HyperConfig(lr=1e-2, seed=0, epochs=2)
-    a = fine_tune(theta0, bundle.train, bundle.val, cfg)
-    b = fine_tune(theta0, bundle.train, bundle.val, cfg)
+    (a,), _ = grid_generate(theta0, [cfg.lr], [cfg.augment], [cfg.seed], bundle.train, bundle.val, cfg)
+    (b,), _ = grid_generate(theta0, [cfg.lr], [cfg.augment], [cfg.seed], bundle.train, bundle.val, cfg)
     assert a.id == b.id
     assert np.array_equal(a.params.values, b.params.values)
     assert a.lineage.stage == "grid"
@@ -179,22 +177,8 @@ def test_fine_tune_deterministic_and_lineage(bundle, theta0):
 
 def test_fine_tune_improves_val_over_theta0(bundle, theta0):
     cfg = HyperConfig(lr=1e-2, seed=0, epochs=8)
-    ck = fine_tune(theta0, bundle.train, bundle.val, cfg)
+    (ck,), _ = grid_generate(theta0, [cfg.lr], [cfg.augment], [cfg.seed], bundle.train, bundle.val, cfg)
     assert ck.val_metrics["accuracy"] >= theta0.val_metrics["accuracy"]
-
-
-def test_fine_tune_rejects_cyclical_for_grid(bundle, theta0):
-    cfg = HyperConfig(lr=1e-2, seed=0, epochs=1,
-                      schedule="cyclical", cyclical=CyclicalSchedule(4, 1e-2, 1e-4))
-    with pytest.raises(ValueError):
-        fine_tune(theta0, bundle.train, bundle.val, cfg)
-
-
-def test_fine_tune_runs_refuse_configs_of_different_epochs(bundle, theta0):
-    configs = [HyperConfig(lr=1e-2, seed=0, epochs=1), HyperConfig(lr=1e-2, seed=1, epochs=2)]
-    with pytest.raises(ValueError, match=re.escape("grid runs must share epochs and batch size, "
-                                                   "got [(1, 32), (2, 32)]")):
-        pipeline._fine_tune_runs(theta0, configs, bundle.train, bundle.val, "grid")
 
 
 def test_grid_generate_full_factorial(bundle, theta0):
@@ -387,14 +371,11 @@ def _reference_train_loop(params, arch, train, config, lr_for_step, total_steps,
                 raise TrainingDivergedError(f"non-finite gradient at step {step}/{total_steps}")
             lr = lr_for_step(step)
             if trainable is None:
-                params, state = adamw_step(params, grads, state, lr)
+                adamw_step(params, grads, state, lr)
             else:
-                sub_p = ParamVector(params.values[trainable], params.arch_signature)
-                sub_g = ParamVector(grads.values[trainable], grads.arch_signature)
-                sub_p, state = adamw_step(sub_p, sub_g, state, lr)
-                merged = params.values.copy()
-                merged[trainable] = sub_p.values
-                params = ParamVector(merged, params.arch_signature)
+                # the slice's ParamVector is a view, so the update lands in params
+                adamw_step(ParamVector(params.values[trainable], params.arch_signature),
+                           ParamVector(grads.values[trainable], grads.arch_signature), state, lr)
             if not np.all(np.isfinite(params.values)):
                 raise TrainingDivergedError(f"non-finite parameters at step {step}/{total_steps}")
             if step in collect_steps:

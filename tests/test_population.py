@@ -14,7 +14,6 @@ from soupkit.nn import ArchSpec, MetricKind, ParamVector, init_params
 from soupkit.optim import CyclicalSchedule, cyclical_alpha
 from soupkit.pipeline import (
     HyperConfig,
-    TrainingDivergedError,
     _cosine_rates,
     _Member,
     _train_population,
@@ -22,7 +21,6 @@ from soupkit.pipeline import (
     fgg_base_generate,
     fgg_fission,
     fgg_fission_many,
-    fine_tune,
     grid_generate,
     linear_probe_warmup,
     pretrain_source,
@@ -203,15 +201,19 @@ def test_grid_equals_solo_fine_tunes(bundle, theta0):
     cks, failures = grid_generate(theta0, [1e30, 1e-2, 3e-3], list(AugmentLevel), [0, 1],
                                   bundle.train, bundle.val, template)
     assert len(cks) == 12 and len(failures) == 6
+    def solo(cfg):
+        return grid_generate(theta0, [cfg.lr], [cfg.augment], [cfg.seed], bundle.train, bundle.val, cfg)
+
     for ck in cks:
-        solo = fine_tune(theta0, bundle.train, bundle.val, ck.config)
-        assert ck.id == solo.id
-        assert np.array_equal(ck.params.values, solo.params.values)
-        assert ck.val_metrics == solo.val_metrics
+        (one,), no_failures = solo(ck.config)
+        assert no_failures == []
+        assert ck.id == one.id
+        assert np.array_equal(ck.params.values, one.params.values)
+        assert ck.val_metrics == one.val_metrics
     for failure in failures:
-        with pytest.raises(TrainingDivergedError) as exc:
-            fine_tune(theta0, bundle.train, bundle.val, failure.config)
-        assert str(exc.value) == failure.error
+        no_checkpoints, (one,) = solo(failure.config)
+        assert no_checkpoints == []
+        assert one.error == failure.error
 
 
 def test_fission_population_equals_solo_fissions(bundle, theta0):
