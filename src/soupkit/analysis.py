@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .data import LabeledDataset, _write_csv_rows
-from .nn import ArchSpec, MetricKind, MetricUndefinedError, ParamVector, _check_params, _scorer, _scores
+from .nn import ArchSpec, MetricKind, MetricUndefinedError, ParamVector, _check_params, _scorer
 from .pipeline import STAGES, Checkpoint
 
 DEFAULT_LMC_POINTS = 11
@@ -78,7 +78,7 @@ def lmc_sweep(a: Checkpoint, b: Checkpoint, n_points: int,
     metric = MetricKind(metric)
     lambdas = np.linspace(0.0, 1.0, n_points)
     lam = lambdas[:, None]
-    scores = _scores(lam * a.params.values + (1.0 - lam) * b.params.values, a.arch, dataset, metric)
+    scores = _scorer(a.arch, dataset, metric)(lam * a.params.values + (1.0 - lam) * b.params.values)[metric]
     return LmcCurve(a.id, b.id, metric.value, lambdas, scores)
 
 
@@ -162,7 +162,7 @@ def landscape_grid(basis: PlaneBasis, extent: tuple[float, float, float, float],
     along_x = basis.origin + xs[:, None] * basis.u  # cell = origin + x*u + y*v, as in PlaneBasis.point
     score = _scorer(basis.arch, dataset, metric)
     for i, y in enumerate(ys):
-        values[i] = 1.0 - score(along_x + y * basis.v)
+        values[i] = 1.0 - score(along_x + y * basis.v)[metric]
     return LandscapeGrid(basis, tuple(extent), (nx, ny), metric.value, xs, ys, values)
 
 
@@ -224,7 +224,7 @@ def ood_report(entries: Sequence[tuple[str, object]], id_test: LabeledDataset,
     by_column: dict[str, np.ndarray | None] = {}
     for col, ds in zip(columns, [id_test, *ood_sets]):
         try:
-            by_column[col] = _scores(stack, arch, ds, metric)
+            by_column[col] = _scorer(arch, ds, metric)(stack)[metric]
         except MetricUndefinedError:
             by_column[col] = None
     rows = [ReportRow(label, entry.id, {col: None if s is None else float(s[i]) for col, s in by_column.items()})

@@ -36,7 +36,7 @@ from .analysis import (
     plane_basis,
 )
 from .data import AugmentLevel, LabeledDataset, TaskBundle, TaskKind, TaskSpec, _atomic_write, _split_sizes, gen_task
-from .nn import ArchSpec, MetricKind, _Record, _evaluator, _scores
+from .nn import ArchSpec, MetricKind, _Record, _evaluator, _scorer
 from .optim import CyclicalSchedule
 from .pipeline import (
     Checkpoint,
@@ -408,6 +408,9 @@ def run_experiment(config: ExperimentConfig, store: Store) -> dict:
     if _read_regular(f"{exp_dir}/config.json") not in (None, record):
         raise StoreError(f"experiment {config.name!r} already exists with a different config")
     bundle = gen_task(config.task, config.split_ratios)
+    g = config.grid
+    if config.soups or (config.analysis and g and len(g.lrs) * len(g.augments) * len(g.seeds) >= 2):
+        _scorer(config.arch, bundle.val, config.metric)  # a metric the val labels leave undefined fails here
     store.save_task_bundle(config.name, bundle, config.task)  # a taken name fails before training
 
     recipe = run_recipe(config, bundle)
@@ -482,7 +485,7 @@ def method_comparison(seed: int, kind: TaskKind | str = TaskKind.ROUGH) -> Compa
     models = [("best_grid", recipe.ranked_grid(config.metric)[0]), *recipe.soups]
     stack = np.stack([m.params.values for _, m in models])
     b = recipe.bundle
-    by_split = {split: _scores(stack, config.arch, ds, config.metric)
+    by_split = {split: _scorer(config.arch, ds, config.metric)(stack)[config.metric]
                 for split, ds in (("val", b.val), ("test", b.test), ("ood", b.ood))}
     scores = {name: {split: float(s[i]) for split, s in by_split.items()} for i, (name, _) in enumerate(models)}
     return ComparisonRun(recipe, scores)

@@ -9,8 +9,10 @@ trivial and exact.
 Inputs are checked once per public call (and once per training stage), never
 in the kernels: `_check_params` and `_check_fit`. Callers that score many
 models on one split prepare one `_scorer`, which checks the split once and
-scores (K, P) stacks a bounded chunk at a time; `evaluate` is its one-model
-case. Every metric has one implementation, `_score`, over a stack of logits.
+scores (K, P) stacks a bounded chunk at a time, under one named metric or,
+for stage scoring, under every metric the labels define; `evaluate` is its
+one-model case. Every metric has one implementation, `_score`, over a stack
+of logits.
 
 The training kernels avoid numpy reductions over tiny axes, whose per-call
 cost dwarfs their arithmetic, but keep every float sum in numpy's own order
@@ -515,33 +517,13 @@ def _auc(ranks: np.ndarray, positives: np.ndarray) -> np.ndarray:
     return u / (n_pos * n_neg)
 
 
-def binary_roc_auc(scores: np.ndarray, positives: np.ndarray) -> float:
-    """Rank-statistic AUC; tied scores get 0.5 pair credit."""
-    scores = np.asarray(scores, dtype=np.float64)
-    positives = np.asarray(positives, dtype=bool)
-    n_pos = int(positives.sum())
-    n_neg = int(positives.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        raise MetricUndefinedError("ROC-AUC needs both positive and negative rows")
-    return float(_auc(_average_ranks(scores[None])[0], positives))
-
-
-def _support(labels: np.ndarray, k: int, metric: MetricKind) -> np.ndarray:
-    """Rows per class in checked labels; raises `MetricUndefinedError` when the
-    labels alone leave the metric undefined (ROC-AUC with one class present)."""
-    support = np.bincount(labels, minlength=k)
-    if metric is MetricKind.ROC_AUC_OVR and np.count_nonzero(support) < 2:
-        raise MetricUndefinedError("ROC-AUC is undefined with a single class present")
-    return support
-
-
 def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind, support: np.ndarray) -> np.ndarray:
     """One metric per model from a (K, n, classes) logit stack and checked
     labels: (K,). ROC-AUC is one-vs-rest over the softmax, from one ranking of
     every (model, class present) row; macro recall and F1 are read from one
     confusion[model, true, predicted] cube. Macro averages run over the
     classes present in the labels; F1 is 0 for a class never hit. `support`
-    is `_support(labels, classes, metric)`, computed once by the caller.
+    is the labels' rows per class, counted once by the caller.
     A macro average is a sum over the classes divided by their count, which
     is `np.mean`'s own arithmetic bit for bit without its per-call cost."""
     models, n, k = logits.shape
@@ -573,42 +555,38 @@ def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind, support: 
 _CHUNK_FLOATS = 1 << 16
 
 
-def _score_stack(stack: np.ndarray, arch: ArchSpec, features: np.ndarray, labels: np.ndarray,
-                 supports: dict[MetricKind, np.ndarray]) -> dict[MetricKind, np.ndarray]:
-    """Every metric of `supports` (metric -> its `_support`) for every model
-    of a (K, P) stack: one forward per chunk of models, each metric read from
-    it by `_score`. Unchecked: the caller checks the stack and the split."""
-    chunk = max(1, _CHUNK_FLOATS // (labels.size * max(arch.layer_dims)))
-    out = {metric: np.empty(stack.shape[0]) for metric in supports}
-    for lo in range(0, stack.shape[0], chunk):
-        logits = _forward_cached(_layer_views(stack[lo : lo + chunk], arch), arch.activation, features)[-1]
-        for metric, support in supports.items():
-            out[metric][lo : lo + chunk] = _score(logits, labels, metric, support)
-    return out
+def _scorer(arch: ArchSpec, dataset: "LabeledDataset",
+            metric: MetricKind | str | None = None) -> Callable[[np.ndarray], dict[MetricKind, np.ndarray]]:
+    """The scores of a (K, P) parameter stack on one split, as a function:
+    {metric: (K,) scores}.
 
-
-def _scorer(arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> Callable[[np.ndarray], np.ndarray]:
-    """The scores of a (K, P) parameter stack on one split, as a function: (K,).
-
-    The metric, the split's fit and whether its labels leave the metric
-    undefined are checked here, once; each call checks only the stack's
-    shape before `_score_stack`."""
-    metric = MetricKind(metric)
+    The metric, the split's fit and the class supports are checked here,
+    once. A named metric that the labels alone leave undefined (ROC-AUC with
+    one class present) raises `MetricUndefinedError`; with no metric, every
+    metric the labels define is scored, in `MetricKind` order. Each call
+    checks only the stack's shape, then runs one forward per chunk of models
+    and reads every metric from it by `_score`."""
+    metrics = list(MetricKind) if metric is None else [MetricKind(metric)]
     features, labels = dataset.features, dataset.labels
     _check_fit(arch, features, labels)
-    supports = {metric: _support(labels, arch.class_count, metric)}
+    support = np.bincount(labels, minlength=arch.class_count)
+    if np.count_nonzero(support) < 2 and MetricKind.ROC_AUC_OVR in metrics:
+        if metric is not None:
+            raise MetricUndefinedError("ROC-AUC is undefined with a single class present")
+        metrics.remove(MetricKind.ROC_AUC_OVR)
+    chunk = max(1, _CHUNK_FLOATS // (labels.size * max(arch.layer_dims)))
 
-    def score(stack: np.ndarray) -> np.ndarray:
+    def score(stack: np.ndarray) -> dict[MetricKind, np.ndarray]:
         if stack.ndim != 2 or stack.shape[1] != arch.param_count:
             raise ValueError(f"expected a (K, {arch.param_count}) parameter stack, got shape {stack.shape}")
-        return _score_stack(stack, arch, features, labels, supports)[metric]
+        out = {m: np.empty(stack.shape[0]) for m in metrics}
+        for lo in range(0, stack.shape[0], chunk):
+            logits = _forward_cached(_layer_views(stack[lo : lo + chunk], arch), arch.activation, features)[-1]
+            for m in metrics:
+                out[m][lo : lo + chunk] = _score(logits, labels, m, support)
+        return out
 
     return score
-
-
-def _scores(stack: np.ndarray, arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> np.ndarray:
-    """Scores of every model of a (K, P) parameter stack on one split: (K,)."""
-    return _scorer(arch, dataset, metric)(stack)
 
 
 def _evaluator(arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | str) -> Callable[[ParamVector], float]:
@@ -621,7 +599,8 @@ def _evaluator(arch: ArchSpec, dataset: "LabeledDataset", metric: MetricKind | s
         nonlocal scorer
         _check_params(params, arch)
         scorer = scorer or _scorer(arch, dataset, metric)
-        return float(scorer(params.values[None])[0])
+        (scores,) = scorer(params.values[None]).values()
+        return float(scores[0])
 
     return evaluate_fn
 

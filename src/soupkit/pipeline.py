@@ -19,16 +19,13 @@ import numpy as np
 from .data import AUGMENT_PARAMS, AugmentLevel, LabeledDataset, _Jitter
 from .nn import (
     ArchSpec,
-    MetricKind,
-    MetricUndefinedError,
     ParamVector,
     _check_fit,
     _check_params,
     _gradient_into,
     _layer_views,
     _Record,
-    _score_stack,
-    _support,
+    _scorer,
     init_params,
     last_layer_slice,
 )
@@ -141,18 +138,10 @@ def val_metric_map(params: ParamVector, arch: ArchSpec, val: LabeledDataset) -> 
 
 
 def _val_metric_maps(models: list[ParamVector], arch: ArchSpec, val: LabeledDataset) -> list[dict[str, float]]:
-    """`val_metric_map` of each model, in order, all scored as one stack: one
-    forward per chunk of models and every metric read from it by `_score`.
-    The models must fit `arch`; the split is checked here."""
-    _check_fit(arch, val.features, val.labels)
-    supports = {}
-    for kind in MetricKind:
-        try:
-            supports[kind] = _support(val.labels, arch.class_count, kind)
-        except MetricUndefinedError:
-            pass
-    stack = np.stack([p.values for p in models]) if models else np.empty((0, arch.param_count))
-    scores = _score_stack(stack, arch, val.features, val.labels, supports)
+    """`val_metric_map` of each model, in order, all scored as one stack by
+    the all-metrics `_scorer`. The models must fit `arch`."""
+    score = _scorer(arch, val)
+    scores = score(np.stack([p.values for p in models]) if models else np.empty((0, arch.param_count)))
     return [{kind.value: float(col[i]) for kind, col in scores.items()} for i in range(len(models))]
 
 

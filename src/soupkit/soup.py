@@ -17,8 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .data import LabeledDataset
-from .nn import MetricKind, ParamVector, _Record, _evaluator
+from .nn import MetricKind, ParamVector, _Record
 from .pipeline import Checkpoint, Lineage
 
 
@@ -115,30 +114,22 @@ def _check_roots(candidates: Sequence[Checkpoint]) -> None:
 def greedy_soup(
     candidates: Sequence[Checkpoint],
     metric: MetricKind | str,
-    val: LabeledDataset | None = None,
-    evaluate_fn: Callable[[ParamVector], float] | None = None,
+    evaluate_fn: Callable[[ParamVector], float],
 ) -> SoupResult:
     """Classic greedy soup: seed with the best validation candidate, then
     trial-average each remaining candidate in descending score order and
     keep it whenever the trial validation score does not drop.
 
     Ranking uses each candidate's recorded validation metric when present,
-    falling back to the evaluator; ranking ties break on candidate id.
+    falling back to `evaluate_fn`; ranking ties break on candidate id.
     """
     if not candidates:
         raise ValueError("cannot soup an empty candidate list")
     metric_key = MetricKind(metric).value
     _check_roots(candidates)
-    eval_fn = evaluate_fn
-    if eval_fn is None:
-        if val is None:
-            raise ValueError("need either evaluate_fn or a validation dataset")
-        eval_fn = _evaluator(candidates[0].arch, val, metric_key)
 
     def rank_score(c: Checkpoint) -> float:
-        if metric_key in c.val_metrics:
-            return c.val_metrics[metric_key]
-        return eval_fn(c.params)
+        return c.val_metrics[metric_key] if metric_key in c.val_metrics else evaluate_fn(c.params)
 
     ordered = sorted(((rank_score(c), c) for c in candidates), key=lambda sc: (-sc[0], sc[1].id))
     current, best = ordered[0]
@@ -148,7 +139,7 @@ def greedy_soup(
     audit = [AuditEntry(best.id, current, True)]
     for _, cand in ordered[1:]:
         trial = uniform_soup(member_params + [cand.params])
-        score = eval_fn(trial)
+        score = evaluate_fn(trial)
         accepted = score >= current
         audit.append(AuditEntry(cand.id, score, accepted))
         if accepted:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from soupkit import nn
+from soupkit.experiment import default_experiment_config
 
 # `--hypothesis-profile=ci`, as the CI's tier-1 step runs: every run draws the
 # same examples, so a property that fails there fails the same way locally.
@@ -66,6 +67,27 @@ def split_checks(monkeypatch):
 
     monkeypatch.setattr(nn, "_check_fit", spy)
     return checks
+
+
+@pytest.fixture
+def undefined_auc_config():
+    """`undefined_auc_config(form)`: the default rough recipe as a config dict,
+    scored by ROC-AUC on a 30-row balanced task whose 0.9/0.05/0.05 split
+    leaves one val row, so one class. `form` picks what scores val under that
+    metric: "soups" (uniform and greedy), "analysis" (the LMC sweep of the
+    grid's two best) or "neither"."""
+
+    def config(form: str) -> dict:
+        d = default_experiment_config("e", "rough", 0).to_dict()
+        d.update(metric="roc_auc_ovr", split_ratios=[0.9, 0.05, 0.05])
+        d["task"].update(n_samples=30, imbalance_ratio=1.0)
+        if form != "soups":
+            d["soups"] = []
+        if form != "analysis":
+            d["analysis"] = None
+        return d
+
+    return config
 
 
 @pytest.fixture

@@ -22,7 +22,8 @@ from soupkit.experiment import (
     method_comparison,
     run_experiment,
 )
-from soupkit.nn import ArchSpec, MetricKind, ParamVector, cross_entropy, evaluate, forward, gradient, init_params
+from soupkit.nn import (ArchSpec, MetricKind, ParamVector, _evaluator, cross_entropy, evaluate, forward, gradient,
+                        init_params)
 from soupkit.optim import CyclicalSchedule, cyclical_alpha, is_collection_point
 from soupkit.pipeline import (
     Checkpoint,
@@ -280,7 +281,7 @@ def test_criterion_4_greedy_monotonicity():
         template = HyperConfig(lr=3e-2, seed=0, epochs=2)
         grid, _ = grid_generate(theta0, [3e-2, 1e-2, 3e-3], [AugmentLevel.MINIMAL], [0, 1],
                                 bundle.train, bundle.val, template)
-        soup = greedy_soup(grid, metric, val=bundle.val)
+        soup = greedy_soup(grid, metric, evaluate_fn=_evaluator(arch, bundle.val, metric))
         best_recorded = max(c.val_metrics[metric.value] for c in grid)
         soup_val = evaluate(soup.params, arch, bundle.val, metric)
         best_val = max(evaluate(c.params, arch, bundle.val, metric) for c in grid)

@@ -517,6 +517,15 @@ def test_run_experiment_refuses_a_landscape_margin_of_minus_half_before_training
     assert not (tmp_path / "store" / "datasets").exists()
 
 
+@pytest.mark.parametrize("form", ["soups", "analysis"])
+def test_run_experiment_refuses_a_metric_the_val_split_leaves_undefined_before_writing(tmp_path, form,
+                                                                                      undefined_auc_config):
+    (tmp_path / "exp.json").write_text(json.dumps(undefined_auc_config(form)))
+    rc, out, err = _run("--store", str(tmp_path / "store"), "run-experiment", str(tmp_path / "exp.json"))
+    assert (rc, out, err) == (1, "", "error: ROC-AUC is undefined with a single class present\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+
 @pytest.mark.parametrize("edit, problem", [
     (lambda spec: spec.update(n_sample=spec.pop("n_samples")), "unknown key 'n_sample'"),
     (lambda spec: spec.pop("dims"), "missing key 'dims'"),

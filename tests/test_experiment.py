@@ -6,14 +6,19 @@ here we only cover the config surface and the cheap invariants.
 """
 
 import csv
+import functools
 import hashlib
+import importlib
 import json
+import pkgutil
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import soupkit
 from soupkit import experiment
 from soupkit.data import TaskKind, gen_task
 from soupkit.experiment import (
@@ -30,7 +35,7 @@ from soupkit.experiment import (
     run_experiment,
     run_recipe,
 )
-from soupkit.nn import MetricKind, evaluate
+from soupkit.nn import MetricKind, MetricUndefinedError, evaluate
 from soupkit.store import Store, StoreError
 
 
@@ -207,6 +212,39 @@ def test_readme_soup_table_is_soups():
     rows = [[cell.strip(" `") for cell in line.strip("|").split("|")] for line in table.splitlines()[2:]]
     assert [(row[0], row[-1]) for row in rows] == [
         (name, "--ids" if section == "grid" else "--bases") for name, (section, _) in SOUPS.items()]
+
+
+def _dotted_keys(d: dict, prefix: str = "") -> set[str]:
+    out = set()
+    for key, value in d.items():
+        out.add(prefix + key)
+        if isinstance(value, dict):
+            out |= _dotted_keys(value, f"{prefix}{key}.")
+    return out
+
+
+def test_readme_names_what_exists():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    entry = readme.split("## Library entry points", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(entry, {})
+    # every backticked `<module>.<name>` outside the code blocks, a call's
+    # arguments dropped; config keys such as `analysis.lmc_points` are not names
+    modules = {m.name for m in pkgutil.iter_modules(soupkit.__path__)}
+    config_keys = _dotted_keys(default_experiment_config("demo", "rough", 0).to_dict())
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    cited = {m.group(1) for span in re.findall(r"`([^`]+)`", prose)
+             if (m := re.match(r"(?:soupkit\.)?([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)", span))}
+    cited = sorted(name for name in cited if name.split(".")[0] in modules and name not in config_keys)
+
+    def resolves(name: str) -> bool:
+        module, *attrs = name.split(".")
+        try:
+            functools.reduce(getattr, attrs, importlib.import_module(f"soupkit.{module}"))
+        except AttributeError:
+            return False
+        return True
+
+    assert cited and [name for name in cited if not resolves(name)] == []
 
 
 def test_config_rejects_unknown_soup():
@@ -465,6 +503,20 @@ def test_a_refused_run_experiment_leaves_no_experiment_directory(tmp_path):
     with pytest.raises(StoreError, match="different task spec"):
         run_experiment(cfg, store)
     assert [p.name for p in tmp_path.iterdir()] == ["datasets"]
+
+
+@pytest.mark.parametrize("form", ["soups", "analysis"])
+def test_a_metric_the_val_split_leaves_undefined_is_refused_before_training(tmp_path, monkeypatch, form,
+                                                                           undefined_auc_config):
+    store = Store(tmp_path / "store")
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment, "pretrain_source", lambda *a, **k: pytest.fail("trained first"))
+        with pytest.raises(MetricUndefinedError, match="single class present"):
+            run_experiment(ExperimentConfig.from_dict(undefined_auc_config(form)), store)
+    assert not store.root.exists()
+    # a run that never scores val under the metric is not refused
+    summary = run_experiment(ExperimentConfig.from_dict(undefined_auc_config("neither")), store)
+    assert summary["soups"] == {} and summary["files"] == ["report.csv", "budget.csv"]
 
 
 def test_an_experiment_name_is_bound_to_its_config(tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ from soupkit.nn import (
     MetricKind,
     MetricUndefinedError,
     ParamVector,
-    binary_roc_auc,
     cross_entropy,
     evaluate,
     forward,
@@ -291,11 +290,21 @@ def _auc_pair_oracle(scores, positives):
     return total / (len(pos) * len(neg))
 
 
+def _binary_auc(scores, positives):
+    """Two-class ROC-AUC through `nn._score`: one model whose logits are
+    (0, score) per row, so class 1's probability orders the rows as the
+    scores do and class 0's reverses that order; the two one-vs-rest AUCs
+    count the same pairs, and their mean is the binary AUC of the scores."""
+    labels = np.asarray(positives, dtype=np.int64)
+    logits = np.stack([np.zeros(len(scores)), np.asarray(scores, dtype=np.float64)], axis=-1)[None]
+    return float(nn._score(logits, labels, MetricKind.ROC_AUC_OVR, np.bincount(labels, minlength=2))[0])
+
+
 def test_binary_auc_hand_cases():
-    assert binary_roc_auc(np.array([0.9, 0.8, 0.7, 0.1]), np.array([1, 1, 0, 0], bool)) == 1.0
-    assert binary_roc_auc(np.array([0.9, 0.2, 0.7, 0.1]), np.array([1, 1, 0, 0], bool)) == 0.75
+    assert _binary_auc([0.9, 0.8, 0.7, 0.1], [1, 1, 0, 0]) == 1.0
+    assert _binary_auc([0.9, 0.2, 0.7, 0.1], [1, 1, 0, 0]) == 0.75
     # all tied scores: chance level
-    assert binary_roc_auc(np.ones(6), np.array([1, 1, 1, 0, 0, 0], bool)) == 0.5
+    assert _binary_auc(np.ones(6), [1, 1, 1, 0, 0, 0]) == 0.5
 
 
 def test_binary_auc_matches_pair_oracle():
@@ -306,13 +315,13 @@ def test_binary_auc_matches_pair_oracle():
         positives = rng.integers(0, 2, size=n).astype(bool)
         if positives.all() or not positives.any():
             continue
-        got = binary_roc_auc(scores, positives)
+        got = _binary_auc(scores, positives)
         assert abs(got - _auc_pair_oracle(scores, positives)) < 1e-12
 
 
 def test_binary_auc_undefined_single_class():
     with pytest.raises(MetricUndefinedError):
-        binary_roc_auc(np.array([0.1, 0.2]), np.array([1, 1], bool))
+        nn._scorer(ArchSpec((2, 2)), _dataset([[0.0, 0.1], [0.0, 0.2]], [1, 1], 2), MetricKind.ROC_AUC_OVR)
 
 
 def _dataset(features, labels, class_count):
@@ -438,19 +447,19 @@ def test_evaluate_rejects_labels_outside_the_architecture():
 
 
 # ---------------------------------------------------------------------------
-# Stack scoring: `_scores` of a (K, P) stack against per-model `evaluate`
+# Stack scoring: `_scorer` of a (K, P) stack against per-model `evaluate`
 
 def _assert_stack_parity(stack, arch, ds):
-    """Every metric: `_scores` equals per-model `evaluate` with `==` (NaN
+    """Every metric: `_scorer` equals per-model `evaluate` with `==` (NaN
     equal to NaN), or both raise MetricUndefinedError."""
     for metric in MetricKind:
         try:
             want = [evaluate(ParamVector(row, arch.signature), arch, ds, metric) for row in stack]
         except MetricUndefinedError:
             with pytest.raises(MetricUndefinedError):
-                nn._scores(stack, arch, ds, metric)
+                nn._scorer(arch, ds, metric)(stack)
             continue
-        got = nn._scores(stack, arch, ds, metric)
+        got = nn._scorer(arch, ds, metric)(stack)[metric]
         assert got.shape == (len(stack),)
         assert np.array_equal(got, want, equal_nan=True), metric
 
@@ -489,12 +498,12 @@ def test_scores_single_class_labels_leave_only_roc_auc_undefined():
     ds = _dataset(rng.normal(size=(12, 3)), [1] * 12, 3)
     stack = _random_stack(arch, 5, rng)
     with pytest.raises(MetricUndefinedError):
-        nn._scores(stack, arch, ds, MetricKind.ROC_AUC_OVR)
+        nn._scorer(arch, ds, MetricKind.ROC_AUC_OVR)(stack)
     # decided from the labels alone, before any forward
     with pytest.raises(MetricUndefinedError):
-        nn._scores(stack[:0], arch, ds, MetricKind.ROC_AUC_OVR)
+        nn._scorer(arch, ds, MetricKind.ROC_AUC_OVR)(stack[:0])
     for metric in (MetricKind.ACCURACY, MetricKind.MACRO_RECALL, MetricKind.MACRO_F1):
-        assert np.all(np.isfinite(nn._scores(stack, arch, ds, metric)))
+        assert np.all(np.isfinite(nn._scorer(arch, ds, metric)(stack)[metric]))
     _assert_stack_parity(stack, arch, ds)
 
 
@@ -529,7 +538,7 @@ def test_scores_reject_a_stack_of_the_wrong_width():
     ds = _dataset(np.eye(3), [0, 1, 2], 3)
     for bad in (np.zeros(arch.param_count), np.zeros((2, arch.param_count + 1))):
         with pytest.raises(ValueError, match="parameter stack"):
-            nn._scores(bad, arch, ds, MetricKind.ACCURACY)
+            nn._scorer(arch, ds, MetricKind.ACCURACY)(bad)
 
 
 def test_a_scorer_checks_the_split_once_and_each_stack_by_shape(split_checks):
@@ -539,7 +548,7 @@ def test_a_scorer_checks_the_split_once_and_each_stack_by_shape(split_checks):
     stacks = [_random_stack(arch, k, rng) for k in (1, 5, 3)]
     for metric in MetricKind:
         score = nn._scorer(arch, ds, metric)
-        got = [score(stack) for stack in stacks]
+        got = [score(stack)[metric] for stack in stacks]
         with pytest.raises(ValueError, match="parameter stack"):
             score(stacks[0][0])
         assert len(split_checks) == 1 and split_checks.pop() is ds.features
@@ -551,6 +560,25 @@ def test_a_scorer_checks_the_split_once_and_each_stack_by_shape(split_checks):
         nn._scorer(ArchSpec((4, 3)), ds, MetricKind.ACCURACY)
     with pytest.raises(MetricUndefinedError):
         nn._scorer(arch, _dataset(ds.features, [1] * 30, 3), MetricKind.ROC_AUC_OVR)
+
+
+def test_the_all_metrics_scorer_is_each_one_metric_scorer_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(28)
+    arch = ArchSpec((4, 8, 3))
+    feats = rng.normal(size=(30, 4))
+    stack = _random_stack(arch, 7, rng)
+    monkeypatch.setattr(nn, "_CHUNK_FLOATS", 3 * 30 * 8)  # three models a chunk: seven span three chunks
+    without_auc = [m for m in MetricKind if m is not MetricKind.ROC_AUC_OVR]
+    for labels, defined in ((rng.integers(0, 3, size=30), list(MetricKind)), ([1] * 30, without_auc)):
+        ds = _dataset(feats, labels, 3)
+        every = nn._scorer(arch, ds)
+        got = every(stack)
+        assert list(got) == defined  # only the undefined metric is left out, the rest in `MetricKind` order
+        for metric in defined:
+            one = nn._scorer(arch, ds, metric)
+            alone = np.concatenate([one(stack[i : i + 1])[metric] for i in range(len(stack))])
+            assert got[metric].tobytes() == one(stack)[metric].tobytes() == alone.tobytes(), metric
+        assert {m: s.shape for m, s in every(stack[:0]).items()} == {m: (0,) for m in defined}
 
 
 def test_a_sum_divided_by_the_count_is_np_mean_bit_for_bit():
@@ -574,7 +602,8 @@ def test_permuting_the_stack_permutes_the_scores(order, seed, metric):
     ds = _dataset(rng.integers(-2, 3, size=(300, 3)), rng.integers(0, 4, size=300), 4)
     stack = _random_stack(arch, 9, rng)
     order = list(order)
-    assert np.array_equal(nn._scores(stack[order], arch, ds, metric), nn._scores(stack, arch, ds, metric)[order])
+    score = nn._scorer(arch, ds, metric)
+    assert np.array_equal(score(stack[order])[metric], score(stack)[metric][order])
 
 
 # Reference one-model ROC-AUC: per-class rank loop, kept here to pin the
@@ -618,8 +647,7 @@ def test_stack_roc_auc_matches_reference_rank_loop_exactly():
             odd = rng.random(logits.shape) < 0.05
             logits[odd] = rng.choice([np.inf, -np.inf, np.nan], size=int(odd.sum()))
         with np.errstate(invalid="ignore"):
-            got = nn._score(logits, labels, MetricKind.ROC_AUC_OVR,
-                            nn._support(labels, k, MetricKind.ROC_AUC_OVR))
+            got = nn._score(logits, labels, MetricKind.ROC_AUC_OVR, np.bincount(labels, minlength=k))
             want = [_reference_roc_auc_ovr(x, labels) for x in logits]
         assert np.array_equal(got, want, equal_nan=True), trial
 

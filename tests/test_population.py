@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soupkit import nn, pipeline
-from soupkit.data import AugmentLevel, LabeledDataset, TaskKind, TaskSpec, gen_task
+from soupkit import pipeline
+from soupkit.data import AugmentLevel, TaskKind, TaskSpec, gen_task
 from soupkit.nn import ArchSpec, MetricKind, ParamVector, init_params
 from soupkit.optim import CyclicalSchedule, cyclical_alpha
 from soupkit.pipeline import (
@@ -17,7 +17,6 @@ from soupkit.pipeline import (
     _cosine_rates,
     _Member,
     _train_population,
-    _val_metric_maps,
     fgg_base_generate,
     fgg_fission,
     fgg_fission_many,
@@ -247,17 +246,3 @@ def test_stage_scoring_equals_val_metric_map_per_snapshot(bundle, theta0):
         for ck in result.checkpoints:
             assert ck.val_metrics == val_metric_map(ck.params, ARCH, bundle.val)
             assert list(ck.val_metrics) == [kind.value for kind in MetricKind]
-
-
-def test_val_metric_maps_over_chunks_and_an_undefined_metric(bundle, theta0, monkeypatch):
-    rng = np.random.default_rng(8)
-    models = [ParamVector(theta0.params.values + 0.3 * rng.normal(size=ARCH.param_count), ARCH.signature)
-              for _ in range(7)]
-    val = bundle.val
-    single = val.labels == val.labels[0]
-    one_class = LabeledDataset(val.features[single], val.labels[single], val.class_count, "val", val.task_id)
-    monkeypatch.setattr(nn, "_CHUNK_FLOATS", 3 * val.n * max(ARCH.layer_dims))  # three models a chunk
-    for split in (val, one_class):
-        assert _val_metric_maps(models, ARCH, split) == [val_metric_map(p, ARCH, split) for p in models]
-    assert "roc_auc_ovr" not in _val_metric_maps(models, ARCH, one_class)[0]
-    assert _val_metric_maps([], ARCH, val) == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from soupkit.data import LabeledDataset
 from soupkit.experiment import build_soups
-from soupkit.nn import ArchSpec, MetricKind, ParamVector, evaluate, init_params
+from soupkit.nn import ArchSpec, MetricKind, ParamVector, _evaluator, evaluate, init_params
 from soupkit.pipeline import Checkpoint, Lineage
 from soupkit.soup import (
     AuditEntry,
@@ -251,7 +251,7 @@ def test_greedy_soup_checks_the_val_split_once(split_checks):
                          role="val", task_id="t")
     # unscored candidates, so ranking scores each of them too
     cks = [_ck(f"grid-{i}", rng.normal(size=ARCH.param_count)) for i in range(5)]
-    result = greedy_soup(cks, MetricKind.MACRO_F1, val=val)
+    result = greedy_soup(cks, MetricKind.MACRO_F1, evaluate_fn=_evaluator(ARCH, val, MetricKind.MACRO_F1))
     assert len(split_checks) == 1 and split_checks[0] is val.features
     want = greedy_soup(cks, MetricKind.MACRO_F1, evaluate_fn=lambda p: evaluate(p, ARCH, val, MetricKind.MACRO_F1))
     assert result.audit == want.audit and np.array_equal(result.params.values, want.params.values)
@@ -264,11 +264,8 @@ def test_greedy_rejects_mixed_roots():
         greedy_soup([a, b], MetricKind.ACCURACY, evaluate_fn=lambda p: 0.0)
 
 
-def test_greedy_needs_val_or_evaluator():
-    a = _ck("grid-a", _const(0.0), val_acc=0.9)
-    with pytest.raises(ValueError):
-        greedy_soup([a], MetricKind.ACCURACY)
-    with pytest.raises(ValueError):
+def test_greedy_refuses_an_empty_candidate_list():
+    with pytest.raises(ValueError, match="empty candidate list"):
         greedy_soup([], MetricKind.ACCURACY, evaluate_fn=lambda p: 0.0)
 
 
