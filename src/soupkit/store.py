@@ -17,7 +17,6 @@ import json
 import os
 import stat
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator
 
@@ -45,8 +44,10 @@ class ChecksumError(StoreError):
     """Stored weights do not match the checksum in their manifest."""
 
 
-def _schema_checked(raw: bytes) -> dict:
+def _schema_checked(raw: bytes, checkpoint_id: str) -> dict:
     manifest = json.loads(raw)
+    if not isinstance(manifest, dict):
+        raise StoreError(f"manifest of {checkpoint_id} is not a JSON object")
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise StoreError(f"unsupported manifest schema {manifest.get('schema_version')} (expected {SCHEMA_VERSION})")
     return manifest
@@ -117,7 +118,7 @@ class Store:
             d.mkdir(parents=True)
         except FileExistsError:
             if (stored := _read_regular(f"{d}/manifest.json")) is not None:
-                if json.loads(stored).get("weights_checksum") != digest:
+                if _schema_checked(stored, ck.id).get("weights_checksum") != digest:
                     raise StoreError(f"checkpoint id {ck.id} already exists") from None
                 return ck.id
             # A directory without a manifest is debris of a crashed save or the
@@ -133,7 +134,6 @@ class Store:
             "val_metrics": ck.val_metrics,
             "epochs_consumed": ck.epochs_consumed,
             "trained_on": ck.trained_on,
-            "created_at": datetime.now(timezone.utc).isoformat(),
             "weights_file": "weights.bin",
             "weights_checksum": digest,
         }
@@ -144,7 +144,7 @@ class Store:
         """A checkpoint's manifest, schema-checked, without reading its weights."""
         if (raw := _read_regular(self._file(checkpoint_id, "manifest.json"))) is None:
             raise StoreError(f"no checkpoint {checkpoint_id} in {self.root}")
-        return _schema_checked(raw)
+        return _schema_checked(raw, checkpoint_id)
 
     def load_checkpoint(self, checkpoint_id: str) -> Checkpoint:
         manifest = self.read_manifest(checkpoint_id)
@@ -191,7 +191,7 @@ class Store:
         order: one directory pass, each manifest opened once with no stat before it."""
         for name in self._names(prefix):  # debris, and a checkpoint removed since the pass, read as absent
             if (raw := _read_regular(f"{self.root}/{name}/manifest.json")) is not None:
-                yield name, _schema_checked(raw)
+                yield name, _schema_checked(raw, name)
 
     def save_soup(self, soup: SoupResult, arch: ArchSpec, metric: str) -> str:
         """Persist a soup as a stage=soup checkpoint plus an audit sidecar. The id does not name

@@ -429,6 +429,22 @@ def test_run_experiment_writes_identical_bytes_twice(tmp_path):
     assert payloads[0] == payloads[1]
 
 
+def test_a_store_written_twice_from_one_config_is_byte_identical(tmp_path):
+    cfg = _tiny_config(soups=_ALL_SOUPS)
+    trees = []
+    for sub in ("a", "b"):
+        root = tmp_path / sub
+        run_experiment(cfg, Store(root))
+        trees.append({p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()})
+    names = trees[0].keys()
+    assert names == trees[1].keys()
+    assert [n for n in sorted(names) if trees[0][n] != trees[1][n]] == []
+    # every kind of file the store holds: checkpoints, soups' audits, datasets and experiments
+    assert sum(n.endswith("/manifest.json") for n in names) == sum(n.endswith("/weights.bin") for n in names) > 0
+    assert sum(n.endswith("/audit.json") for n in names) == len(_ALL_SOUPS)
+    assert {"datasets/tiny/task.json", "experiments/tiny/summary.json"} <= names
+
+
 def test_run_experiment_is_rerunnable_in_place(tmp_path):
     cfg = _tiny_config()
     store = Store(tmp_path)
@@ -627,9 +643,8 @@ def test_default_recipe_val_metrics_match_golden_digest(tmp_path):
     assert _val_metrics_digest(store, summary) == _GOLDEN_DEFAULT_VAL_METRICS
 
 
-# Golden digests of every checkpoint and soup manifest, leaving out
-# `created_at`: checkpoints in summary order, then soups in the config's
-# soup order.
+# Golden digests of every checkpoint and soup manifest: checkpoints in
+# summary order, then soups in the config's soup order.
 # These see what no pin above sees: each manifest's lineage (base, cycle and
 # root), its config, its data tag and its epochs consumed.
 _GOLDEN_TINY_MANIFESTS = "289f5aefc4a4b67e783bea6f43870cb553bfbdcd052a4e489f208393734ddf6c"
@@ -640,7 +655,6 @@ def _manifests_digest(store, summary):
     digest = hashlib.sha256()
     for cid in [*summary["checkpoints"], *(s["id"] for s in summary["soups"].values())]:
         manifest = store.read_manifest(cid)
-        del manifest["created_at"]
         digest.update(json.dumps(manifest, sort_keys=True).encode("ascii"))
     return digest.hexdigest()
 
