@@ -45,11 +45,17 @@ class ChecksumError(StoreError):
 
 
 def _schema_checked(raw: bytes, checkpoint_id: str) -> dict:
+    """The one manifest decoder: an object of this schema whose `lineage` is an object and whose
+    `epochs_consumed` is a number (by exact type, so not a bool), or a one-line `StoreError`."""
     manifest = json.loads(raw)
     if not isinstance(manifest, dict):
         raise StoreError(f"manifest of {checkpoint_id} is not a JSON object")
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise StoreError(f"unsupported manifest schema {manifest.get('schema_version')} (expected {SCHEMA_VERSION})")
+    if not isinstance(manifest.get("lineage"), dict):
+        raise StoreError(f"manifest of {checkpoint_id} has a lineage that is not an object")
+    if type(manifest.get("epochs_consumed")) not in (int, float):
+        raise StoreError(f"manifest of {checkpoint_id} has an epochs_consumed that is not a number")
     return manifest
 
 

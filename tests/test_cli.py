@@ -438,6 +438,34 @@ def test_budget_refuses_a_manifest_of_an_unknown_stage(pipe, tmp_path):
     assert err.startswith("error: unknown stage 'mystery'") and err.count("\n") == 1
 
 
+_BAD_MANIFESTS = {
+    "array": (lambda m: [1], "is not a JSON object"),
+    "lineage": (lambda m: dict(m, lineage="x"), "has a lineage that is not an object"),
+    "epochs": (lambda m: dict(m, epochs_consumed=None), "has an epochs_consumed that is not a number"),
+}
+
+
+@pytest.mark.parametrize("command", ["budget", "eval", "soup", "fission"])
+@pytest.mark.parametrize("bad", list(_BAD_MANIFESTS))
+def test_a_malformed_manifest_is_a_one_line_error_naming_it(pipe, tmp_path, bad, command):
+    """`budget`, `eval`, gou discovery and a re-save (fission again into the same ids) read one snapshot's manifest."""
+    root = tmp_path / "store"
+    shutil.copytree(pipe["store"], root)
+    base = pipe["bases"][0]
+    victim = pipe["fissions"][base][0]
+    edit, problem = _BAD_MANIFESTS[bad]
+    manifest = root / victim / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    argv = {
+        "budget": ["budget"],
+        "eval": ["eval", "--id", victim, "--data", "demo", "--metric", "accuracy"],
+        "soup": ["soup", "--data", "demo", "--method", "gou", "--metric", "accuracy", "--bases", base],
+        "fission": ["fission", "--data", "demo", "--base", base, "--alpha1", "0.003", "--alpha2", "1e-6",
+                    "--n-collect", "2"],
+    }[command]
+    assert _run("--store", str(root), *argv) == (1, "", f"error: manifest of {victim} {problem}\n")
+
+
 def test_store_flag_from_environment(pipe, monkeypatch):
     monkeypatch.setenv("SOUPKIT_STORE", pipe["store"])
     out = _ok("eval", "--id", pipe["grid"][0], "--data", "demo", "--metric", "accuracy")

@@ -477,15 +477,15 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_run_experiment_artifacts_match_golden_digests(tmp_path):
+def test_run_experiment_artifacts_match_golden_digests(tmp_path, pins_kernel):
     cfg = _tiny_config(soups=_ALL_SOUPS)
     store = Store(tmp_path)
     summary = run_experiment(cfg, store)
     exp = store.experiment_dir(cfg.name)
-    assert {f: _sha256(exp / f) for f in _GOLDEN_FILES} == _GOLDEN_FILES
+    assert {f: _sha256(exp / f) for f in _GOLDEN_FILES} == _GOLDEN_FILES, pins_kernel
     audits = {name: _sha256(tmp_path / summary["soups"][name]["id"] / "audit.json")
               for name in _GOLDEN_AUDITS}
-    assert audits == _GOLDEN_AUDITS
+    assert audits == _GOLDEN_AUDITS, pins_kernel
 
 
 def test_run_recipe_checkpoints_are_the_summary_checkpoints(tmp_path):
@@ -600,16 +600,16 @@ _GOLDEN_DEFAULT_FILES = {
 _GOLDEN_DEFAULT_WEIGHTS = "171c64d1d99425447daa00b7fc3179ec3424ed7e4b26f7e7df53bb9ed77d44d5"
 
 
-def test_default_recipe_artifacts_match_golden_digests(tmp_path):
+def test_default_recipe_artifacts_match_golden_digests(tmp_path, pins_kernel):
     cfg = default_experiment_config("pin", "rough", 0)
     store = Store(tmp_path)
     summary = run_experiment(cfg, store)
     exp = store.experiment_dir(cfg.name)
-    assert {f: _sha256(exp / f) for f in _GOLDEN_DEFAULT_FILES} == _GOLDEN_DEFAULT_FILES
+    assert {f: _sha256(exp / f) for f in _GOLDEN_DEFAULT_FILES} == _GOLDEN_DEFAULT_FILES, pins_kernel
     weights = hashlib.sha256()
     for cid in summary["checkpoints"]:
         weights.update((tmp_path / cid / "weights.bin").read_bytes())
-    assert weights.hexdigest() == _GOLDEN_DEFAULT_WEIGHTS
+    assert weights.hexdigest() == _GOLDEN_DEFAULT_WEIGHTS, pins_kernel
 
 
 # Golden digests of every checkpoint's val_metrics (accuracy, macro F1,
@@ -659,16 +659,16 @@ def _manifests_digest(store, summary):
     return digest.hexdigest()
 
 
-def test_tiny_manifests_match_golden_digest(tmp_path):
+def test_tiny_manifests_match_golden_digest(tmp_path, pins_kernel):
     store = Store(tmp_path)
     summary = run_experiment(_tiny_config(soups=_ALL_SOUPS), store)
-    assert _manifests_digest(store, summary) == _GOLDEN_TINY_MANIFESTS
+    assert _manifests_digest(store, summary) == _GOLDEN_TINY_MANIFESTS, pins_kernel
 
 
-def test_default_recipe_manifests_match_golden_digest(tmp_path):
+def test_default_recipe_manifests_match_golden_digest(tmp_path, pins_kernel):
     store = Store(tmp_path)
     summary = run_experiment(default_experiment_config("pin", "rough", 0), store)
-    assert _manifests_digest(store, summary) == _GOLDEN_DEFAULT_MANIFESTS
+    assert _manifests_digest(store, summary) == _GOLDEN_DEFAULT_MANIFESTS, pins_kernel
 
 
 # Golden digests of the written config.json and the dataset's task.json. A
