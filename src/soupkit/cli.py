@@ -23,7 +23,7 @@ from .experiment import (DEFAULT_ARCH, FGG_AUGMENT, FGG_CYCLE_EPOCHS, FGG_SEED, 
 from .nn import ACTIVATIONS, ArchSpec, MetricKind, evaluate
 from .pipeline import (HyperConfig, TrainingDivergedError, fgg_base_generate, fgg_fission, grid_generate,
                        linear_probe_warmup, pretrain_source)
-from .store import Store, StoreError
+from .store import Store, StoreError, _json
 
 
 def _arch(args) -> ArchSpec:
@@ -84,7 +84,7 @@ def _written(args, table, summary: dict) -> dict:
 
 def cmd_gen_data(args) -> dict:
     if args.spec:
-        spec = TaskSpec.from_dict(json.loads(Path(args.spec).read_text()))
+        spec = TaskSpec.from_dict(_json(Path(args.spec).read_bytes(), f"task spec {args.spec}", ValueError))
     else:
         spec = TaskSpec(**{f.name: getattr(args, f.name) for f in fields(TaskSpec)})
     bundle = gen_task(spec)

@@ -51,7 +51,7 @@ from .pipeline import (
     steps_per_epoch,
 )
 from .soup import LineageError, SoupMethod, SoupResult, _flat_soup, hierarchical_soup
-from .store import Store, StoreError, _plain_name, _read_regular
+from .store import Store, StoreError, _json, _plain_name, _read_regular
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -226,7 +226,7 @@ class ExperimentConfig(_Record):
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(_json(Path(path).read_bytes(), f"experiment config {path}", ValueError))
 
     def to_dict(self) -> dict:
         out = {"schema_version": CONFIG_SCHEMA_VERSION}

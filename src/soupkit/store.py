@@ -44,10 +44,18 @@ class ChecksumError(StoreError):
     """Stored weights do not match the checksum in their manifest."""
 
 
+def _json(raw: bytes, what: str, error: type[Exception] = StoreError):
+    """`raw` decoded, or a one-line `error` naming `what` if it is not valid JSON (or not UTF-8)."""
+    try:
+        return json.loads(raw)
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError
+        raise error(f"{what} is not valid JSON") from None
+
+
 def _schema_checked(raw: bytes, checkpoint_id: str) -> dict:
     """The one manifest decoder: an object of this schema whose `lineage` is an object and whose
     `epochs_consumed` is a number (by exact type, so not a bool), or a one-line `StoreError`."""
-    manifest = json.loads(raw)
+    manifest = _json(raw, f"manifest of {checkpoint_id}")
     if not isinstance(manifest, dict):
         raise StoreError(f"manifest of {checkpoint_id} is not a JSON object")
     if manifest.get("schema_version") != SCHEMA_VERSION:
@@ -221,7 +229,7 @@ class Store:
     def load_audit(self, soup_id: str) -> dict:
         if (raw := _read_regular(self._file(soup_id, "audit.json"))) is None:
             raise StoreError(f"no audit record for {soup_id}")
-        return json.loads(raw)
+        return _json(raw, f"audit record of {soup_id}")
 
     # -- datasets ---------------------------------------------------------
 
@@ -234,7 +242,7 @@ class Store:
         d = self.dataset_dir(name)
         splits = bundle.splits()
         if (stored := _read_regular(f"{d}/task.json")) is not None:
-            if TaskSpec.from_dict(json.loads(stored)) != spec:
+            if TaskSpec.from_dict(_json(stored, f"task.json of dataset {name!r}")) != spec:
                 raise StoreError(f"dataset {name!r} already exists with a different task spec")
             on_disk = {role: _read_regular(f"{d}/{role}.csv") for role in splits}
             if any(raw not in (None, _csv_bytes(splits[role])) for role, raw in on_disk.items()):
@@ -252,7 +260,7 @@ class Store:
         d = self.dataset_dir(name)
         if (raw := _read_regular(f"{d}/task.json")) is None or not (d / f"{role}.csv").is_file():
             raise StoreError(f"no {role} split for dataset {name!r} in {self.root}")
-        spec = TaskSpec.from_dict(json.loads(raw))
+        spec = TaskSpec.from_dict(_json(raw, f"task.json of dataset {name!r}"))
         return load_csv(d / f"{role}.csv", role, spec.task_id, spec.class_count)
 
     # -- experiments ------------------------------------------------------

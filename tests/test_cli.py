@@ -258,13 +258,26 @@ def test_snapshot_discovery_opens_only_fission_manifests(pipe, tmp_path, monkeyp
     assert opened == sorted(f"{i}/manifest.json" for i in want)
 
 
-def test_module_entry_prints_usage():
+def _child(*argv):
+    """`python *argv` in a fresh interpreter that imports soupkit from this source tree."""
     src = str(Path(soupkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "soupkit.cli", "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_prints_usage():
+    proc = _child("-m", "soupkit.cli", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: soupkit")
+
+
+def test_the_package_root_holds_only_its_version_and_imports_no_module():
+    """Each name has one import path, its module: `import soupkit.nn` runs the root and nn alone."""
+    proc = _child("-c", "import json, sys, soupkit; names = [n for n in vars(soupkit) if not n.startswith('__')]; "
+                        "import soupkit.nn; print(json.dumps([names, soupkit.__version__, "
+                        "sorted(m for m in sys.modules if m.partition('.')[0] == 'soupkit')]))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], "0.1.0", ["soupkit", "soupkit.nn"]]
 
 
 def test_lmc_writes_curve(pipe, tmp_path):
@@ -438,10 +451,16 @@ def test_budget_refuses_a_manifest_of_an_unknown_stage(pipe, tmp_path):
     assert err.startswith("error: unknown stage 'mystery'") and err.count("\n") == 1
 
 
+def _edited(**keys):
+    return lambda raw: json.dumps(dict(json.loads(raw), **keys)).encode()
+
+
 _BAD_MANIFESTS = {
-    "array": (lambda m: [1], "is not a JSON object"),
-    "lineage": (lambda m: dict(m, lineage="x"), "has a lineage that is not an object"),
-    "epochs": (lambda m: dict(m, epochs_consumed=None), "has an epochs_consumed that is not a number"),
+    "array": (lambda raw: b"[1]", "is not a JSON object"),
+    "lineage": (_edited(lineage="x"), "has a lineage that is not an object"),
+    "epochs": (_edited(epochs_consumed=None), "has an epochs_consumed that is not a number"),
+    "truncated": (lambda raw: raw[:len(raw) // 2], "is not valid JSON"),
+    "not-utf8": (lambda raw: b"\xff" + raw, "is not valid JSON"),
 }
 
 
@@ -455,7 +474,7 @@ def test_a_malformed_manifest_is_a_one_line_error_naming_it(pipe, tmp_path, bad,
     victim = pipe["fissions"][base][0]
     edit, problem = _BAD_MANIFESTS[bad]
     manifest = root / victim / "manifest.json"
-    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    manifest.write_bytes(edit(manifest.read_bytes()))
     argv = {
         "budget": ["budget"],
         "eval": ["eval", "--id", victim, "--data", "demo", "--metric", "accuracy"],
@@ -566,6 +585,19 @@ def test_gen_data_spec_with_a_bad_key_is_a_one_line_error(tmp_path, edit, proble
     rc, out, err = _run("--store", str(tmp_path / "store"), "gen-data", "--name", "e", "--spec", str(spec_path))
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and problem in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("run-experiment", "{path}"), "experiment config {path}"),
+    (("gen-data", "--name", "e", "--spec", "{path}"), "task spec {path}"),
+], ids=["config", "spec"])
+@pytest.mark.parametrize("raw", [b'{"schema_version": 1, ', b"\xff{}"], ids=["truncated", "not-utf8"])
+def test_an_input_file_that_is_not_json_is_a_one_line_error_naming_it(tmp_path, argv, what, raw):
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    rc, out, err = _run("--store", str(tmp_path / "store"), *(a.format(path=path) for a in argv))
+    assert (rc, out, err) == (1, "", f"error: {what.format(path=path)} is not valid JSON\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 
 
 @pytest.mark.parametrize("argv, problem", [

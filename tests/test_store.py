@@ -589,6 +589,15 @@ def _uniform(val_score):
                       members=sorted([a.id, b.id]), val_score=val_score)
 
 
+def test_an_audit_that_is_not_json_is_refused_naming_the_soup(tmp_path):
+    store = Store(tmp_path)
+    soup = _uniform(0.8)
+    store.save_soup(soup, ARCH, "accuracy")
+    (tmp_path / soup.id / "audit.json").write_bytes(b'{"method": ')
+    with pytest.raises(StoreError, match=re.escape(f"audit record of {soup.id} is not valid JSON")):
+        store.load_audit(soup.id)
+
+
 @pytest.mark.parametrize("first, second, stored", [(0.8, 0.9, "accuracy"), (None, 0.9, "none")])
 def test_a_second_soup_record_with_a_different_audit_is_refused(tmp_path, first, second, stored):
     store = Store(tmp_path)
@@ -644,6 +653,22 @@ def test_a_dataset_without_its_task_json_reads_as_absent(tmp_path):
     (store.dataset_dir("x") / "task.json").unlink()
     with pytest.raises(StoreError, match=re.escape(f"no val split for dataset 'x' in {tmp_path}")):
         store.load_dataset("x", "val")
+
+
+@pytest.mark.parametrize("read", [
+    lambda store, spec: store.load_dataset("x", "val"),
+    lambda store, spec: store.save_task_bundle("x", gen_task(spec), spec),
+], ids=["load_dataset", "save_task_bundle"])
+@pytest.mark.parametrize("raw", [b'{"kind": "rough", ', b"\xff{}"], ids=["truncated", "not-utf8"])
+def test_a_task_json_that_is_not_json_is_refused_naming_the_dataset(tmp_path, read, raw):
+    spec = TaskSpec(kind="rough", seed=0, dims=4, class_count=3, n_samples=120)
+    store = Store(tmp_path)
+    d = store.save_task_bundle("x", gen_task(spec), spec)
+    (d / "task.json").write_bytes(raw)
+    files = _files(d)
+    with pytest.raises(StoreError, match=re.escape("task.json of dataset 'x' is not valid JSON")):
+        read(store, spec)
+    assert _files(d) == files
 
 
 def test_a_taken_dataset_name_is_verified_not_rewritten(tmp_path):
