@@ -2,11 +2,13 @@
 
 `run_recipe` runs a versioned config's recipe in memory (pretrain, warmup,
 grid, cyclical snapshot generation, soups) and returns a `Recipe`, whose
-`ranked_grid` is the one grid ranking. `run_experiment` runs it and persists
-the checkpoints, soups and reports to a store, deterministically enough that
-running the same config twice emits byte-identical CSVs. `method_comparison`
-and `landscape_contrast` run it with the package's calibrated desk-scale
-defaults; with `lmc_barriers` they back the headline empirical claims.
+`ranked_grid` is the one grid ranking. `analyse` scores a recipe's models into
+its report, budget, LMC and landscape tables. `run_experiment` runs both and
+persists the checkpoints, soups and tables to a store, deterministically enough
+that running the same config twice emits byte-identical CSVs.
+`method_comparison` and `landscape_contrast` run the recipe with the package's
+calibrated desk-scale defaults; with `lmc_barriers` they back the headline
+empirical claims.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Hashable, Sequence
-
-import numpy as np
 
 from .analysis import (
     DEFAULT_EXTENT_MARGIN,
@@ -395,6 +395,27 @@ def run_recipe(config: ExperimentConfig, bundle: TaskBundle) -> Recipe:
     return Recipe(bundle, pretrained, theta0, grid, bases, groups, failures, soups)
 
 
+def analyse(config: ExperimentConfig, recipe: Recipe) -> dict:
+    """The recipe's tables in memory, keyed by the file `run_experiment` writes each to, in
+    `summary.json`'s `files` order: the OOD report of the best grid model and the soups, the
+    budget and, with an analysis section and two or more grid models, the LMC curve between the
+    best two and the landscape through the best three, where those span a plane."""
+    b, ranked = recipe.bundle, recipe.ranked_grid(config.metric)
+    best = [("best_grid", ranked[0])] if ranked else []
+    tables = {"report.csv": ood_report([*best, *recipe.soups], b.test, [b.ood], config.metric, config.arch),
+              "budget.csv": compute_budget(recipe.checkpoints)}
+    if (a := config.analysis) and len(ranked) >= 2:
+        tables["lmc_curve.csv"] = lmc_sweep(ranked[0], ranked[1], a.lmc_points, b.val, config.metric)
+        try:
+            basis = plane_basis(*ranked[:3]) if len(ranked) >= 3 else None
+        except DegeneratePlaneError:  # no plane through the three best: no slice, as with fewer
+            basis = None
+        if basis is not None:
+            extent = default_extent(basis.anchor_coords, a.landscape_margin)
+            tables["landscape.csv"] = landscape_grid(basis, extent, a.landscape_resolution, b.val, config.metric)
+    return tables
+
+
 def run_experiment(config: ExperimentConfig, store: Store) -> dict:
     """Run the config's recipe, persist its checkpoints, soups and CSV reports.
 
@@ -414,55 +435,29 @@ def run_experiment(config: ExperimentConfig, store: Store) -> dict:
     store.save_task_bundle(config.name, bundle, config.task)  # a taken name fails before training
 
     recipe = run_recipe(config, bundle)
-    checkpoints = recipe.checkpoints
-    for ck in checkpoints:
+    for ck in recipe.checkpoints:
         store.save_checkpoint(ck)
     metric_key = config.metric.value
     for _, soup in recipe.soups:
         store.save_soup(soup, config.arch, metric_key)
 
-    ranked = recipe.ranked_grid(config.metric)
-    best = [("best_grid", ranked[0])] if ranked else []
-    report = ood_report([*best, *recipe.soups], bundle.test, [bundle.ood], config.metric, config.arch)
+    tables = analyse(config, recipe)  # every table, before the first is written
     exp_dir.mkdir(parents=True, exist_ok=True)
-    report.write_csv(exp_dir / "report.csv")
-    budget = compute_budget(checkpoints)
-    budget.write_csv(exp_dir / "budget.csv")
-
-    files = ["report.csv", "budget.csv"]
-    local_minima = None
-    if config.analysis and len(ranked) >= 2:
-        curve = lmc_sweep(ranked[0], ranked[1], config.analysis.lmc_points, bundle.val, config.metric)
-        curve.write_csv(exp_dir / "lmc_curve.csv")
-        files.append("lmc_curve.csv")
-        try:
-            basis = plane_basis(ranked[0], ranked[1], ranked[2]) if len(ranked) >= 3 else None
-        except DegeneratePlaneError:  # no plane through the three best: no slice, as with fewer
-            basis = None
-        if basis is not None:
-            extent = default_extent(basis.anchor_coords, config.analysis.landscape_margin)
-            surface = landscape_grid(basis, extent, config.analysis.landscape_resolution,
-                                     bundle.val, config.metric)
-            surface.write_csv(exp_dir / "landscape.csv")
-            files.append("landscape.csv")
-            local_minima = count_local_minima(surface)
-
+    for file, table in tables.items():
+        table.write_csv(exp_dir / file)
+    report, budget = tables["report.csv"], tables["budget.csv"]
     _atomic_write(exp_dir / "config.json", record)
     summary = {
         "name": config.name,
         "metric": metric_key,
-        "checkpoints": [c.id for c in checkpoints],
+        "checkpoints": [c.id for c in recipe.checkpoints],
         "soups": {name: {"id": soup.id, "val_score": soup.val_score} for name, soup in recipe.soups},
         "failures": [{"lr": f.config.lr, "seed": f.config.seed, "augment": f.config.augment.value,
                       "error": f.error} for f in recipe.failures],
-        "budget": {"grid_total": budget.grid_total, "fgg_total": budget.fgg_total,
-                   "ratio": budget.ratio},
-        "report": {
-            row.label: {col: row.scores.get(col) for col in report.columns}
-            for row in report.rows
-        },
-        "local_minima": local_minima,
-        "files": files,
+        "budget": {"grid_total": budget.grid_total, "fgg_total": budget.fgg_total, "ratio": budget.ratio},
+        "report": {row.label: {col: row.scores.get(col) for col in report.columns} for row in report.rows},
+        "local_minima": count_local_minima(tables["landscape.csv"]) if "landscape.csv" in tables else None,
+        "files": list(tables),
     }
     _atomic_write(exp_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True).encode("ascii"))
     return summary
@@ -480,14 +475,15 @@ class ComparisonRun:
 def method_comparison(seed: int, kind: TaskKind | str = TaskKind.ROUGH) -> ComparisonRun:
     """Grid baselines vs cyclical-snapshot soups on one seeded task instance."""
     kind = TaskKind(kind)
-    config = default_experiment_config(f"cmp-{kind.value}-{seed}", kind, seed)
+    config = replace(default_experiment_config(f"cmp-{kind.value}-{seed}", kind, seed), analysis=None)
     recipe = run_recipe(config, gen_task(config.task, config.split_ratios))
-    models = [("best_grid", recipe.ranked_grid(config.metric)[0]), *recipe.soups]
-    stack = np.stack([m.params.values for _, m in models])
-    b = recipe.bundle
-    by_split = {split: _scorer(config.arch, ds, config.metric)(stack)[config.metric]
-                for split, ds in (("val", b.val), ("test", b.test), ("ood", b.ood))}
-    scores = {name: {split: float(s[i]) for split, s in by_split.items()} for i, (name, _) in enumerate(models)}
+    report = analyse(config, recipe)["report.csv"]
+    test, ood = report.columns
+    # val is the score each model recorded when it was made: a fresh score gives the same bits
+    val = [recipe.ranked_grid(config.metric)[0].val_metrics[config.metric.value],
+           *(soup.val_score for _, soup in recipe.soups)]
+    scores = {row.label: {"val": v, "test": row.scores[test], "ood": row.scores[ood]}
+              for row, v in zip(report.rows, val)}
     return ComparisonRun(recipe, scores)
 
 

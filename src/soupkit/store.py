@@ -52,6 +52,15 @@ def _json(raw: bytes, what: str, error: type[Exception] = StoreError):
         raise error(f"{what} is not valid JSON") from None
 
 
+def _task_spec(raw: bytes, what: str, error: type[Exception] = StoreError) -> TaskSpec:
+    """The one task-spec decoder: `raw` as a `TaskSpec`, or a one-line `error` naming `what`."""
+    decoded = _json(raw, what, error)
+    try:
+        return TaskSpec.from_dict(decoded)
+    except ValueError as exc:  # not an object, a bad key or a bad value
+        raise error(f"{what}: {exc}") from None
+
+
 def _schema_checked(raw: bytes, checkpoint_id: str) -> dict:
     """The one manifest decoder: an object of this schema whose `lineage` is an object and whose
     `epochs_consumed` is a number (by exact type, so not a bool), or a one-line `StoreError`."""
@@ -242,7 +251,7 @@ class Store:
         d = self.dataset_dir(name)
         splits = bundle.splits()
         if (stored := _read_regular(f"{d}/task.json")) is not None:
-            if TaskSpec.from_dict(_json(stored, f"task.json of dataset {name!r}")) != spec:
+            if _task_spec(stored, f"task.json of dataset {name!r}") != spec:
                 raise StoreError(f"dataset {name!r} already exists with a different task spec")
             on_disk = {role: _read_regular(f"{d}/{role}.csv") for role in splits}
             if any(raw not in (None, _csv_bytes(splits[role])) for role, raw in on_disk.items()):
@@ -260,7 +269,7 @@ class Store:
         d = self.dataset_dir(name)
         if (raw := _read_regular(f"{d}/task.json")) is None or not (d / f"{role}.csv").is_file():
             raise StoreError(f"no {role} split for dataset {name!r} in {self.root}")
-        spec = TaskSpec.from_dict(_json(raw, f"task.json of dataset {name!r}"))
+        spec = _task_spec(raw, f"task.json of dataset {name!r}")
         return load_csv(d / f"{role}.csv", role, spec.task_id, spec.class_count)
 
     # -- experiments ------------------------------------------------------

@@ -600,6 +600,19 @@ def test_an_input_file_that_is_not_json_is_a_one_line_error_naming_it(tmp_path, 
     assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 
 
+@pytest.mark.parametrize("raw, problem", [
+    (b'"x"', "TaskSpec: expected an object, got 'x'"),
+    (b"{}", "TaskSpec: missing key 'kind'; missing key 'seed'"),
+], ids=["not-an-object", "empty-object"])
+def test_a_spec_file_that_is_no_task_spec_is_a_one_line_error_naming_it(tmp_path, raw, problem):
+    path = tmp_path / "spec.json"
+    path.write_bytes(raw)
+    rc, out, err = _run("--store", str(tmp_path / "store"), "gen-data", "--name", "e", "--spec", str(path))
+    assert rc == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: task spec {path}: {problem}")
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
 @pytest.mark.parametrize("argv, problem", [
     (("grid", "--theta0", "{warm}", "--lrs", "0.01,nan", "--epochs", "1"), "lr must be positive and finite, got nan"),
     (("fission", "--base", "{base}", "--alpha1", "inf", "--alpha2", "1e-6", "--n-collect", "2"),

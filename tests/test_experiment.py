@@ -25,6 +25,7 @@ from soupkit.experiment import (
     DEFAULT_ARCH,
     SOUPS,
     ExperimentConfig,
+    analyse,
     build_soups,
     cycle_schedule,
     default_experiment_config,
@@ -452,6 +453,38 @@ def test_run_experiment_is_rerunnable_in_place(tmp_path):
     second = run_experiment(cfg, store)  # identical checkpoints, soups and splits are verified, not rewritten
     assert first["checkpoints"] == second["checkpoints"]
     assert first["soups"] == second["soups"]
+
+
+# ---------------------------------------------------------------------------
+# analyse: the one analysis of a recipe
+
+def test_run_experiment_writes_what_analyse_holds(tmp_path):
+    cfg = _tiny_config()
+    store = Store(tmp_path / "store")
+    summary = run_experiment(cfg, store)
+    tables = analyse(cfg, run_recipe(cfg, gen_task(cfg.task, cfg.split_ratios)))
+    assert summary["files"] == list(tables) == ["report.csv", "budget.csv", "lmc_curve.csv", "landscape.csv"]
+    for file, table in tables.items():
+        table.write_csv(tmp_path / file)
+        assert (tmp_path / file).read_bytes() == (store.experiment_dir(cfg.name) / file).read_bytes(), file
+
+
+def test_analyse_without_an_analysis_section_makes_the_report_and_budget_only():
+    cfg = replace(_tiny_config(), analysis=None)
+    tables = analyse(cfg, run_recipe(cfg, gen_task(cfg.task, cfg.split_ratios)))
+    assert list(tables) == ["report.csv", "budget.csv"]
+
+
+def test_a_failing_analysis_writes_no_csv(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("no landscape")
+
+    monkeypatch.setattr(experiment, "landscape_grid", broken)
+    cfg = _tiny_config()
+    store = Store(tmp_path)
+    with pytest.raises(RuntimeError, match="no landscape"):
+        run_experiment(cfg, store)
+    assert sorted(p.name for p in store.experiment_dir(cfg.name).glob("*.csv")) == []
 
 
 # Golden sha256 digests of the tiny config's artifacts with every soup

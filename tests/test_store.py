@@ -659,14 +659,19 @@ def test_a_dataset_without_its_task_json_reads_as_absent(tmp_path):
     lambda store, spec: store.load_dataset("x", "val"),
     lambda store, spec: store.save_task_bundle("x", gen_task(spec), spec),
 ], ids=["load_dataset", "save_task_bundle"])
-@pytest.mark.parametrize("raw", [b'{"kind": "rough", ', b"\xff{}"], ids=["truncated", "not-utf8"])
-def test_a_task_json_that_is_not_json_is_refused_naming_the_dataset(tmp_path, read, raw):
+@pytest.mark.parametrize("raw, problem", [
+    (b'{"kind": "rough", ', " is not valid JSON"),
+    (b"\xff{}", " is not valid JSON"),
+    (b"[1]", ": TaskSpec: expected an object, got [1]"),
+    (b"{}", ": TaskSpec: missing key 'kind'; missing key 'seed'"),
+], ids=["truncated", "not-utf8", "not-an-object", "empty-object"])
+def test_a_task_json_that_is_not_json_is_refused_naming_the_dataset(tmp_path, read, raw, problem):
     spec = TaskSpec(kind="rough", seed=0, dims=4, class_count=3, n_samples=120)
     store = Store(tmp_path)
     d = store.save_task_bundle("x", gen_task(spec), spec)
     (d / "task.json").write_bytes(raw)
     files = _files(d)
-    with pytest.raises(StoreError, match=re.escape("task.json of dataset 'x' is not valid JSON")):
+    with pytest.raises(StoreError, match="^" + re.escape("task.json of dataset 'x'" + problem)):
         read(store, spec)
     assert _files(d) == files
 
