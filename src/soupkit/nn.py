@@ -8,11 +8,12 @@ trivial and exact.
 
 Inputs are checked once per public call (and once per training stage), never
 in the kernels: `_check_params` and `_check_fit`. Callers that score many
-models on one split prepare one `_scorer`, which checks the split once and
-scores (K, P) stacks a bounded chunk at a time, under one named metric or,
-for stage scoring, under every metric the labels define; `evaluate` is its
-one-model case. Every metric has one implementation, `_score`, over a stack
-of logits.
+models on one split prepare one `_scorer`, which checks the split and derives
+what the metrics read from its labels alone (`_Labels`) once, and scores
+(K, P) stacks a bounded chunk at a time, under one named metric or, for stage
+scoring, under every metric the labels define; `evaluate` is its one-model
+case. Every metric has one implementation, `_score`, over a stack of logits;
+macro recall and F1 come from per-class counts of hits and predictions.
 
 The training kernels avoid numpy reductions over tiny axes, whose per-call
 cost dwarfs their arithmetic, but keep every float sum in numpy's own order
@@ -26,7 +27,10 @@ the backprop kernel takes the cheaper `einsum`, except for a one-column layer,
 where the rows are contiguous and the two sum in different orders.
 
 The module also holds `_Record`, the one JSON codec of the package's config
-records; every module that defines one already imports this one.
+records; every module that defines one already imports this one. And it holds
+`_kernel_fingerprint`, which names the numpy kernels that a run's bits depend
+on besides the code: the `exp` loops and OpenBLAS's matmul at the trainer's
+shapes.
 """
 
 from __future__ import annotations
@@ -517,36 +521,54 @@ def _auc(ranks: np.ndarray, positives: np.ndarray) -> np.ndarray:
     return u / (n_pos * n_neg)
 
 
-def _score(logits: np.ndarray, labels: np.ndarray, metric: MetricKind, support: np.ndarray) -> np.ndarray:
-    """One metric per model from a (K, n, classes) logit stack and checked
-    labels: (K,). ROC-AUC is one-vs-rest over the softmax, from one ranking of
-    every (model, class present) row; macro recall and F1 are read from one
-    confusion[model, true, predicted] cube. Macro averages run over the
-    classes present in the labels; F1 is 0 for a class never hit. `support`
-    is the labels' rows per class, counted once by the caller.
+class _Labels:
+    """A split's labels and what the metrics read from them alone, derived once
+    per scorer: the classes present, whether every class is, and the present
+    classes' rows (their supports)."""
+
+    def __init__(self, labels: np.ndarray, class_count: int) -> None:
+        support = np.bincount(labels, minlength=class_count)
+        self.labels = labels
+        self.classes = np.flatnonzero(support)
+        self.every_class = self.classes.size == class_count
+        self.present_support = support[self.classes]
+
+
+def _score(logits: np.ndarray, metric: MetricKind, split: _Labels) -> np.ndarray:
+    """One metric per model from a (K, n, classes) logit stack on the checked
+    labels of `split`: (K,). ROC-AUC is one-vs-rest over the softmax, from one
+    ranking of every (model, class present) row. Macro recall and F1 are read
+    from per-class counts: each model's hits (rows of a class predicted as it)
+    and predictions of each class, one `bincount` each. Macro averages run
+    over the classes present in the labels; F1 is 0 for a class never hit.
     A macro average is a sum over the classes divided by their count, which
     is `np.mean`'s own arithmetic bit for bit without its per-call cost."""
     models, n, k = logits.shape
-    present = support > 0
+    labels = split.labels
     if metric is MetricKind.ROC_AUC_OVR:
-        classes = np.flatnonzero(present)
+        classes = split.classes
         probs = softmax(logits)[..., classes].swapaxes(1, 2)
         ranks = _average_ranks(probs.reshape(-1, n)).reshape(probs.shape)
         return _auc(ranks, labels == classes[:, None]).sum(axis=-1) / classes.size
     preds = np.argmax(logits, axis=-1)
+    correct = preds == labels
     if metric is MetricKind.ACCURACY:
-        return (preds == labels).sum(axis=-1) / labels.size
-    cells = (np.arange(models)[:, None] * k + labels) * k + preds
-    confusion = np.bincount(cells.ravel(), minlength=models * k * k).reshape(models, k, k)
-    # C order, so each model's average below is a reduction over one contiguous row
-    hits = np.diagonal(confusion, axis1=1, axis2=2)[:, present].astype(np.float64, order="C")
-    recall = hits / support[present]
+        return correct.sum(axis=-1) / labels.size
+    offset = np.arange(0, models * k, k)[:, None]
+    hits = np.bincount((offset + labels)[correct], minlength=models * k).reshape(models, k)
+    if not split.every_class:
+        # advanced indexing leaves a column-major result: back to C order, so
+        # each model's average below is a reduction over one contiguous row
+        hits = hits[:, split.classes].astype(np.float64, order="C")
+    recall = hits / split.present_support
     if metric is MetricKind.MACRO_RECALL:
         return recall.sum(axis=-1) / recall.shape[-1]
-    predicted = confusion.sum(axis=1)[:, present]
-    precision = np.divide(hits, predicted, out=np.zeros_like(hits), where=predicted > 0)
+    predicted = np.bincount((offset + preds).ravel(), minlength=models * k).reshape(models, k)
+    if not split.every_class:
+        predicted = predicted[:, split.classes]
+    precision = np.divide(hits, predicted, out=np.zeros_like(recall), where=predicted > 0)
     both = precision + recall
-    f1 = np.divide(2.0 * precision * recall, both, out=np.zeros_like(hits), where=both > 0)
+    f1 = np.divide(2.0 * precision * recall, both, out=np.zeros_like(recall), where=both > 0)
     return f1.sum(axis=-1) / f1.shape[-1]
 
 
@@ -560,30 +582,38 @@ def _scorer(arch: ArchSpec, dataset: "LabeledDataset",
     """The scores of a (K, P) parameter stack on one split, as a function:
     {metric: (K,) scores}.
 
-    The metric, the split's fit and the class supports are checked here,
-    once. A named metric that the labels alone leave undefined (ROC-AUC with
-    one class present) raises `MetricUndefinedError`; with no metric, every
+    The metric and the split's fit are checked here, once, and everything
+    the metrics read from the labels alone is derived here too (`_Labels`).
+    A named metric that the labels alone leave undefined (ROC-AUC with one
+    class present) raises `MetricUndefinedError`; with no metric, every
     metric the labels define is scored, in `MetricKind` order. Each call
     checks only the stack's shape, then runs one forward per chunk of models
-    and reads every metric from it by `_score`."""
+    and reads every metric from it by `_score`; a stack of one chunk is one
+    forward and one `_score` per metric."""
     metrics = list(MetricKind) if metric is None else [MetricKind(metric)]
     features, labels = dataset.features, dataset.labels
     _check_fit(arch, features, labels)
-    support = np.bincount(labels, minlength=arch.class_count)
-    if np.count_nonzero(support) < 2 and MetricKind.ROC_AUC_OVR in metrics:
+    split = _Labels(labels, arch.class_count)
+    if split.classes.size < 2 and MetricKind.ROC_AUC_OVR in metrics:
         if metric is not None:
             raise MetricUndefinedError("ROC-AUC is undefined with a single class present")
         metrics.remove(MetricKind.ROC_AUC_OVR)
     chunk = max(1, _CHUNK_FLOATS // (labels.size * max(arch.layer_dims)))
 
+    def logits_of(stack: np.ndarray) -> np.ndarray:
+        return _forward_cached(_layer_views(stack, arch), arch.activation, features)[-1]
+
     def score(stack: np.ndarray) -> dict[MetricKind, np.ndarray]:
         if stack.ndim != 2 or stack.shape[1] != arch.param_count:
             raise ValueError(f"expected a (K, {arch.param_count}) parameter stack, got shape {stack.shape}")
+        if stack.shape[0] <= chunk:
+            logits = logits_of(stack)
+            return {m: _score(logits, m, split) for m in metrics}
         out = {m: np.empty(stack.shape[0]) for m in metrics}
         for lo in range(0, stack.shape[0], chunk):
-            logits = _forward_cached(_layer_views(stack[lo : lo + chunk], arch), arch.activation, features)[-1]
+            logits = logits_of(stack[lo : lo + chunk])
             for m in metrics:
-                out[m][lo : lo + chunk] = _score(logits, labels, m, support)
+                out[m][lo : lo + chunk] = _score(logits, m, split)
         return out
 
     return score
@@ -610,3 +640,36 @@ def evaluate(params: ParamVector, arch: ArchSpec, dataset: "LabeledDataset", met
 
     The split is used as given; this is the one-model case of `_evaluator`."""
     return _evaluator(arch, dataset, metric)(params)
+
+
+# The trainer's five `@` shapes: a 36-member stack of the default 6-16-3 net on
+# 32-row batches, forward (two) and backward (three).
+_TRAINER_MATMULS = (((36, 32, 6), (36, 6, 16)), ((36, 32, 16), (36, 16, 3)), ((36, 6, 32), (36, 32, 16)),
+                    ((36, 16, 32), (36, 32, 3)), ((36, 32, 3), (36, 3, 16)))
+
+
+def _openblas_core() -> str:
+    """The core numpy's bundled OpenBLAS chose at load, or "unknown" where no bundled library reports one."""
+    import ctypes
+    from pathlib import Path
+
+    numpy_dir = Path(np.__file__).parent
+    for lib in sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"), *numpy_dir.glob(".dylibs/*openblas*")]):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def _kernel_fingerprint() -> str:
+    """What a run's bits depend on besides the code and its inputs: a digest
+    of `np.exp` and one of `@` at the trainer's shapes, both on fixed inputs,
+    and the OpenBLAS core. `numpy.__cpu_features__` names the hardware, not
+    the loops a run takes."""
+    rng = np.random.default_rng(0)
+    exp = hashlib.sha256(np.exp(4.0 * rng.standard_normal(36 * 32 * 3)).tobytes())
+    matmul = hashlib.sha256()
+    for a, b in _TRAINER_MATMULS:
+        matmul.update((rng.standard_normal(a) @ rng.standard_normal(b)).tobytes())
+    return f"exp {exp.hexdigest()[:12]}, matmul {matmul.hexdigest()[:12]}, openblas {_openblas_core()}"

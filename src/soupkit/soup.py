@@ -95,7 +95,8 @@ def uniform_soup(members: Sequence[ParamVector]) -> ParamVector:
     sizes = {m.size for m in members}
     if len(sizes) > 1:
         raise ValueError(f"members have mismatched lengths: {sorted(sizes)}")
-    order = sorted(range(len(members)), key=lambda i: members[i].values.tobytes())
+    keys = [m.values.tobytes() for m in members]
+    order = sorted(range(len(members)), key=keys.__getitem__)
     anchor = members[order[0]].values
     if len(members) == 1:
         return ParamVector(anchor.copy(), members[0].arch_signature)

@@ -238,7 +238,10 @@ class Store:
     def load_audit(self, soup_id: str) -> dict:
         if (raw := _read_regular(self._file(soup_id, "audit.json"))) is None:
             raise StoreError(f"no audit record for {soup_id}")
-        return _json(raw, f"audit record of {soup_id}")
+        audit = _json(raw, f"audit record of {soup_id}")
+        if not isinstance(audit, dict):
+            raise StoreError(f"audit record of {soup_id} is not a JSON object")
+        return audit
 
     # -- datasets ---------------------------------------------------------
 

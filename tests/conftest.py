@@ -1,12 +1,9 @@
 """Shared fixtures."""
 
-import ctypes
 import errno
-import hashlib
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -17,43 +14,15 @@ from soupkit.experiment import default_experiment_config
 # same examples, so a property that fails there fails the same way locally.
 settings.register_profile("ci", derandomize=True, deadline=None)
 
-# The trainer's five `@` shapes: a 36-member stack of the default 6-16-3 net on
-# 32-row batches, forward (two) and backward (three).
-_TRAINER_MATMULS = (((36, 32, 6), (36, 6, 16)), ((36, 32, 16), (36, 16, 3)), ((36, 6, 32), (36, 32, 16)),
-                    ((36, 16, 32), (36, 32, 3)), ((36, 32, 3), (36, 3, 16)))
-# `kernel_fingerprint()` on the host the byte pins were recorded on (numpy
+# `nn._kernel_fingerprint()` on the host the byte pins were recorded on (numpy
 # 2.4.6 with AVX-512 loops, its bundled OpenBLAS 0.3.31).
 PINS_KERNEL = "exp 0c29e9604fc7, matmul 9db788dcb67a, openblas SkylakeX"
-
-
-def _openblas_core() -> str:
-    """The core numpy's bundled OpenBLAS chose at load, or "unknown" where no bundled library reports one."""
-    numpy_dir = Path(np.__file__).parent
-    for lib in sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"), *numpy_dir.glob(".dylibs/*openblas*")]):
-        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    return "unknown"
-
-
-def kernel_fingerprint() -> str:
-    """What the byte pins' bits depend on besides the code: a digest of `np.exp`
-    and one of `@` at the trainer's shapes, both on fixed inputs, and the
-    OpenBLAS core. `numpy.__cpu_features__` names the hardware, not the loops
-    a run takes."""
-    rng = np.random.default_rng(0)
-    exp = hashlib.sha256(np.exp(4.0 * rng.standard_normal(36 * 32 * 3)).tobytes())
-    matmul = hashlib.sha256()
-    for a, b in _TRAINER_MATMULS:
-        matmul.update((rng.standard_normal(a) @ rng.standard_normal(b)).tobytes())
-    return f"exp {exp.hexdigest()[:12]}, matmul {matmul.hexdigest()[:12]}, openblas {_openblas_core()}"
 
 
 @pytest.fixture(scope="session")
 def pins_kernel():
     """The line a byte pin fails with: the kernel its digests were recorded on, and this host's."""
-    host = kernel_fingerprint()
+    host = nn._kernel_fingerprint()
     here = "the same kernel" if host == PINS_KERNEL else f"[{host}]"
     return f"byte pins recorded on kernel [{PINS_KERNEL}]; this host runs {here}"
 

@@ -297,7 +297,7 @@ def _binary_auc(scores, positives):
     count the same pairs, and their mean is the binary AUC of the scores."""
     labels = np.asarray(positives, dtype=np.int64)
     logits = np.stack([np.zeros(len(scores)), np.asarray(scores, dtype=np.float64)], axis=-1)[None]
-    return float(nn._score(logits, labels, MetricKind.ROC_AUC_OVR, np.bincount(labels, minlength=2))[0])
+    return float(nn._score(logits, MetricKind.ROC_AUC_OVR, nn._Labels(labels, 2))[0])
 
 
 def test_binary_auc_hand_cases():
@@ -477,14 +477,16 @@ def test_scores_match_evaluate_with_ties():
         _assert_stack_parity(stack, arch, ds)
 
 
-def test_scores_match_evaluate_with_absent_and_never_predicted_classes():
+@pytest.mark.parametrize("present", [10, 12])
+def test_scores_match_evaluate_with_absent_and_never_predicted_classes(present):
     rng = np.random.default_rng(21)
     k = 12
     arch = ArchSpec((k, k))
     feats = rng.normal(size=(90, k))
-    # ten classes present, so each model's class average sums more than numpy's
-    # eight-term block (a pairwise sum), and two absent
-    labels = rng.choice(rng.choice(k, size=10, replace=False), size=90)
+    # ten or twelve classes present, so each model's class average sums more
+    # than numpy's eight-term block (a pairwise sum); with ten, two are absent
+    labels = rng.choice(rng.choice(k, size=present, replace=False), size=90)
+    assert np.count_nonzero(np.bincount(labels, minlength=k)) == present
     stack = np.stack([_rigged_params(arch).values] * 40) + _random_stack(arch, 40, rng, 0.3)
     for row in stack:  # a different set of classes is never predicted by each model
         _, b = nn._layer_views(row, arch)[0]
@@ -647,7 +649,7 @@ def test_stack_roc_auc_matches_reference_rank_loop_exactly():
             odd = rng.random(logits.shape) < 0.05
             logits[odd] = rng.choice([np.inf, -np.inf, np.nan], size=int(odd.sum()))
         with np.errstate(invalid="ignore"):
-            got = nn._score(logits, labels, MetricKind.ROC_AUC_OVR, np.bincount(labels, minlength=k))
+            got = nn._score(logits, MetricKind.ROC_AUC_OVR, nn._Labels(labels, k))
             want = [_reference_roc_auc_ovr(x, labels) for x in logits]
         assert np.array_equal(got, want, equal_nan=True), trial
 

@@ -589,12 +589,17 @@ def _uniform(val_score):
                       members=sorted([a.id, b.id]), val_score=val_score)
 
 
-def test_an_audit_that_is_not_json_is_refused_naming_the_soup(tmp_path):
+@pytest.mark.parametrize("raw, problem", [
+    (b'{"method": ', "valid JSON"),
+    (b"[1]", "a JSON object"),
+    (b'"x"', "a JSON object"),
+], ids=["truncated", "a-list", "a-string"])
+def test_an_audit_that_is_not_json_is_refused_naming_the_soup(tmp_path, raw, problem):
     store = Store(tmp_path)
     soup = _uniform(0.8)
     store.save_soup(soup, ARCH, "accuracy")
-    (tmp_path / soup.id / "audit.json").write_bytes(b'{"method": ')
-    with pytest.raises(StoreError, match=re.escape(f"audit record of {soup.id} is not valid JSON")):
+    (tmp_path / soup.id / "audit.json").write_bytes(raw)
+    with pytest.raises(StoreError, match="^" + re.escape(f"audit record of {soup.id} is not {problem}") + "$"):
         store.load_audit(soup.id)
 
 
