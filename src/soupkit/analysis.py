@@ -168,14 +168,16 @@ def landscape_grid(basis: PlaneBasis, extent: tuple[float, float, float, float],
 
 def count_local_minima(values: np.ndarray | LandscapeGrid) -> int:
     """Interior cells strictly below all eight neighbours, i.e. the only cell of their
-    3x3 block at or below them: a NaN cell never counts and a NaN neighbour never blocks."""
+    3x3 block at or below them: a NaN cell never counts and a NaN neighbour never blocks.
+    A cell's block is counted as nine comparisons of the whole interior with shifted views."""
     if isinstance(values, LandscapeGrid):
         values = values.values
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 3 or values.shape[1] < 3:
         return 0
-    blocks = np.lib.stride_tricks.sliding_window_view(values, (3, 3))
-    at_or_below = (blocks <= values[1:-1, 1:-1, None, None]).sum(axis=(2, 3))
+    centre = values[1:-1, 1:-1]
+    h, w = centre.shape
+    at_or_below = sum(values[i : i + h, j : j + w] <= centre for i in range(3) for j in range(3))
     return int((at_or_below == 1).sum())
 
 

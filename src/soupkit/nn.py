@@ -13,7 +13,8 @@ what the metrics read from its labels alone (`_Labels`) once, and scores
 (K, P) stacks a bounded chunk at a time, under one named metric or, for stage
 scoring, under every metric the labels define; `evaluate` is its one-model
 case. Every metric has one implementation, `_score`, over a stack of logits;
-macro recall and F1 come from per-class counts of hits and predictions.
+macro recall and F1 come from per-class counts of hits and predictions, the
+hits as one matmul of the correct-prediction mask with the labels' one-hot.
 
 The training kernels avoid numpy reductions over tiny axes, whose per-call
 cost dwarfs their arithmetic, but keep every float sum in numpy's own order
@@ -523,49 +524,46 @@ def _auc(ranks: np.ndarray, positives: np.ndarray) -> np.ndarray:
 
 class _Labels:
     """A split's labels and what the metrics read from them alone, derived once
-    per scorer: the classes present, whether every class is, and the present
-    classes' rows (their supports)."""
+    per scorer: the classes present, their rows (their supports) and the
+    labels' one-hot matrix over them, (n, classes present) in float64."""
 
     def __init__(self, labels: np.ndarray, class_count: int) -> None:
         support = np.bincount(labels, minlength=class_count)
         self.labels = labels
         self.classes = np.flatnonzero(support)
-        self.every_class = self.classes.size == class_count
         self.present_support = support[self.classes]
+        self.onehot = (labels[:, None] == self.classes).astype(np.float64)
 
 
 def _score(logits: np.ndarray, metric: MetricKind, split: _Labels) -> np.ndarray:
     """One metric per model from a (K, n, classes) logit stack on the checked
     labels of `split`: (K,). ROC-AUC is one-vs-rest over the softmax, from one
-    ranking of every (model, class present) row. Macro recall and F1 are read
-    from per-class counts: each model's hits (rows of a class predicted as it)
-    and predictions of each class, one `bincount` each. Macro averages run
-    over the classes present in the labels; F1 is 0 for a class never hit.
-    A macro average is a sum over the classes divided by their count, which
-    is `np.mean`'s own arithmetic bit for bit without its per-call cost."""
+    ranking of every (model, class present) row, each class's positives a
+    column of the labels' one-hot. Macro recall and F1 are read from
+    per-class counts: each model's hits (rows of a class predicted as it), one
+    matmul of the (K, n) correct-prediction mask with the one-hot, whose sums
+    of 0s and 1s are exact integers, and its predictions of each class, one
+    `bincount`. Macro averages run over the classes present in the labels; F1
+    is 0 for a class never hit. A macro average is a sum over the classes
+    divided by their count, which is `np.mean`'s own arithmetic bit for bit
+    without its per-call cost."""
     models, n, k = logits.shape
     labels = split.labels
     if metric is MetricKind.ROC_AUC_OVR:
         classes = split.classes
         probs = softmax(logits)[..., classes].swapaxes(1, 2)
         ranks = _average_ranks(probs.reshape(-1, n)).reshape(probs.shape)
-        return _auc(ranks, labels == classes[:, None]).sum(axis=-1) / classes.size
+        return _auc(ranks, split.onehot.T).sum(axis=-1) / classes.size
     preds = np.argmax(logits, axis=-1)
     correct = preds == labels
     if metric is MetricKind.ACCURACY:
         return correct.sum(axis=-1) / labels.size
-    offset = np.arange(0, models * k, k)[:, None]
-    hits = np.bincount((offset + labels)[correct], minlength=models * k).reshape(models, k)
-    if not split.every_class:
-        # advanced indexing leaves a column-major result: back to C order, so
-        # each model's average below is a reduction over one contiguous row
-        hits = hits[:, split.classes].astype(np.float64, order="C")
+    hits = correct @ split.onehot
     recall = hits / split.present_support
     if metric is MetricKind.MACRO_RECALL:
         return recall.sum(axis=-1) / recall.shape[-1]
-    predicted = np.bincount((offset + preds).ravel(), minlength=models * k).reshape(models, k)
-    if not split.every_class:
-        predicted = predicted[:, split.classes]
+    offset = np.arange(0, models * k, k)[:, None]
+    predicted = np.bincount((offset + preds).ravel(), minlength=models * k).reshape(models, k)[:, split.classes]
     precision = np.divide(hits, predicted, out=np.zeros_like(recall), where=predicted > 0)
     both = precision + recall
     f1 = np.divide(2.0 * precision * recall, both, out=np.zeros_like(recall), where=both > 0)

@@ -14,17 +14,32 @@ from soupkit.experiment import default_experiment_config
 # same examples, so a property that fails there fails the same way locally.
 settings.register_profile("ci", derandomize=True, deadline=None)
 
-# `nn._kernel_fingerprint()` on the host the byte pins were recorded on (numpy
-# 2.4.6 with AVX-512 loops, its bundled OpenBLAS 0.3.31).
-PINS_KERNEL = "exp 0c29e9604fc7, matmul 9db788dcb67a, openblas SkylakeX"
+# The kernels the byte pins are recorded on, by name: `nn._kernel_fingerprint()`
+# under numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on an AVX-512 host, as it
+# runs, and in child processes run with `OPENBLAS_CORETYPE=Haswell` and
+# `NPY_DISABLE_CPU_FEATURES=X86_V4,AVX512_ICL,AVX512_SPR` (the AVX2 loops of
+# many CI runners).
+PINS_KERNELS = {
+    "SkylakeX": "exp 0c29e9604fc7, matmul 9db788dcb67a, openblas SkylakeX",
+    "Haswell": "exp 215d1885aff5, matmul 457f333a4c79, openblas Haswell",
+}
 
 
 @pytest.fixture(scope="session")
-def pins_kernel():
-    """The line a byte pin fails with: the kernel its digests were recorded on, and this host's."""
+def pinned():
+    """`pinned(table)`: a byte pin's digests on this host's kernel, from a table
+    keyed by the names of `PINS_KERNELS`. On a host that runs none of them
+    the test fails, naming this host's fingerprint and the recorded ones."""
     host = nn._kernel_fingerprint()
-    here = "the same kernel" if host == PINS_KERNEL else f"[{host}]"
-    return f"byte pins recorded on kernel [{PINS_KERNEL}]; this host runs {here}"
+    names = [name for name, fingerprint in PINS_KERNELS.items() if fingerprint == host]
+
+    def lookup(table: dict):
+        if not names:
+            recorded = "; ".join(f"{name} [{fingerprint}]" for name, fingerprint in PINS_KERNELS.items())
+            pytest.fail(f"byte pins are recorded on kernels {recorded}; this host runs [{host}]")
+        return table[names[0]]
+
+    return lookup
 
 
 class _FullDisk:

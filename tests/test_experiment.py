@@ -10,13 +10,17 @@ import functools
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import PINS_KERNELS
 
 import soupkit
 from soupkit import experiment
@@ -490,11 +494,20 @@ def test_a_failing_analysis_writes_no_csv(tmp_path, monkeypatch):
 # Golden sha256 digests of the tiny config's artifacts with every soup
 # method enabled. A change in numerics, soup membership or audit layout
 # shows up here, so a re-baseline has to be made, and logged, on purpose.
+# The byte pins that a kernel moves hold one entry per kernel of
+# `conftest.PINS_KERNELS`; the audits are the same on both.
 _ALL_SOUPS = ("uniform", "greedy", "gou", "gog", "fgg_uniform", "fgg_greedy", "gs_gou", "gs_gog")
 _GOLDEN_FILES = {
-    "report.csv": "8432ad84b0ab54fc3c05b7ffd05e4f7e4d636ba37791a65fdea75b11c9301d6f",
-    "landscape.csv": "af54e390dd42cd1fca8b2fab6408f6482b3c6ca8e36d76a6c73aab6f251a6c30",
-    "summary.json": "50a0ff4458891ad2cf097268ff336ce94eec1d880fece0c6441ce2f210ce363f",
+    "SkylakeX": {
+        "report.csv": "8432ad84b0ab54fc3c05b7ffd05e4f7e4d636ba37791a65fdea75b11c9301d6f",
+        "landscape.csv": "af54e390dd42cd1fca8b2fab6408f6482b3c6ca8e36d76a6c73aab6f251a6c30",
+        "summary.json": "50a0ff4458891ad2cf097268ff336ce94eec1d880fece0c6441ce2f210ce363f",
+    },
+    "Haswell": {
+        "report.csv": "8432ad84b0ab54fc3c05b7ffd05e4f7e4d636ba37791a65fdea75b11c9301d6f",
+        "landscape.csv": "486d2bb9cb9076d08427a7ae326713fda3779f86a51f6b9d5e42caa8bc270f10",
+        "summary.json": "50a0ff4458891ad2cf097268ff336ce94eec1d880fece0c6441ce2f210ce363f",
+    },
 }
 _GOLDEN_AUDITS = {
     "uniform": "9684e239d4dfd42c6a188ea16a502f9ef398c8f4c7e83371f6eed8ec3d3d57e1",
@@ -510,15 +523,16 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_run_experiment_artifacts_match_golden_digests(tmp_path, pins_kernel):
+def test_run_experiment_artifacts_match_golden_digests(tmp_path, pinned):
     cfg = _tiny_config(soups=_ALL_SOUPS)
     store = Store(tmp_path)
     summary = run_experiment(cfg, store)
     exp = store.experiment_dir(cfg.name)
-    assert {f: _sha256(exp / f) for f in _GOLDEN_FILES} == _GOLDEN_FILES, pins_kernel
+    golden = pinned(_GOLDEN_FILES)
+    assert {f: _sha256(exp / f) for f in golden} == golden
     audits = {name: _sha256(tmp_path / summary["soups"][name]["id"] / "audit.json")
               for name in _GOLDEN_AUDITS}
-    assert audits == _GOLDEN_AUDITS, pins_kernel
+    assert audits == _GOLDEN_AUDITS
 
 
 def test_run_recipe_checkpoints_are_the_summary_checkpoints(tmp_path):
@@ -626,23 +640,34 @@ def test_best_grid_breaks_ties_like_greedy_and_lmc(tmp_path, monkeypatch):
 # scale, none of which the tiny config reaches. The weights digest covers
 # every checkpoint's weights.bin, concatenated in summary order.
 _GOLDEN_DEFAULT_FILES = {
-    "report.csv": "909bc76797a63f7cba7f0c955dfbba93137297c291df03faa6e7706e221b6288",
-    "landscape.csv": "9922fb0cce8b86c293ac8b1682ad9360aed383e23dda221a8dda4548944b3661",
-    "summary.json": "d2b0f0c3bcdb319a18b14713467ef2b89d41424754634d683b5c2a4de55c22e7",
+    "SkylakeX": {
+        "report.csv": "909bc76797a63f7cba7f0c955dfbba93137297c291df03faa6e7706e221b6288",
+        "landscape.csv": "9922fb0cce8b86c293ac8b1682ad9360aed383e23dda221a8dda4548944b3661",
+        "summary.json": "d2b0f0c3bcdb319a18b14713467ef2b89d41424754634d683b5c2a4de55c22e7",
+    },
+    "Haswell": {
+        "report.csv": "909bc76797a63f7cba7f0c955dfbba93137297c291df03faa6e7706e221b6288",
+        "landscape.csv": "3bd4caca534fbfbfecd7f175d48bfc12169e5262ef37307c9ed8e70e241b0cba",
+        "summary.json": "d2b0f0c3bcdb319a18b14713467ef2b89d41424754634d683b5c2a4de55c22e7",
+    },
 }
-_GOLDEN_DEFAULT_WEIGHTS = "171c64d1d99425447daa00b7fc3179ec3424ed7e4b26f7e7df53bb9ed77d44d5"
+_GOLDEN_DEFAULT_WEIGHTS = {
+    "SkylakeX": "171c64d1d99425447daa00b7fc3179ec3424ed7e4b26f7e7df53bb9ed77d44d5",
+    "Haswell": "b260ff1805971caf731e957c04a469a4607113703cb4d12609cb9b40f77b705a",
+}
 
 
-def test_default_recipe_artifacts_match_golden_digests(tmp_path, pins_kernel):
+def test_default_recipe_artifacts_match_golden_digests(tmp_path, pinned):
     cfg = default_experiment_config("pin", "rough", 0)
     store = Store(tmp_path)
     summary = run_experiment(cfg, store)
     exp = store.experiment_dir(cfg.name)
-    assert {f: _sha256(exp / f) for f in _GOLDEN_DEFAULT_FILES} == _GOLDEN_DEFAULT_FILES, pins_kernel
+    golden = pinned(_GOLDEN_DEFAULT_FILES)
+    assert {f: _sha256(exp / f) for f in golden} == golden
     weights = hashlib.sha256()
     for cid in summary["checkpoints"]:
         weights.update((tmp_path / cid / "weights.bin").read_bytes())
-    assert weights.hexdigest() == _GOLDEN_DEFAULT_WEIGHTS, pins_kernel
+    assert weights.hexdigest() == pinned(_GOLDEN_DEFAULT_WEIGHTS)
 
 
 # Golden digests of every checkpoint's val_metrics (accuracy, macro F1,
@@ -680,8 +705,14 @@ def test_default_recipe_val_metrics_match_golden_digest(tmp_path):
 # summary order, then soups in the config's soup order.
 # These see what no pin above sees: each manifest's lineage (base, cycle and
 # root), its config, its data tag and its epochs consumed.
-_GOLDEN_TINY_MANIFESTS = "289f5aefc4a4b67e783bea6f43870cb553bfbdcd052a4e489f208393734ddf6c"
-_GOLDEN_DEFAULT_MANIFESTS = "a50d45f386b679b6314eededdcda5c7ca6cdd2096035040042ccc8557359c414"
+_GOLDEN_TINY_MANIFESTS = {
+    "SkylakeX": "289f5aefc4a4b67e783bea6f43870cb553bfbdcd052a4e489f208393734ddf6c",
+    "Haswell": "9c832db9b440a82bdd4a0f3137e92bb768c9ea5aaf2a0a2404fc119532d23acb",
+}
+_GOLDEN_DEFAULT_MANIFESTS = {
+    "SkylakeX": "a50d45f386b679b6314eededdcda5c7ca6cdd2096035040042ccc8557359c414",
+    "Haswell": "8b6230c6f8da557181573ae916cd0c058f04e7c2a2e38dc2dbfdbd9d3444304c",
+}
 
 
 def _manifests_digest(store, summary):
@@ -692,16 +723,36 @@ def _manifests_digest(store, summary):
     return digest.hexdigest()
 
 
-def test_tiny_manifests_match_golden_digest(tmp_path, pins_kernel):
+def test_tiny_manifests_match_golden_digest(tmp_path, pinned):
     store = Store(tmp_path)
     summary = run_experiment(_tiny_config(soups=_ALL_SOUPS), store)
-    assert _manifests_digest(store, summary) == _GOLDEN_TINY_MANIFESTS, pins_kernel
+    assert _manifests_digest(store, summary) == pinned(_GOLDEN_TINY_MANIFESTS)
 
 
-def test_default_recipe_manifests_match_golden_digest(tmp_path, pins_kernel):
+def test_default_recipe_manifests_match_golden_digest(tmp_path, pinned):
     store = Store(tmp_path)
     summary = run_experiment(default_experiment_config("pin", "rough", 0), store)
-    assert _manifests_digest(store, summary) == _GOLDEN_DEFAULT_MANIFESTS, pins_kernel
+    assert _manifests_digest(store, summary) == pinned(_GOLDEN_DEFAULT_MANIFESTS)
+
+
+_KERNEL_PINS = ("test_run_experiment_artifacts_match_golden_digests",
+                "test_default_recipe_artifacts_match_golden_digests",
+                "test_tiny_manifests_match_golden_digest", "test_default_recipe_manifests_match_golden_digest")
+
+
+def test_the_byte_pins_hold_on_the_haswell_kernel():
+    # the pins' Haswell entries, checked on an AVX-512 host as well: the four
+    # kernel-dependent pins in a child process that runs that kernel
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
+    fingerprint = subprocess.run([sys.executable, "-c", "from soupkit.nn import _kernel_fingerprint; "
+                                  "print(_kernel_fingerprint())"], capture_output=True, text=True, env=env,
+                                 cwd=Path(__file__).parents[1] / "src", timeout=60)
+    assert fingerprint.stdout.strip() == PINS_KERNELS["Haswell"], fingerprint.stderr
+    tests = [f"{__file__}::{name}" for name in _KERNEL_PINS]
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+                          capture_output=True, text=True, env=env, cwd=Path(__file__).parent, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:]
+    assert "4 passed" in proc.stdout
 
 
 # Golden digests of the written config.json and the dataset's task.json. A

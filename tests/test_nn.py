@@ -431,6 +431,30 @@ def test_class_metrics_match_reference_loops_exactly():
         assert evaluate(params, arch, ds, MetricKind.MACRO_F1) == _reference_macro_f1(labels, preds)
 
 
+def test_stack_class_metrics_match_reference_loops_row_by_row():
+    # one `_score` call per metric over a stack of one-hot predictions, each
+    # row drawn from its own class subset, so rows differ in the classes they
+    # never predict; the labels leave some classes absent
+    rng = np.random.default_rng(28)
+    for trial in range(200):
+        k = int(rng.integers(2, 12))
+        n = int(rng.integers(1, 60))
+        models = int(rng.integers(2, 12))
+        label_classes = rng.choice(k, size=1 if trial % 10 == 0 else int(rng.integers(1, k + 1)),
+                                   replace=False)
+        labels = rng.choice(label_classes, size=n)
+        preds = np.stack([rng.choice(rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False), size=n)
+                          for _ in range(models)])
+        split = nn._Labels(labels, k)
+        logits = np.eye(k)[preds]
+        assert nn._score(logits, MetricKind.ACCURACY, split).tolist() == [
+            int((p == labels).sum()) / n for p in preds]
+        assert nn._score(logits, MetricKind.MACRO_RECALL, split).tolist() == [
+            _reference_macro_recall(labels, p) for p in preds]
+        assert nn._score(logits, MetricKind.MACRO_F1, split).tolist() == [
+            _reference_macro_f1(labels, p) for p in preds]
+
+
 def test_evaluate_rejects_wrong_feature_width():
     arch = ArchSpec((3, 3))
     ds = _dataset(np.eye(4), [0, 1, 2, 0], 3)
