@@ -14,7 +14,6 @@ import csv
 import io
 import math
 import os
-import uuid
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -69,7 +68,7 @@ class LabeledDataset:
         if not np.issubdtype(labs.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {labs.dtype}")
         if not np.all(np.isfinite(feats)):
-            raise ValueError("non-finite features")
+            raise ValueError(f"non-finite features in the {self.role} split of task {self.task_id}")
         if self.class_count < 2:
             raise ValueError(f"class_count must be at least 2, got {self.class_count}")
         if labs.min() < 0 or labs.max() >= self.class_count:
@@ -197,8 +196,11 @@ def gen_task(spec: TaskSpec, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1
 
     c, d, h = spec.class_count, spec.dims, spec.cluster_heterogeneity
     means = CLASS_SEPARATION * r_struct.normal(size=(c, d)) / np.sqrt(d)
-    scale = 1.0 + h * r_struct.random(c)
-    stds = scale[:, None] * np.exp(0.25 * h * r_struct.normal(size=(c, d)))
+    # A finite heterogeneity can still overflow the scales: the features it
+    # spoils are refused below, in one error that names the task.
+    with np.errstate(over="ignore"):
+        scale = 1.0 + h * r_struct.random(c)
+        stds = scale[:, None] * np.exp(0.25 * h * r_struct.normal(size=(c, d)))
     if spec.imbalance_ratio > 1.0:
         weights = spec.imbalance_ratio ** ((c - 1 - np.arange(c)) / (c - 1))
     else:
@@ -292,17 +294,28 @@ class _Jitter:
             features *= uniform >= self._keep_below
 
 
-def _atomic_write(path: Path, raw: bytes) -> None:
-    """Write through a temp file of a unique name in the same directory, then
-    rename over `path`: readers see the old file or the new one, never a
-    partial one, and concurrent writers never share a temp file."""
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+def _atomic_write(path: str | Path, raw: bytes) -> None:
+    """The one way soupkit publishes a file. `raw` goes into a temp file beside
+    `path`, created exclusively under a fresh random name and written in full
+    by a loop of `os.write`, then `os.replace` renames it over `path`: readers
+    see the old file or the new one, never a partial one, and concurrent
+    writers never share a temp file. On any failure after the create, the temp
+    file is removed; a name some other writer holds is refused, not touched."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with tmp.open("xb") as fh:
-            fh.write(raw)
+        try:
+            view = memoryview(raw)
+            while view:  # a short write is continued, never published
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
 
 
@@ -310,7 +323,7 @@ def _write_csv_rows(path: str | Path, rows: Iterable[Sequence]) -> None:
     """Rows in the `csv.writer` dialect (CRLF lines, minimal quoting), written atomically."""
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows(rows)
-    _atomic_write(Path(path), buf.getvalue().encode("utf-8"))
+    _atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
 def _csv_bytes(dataset: LabeledDataset) -> bytes:
@@ -325,7 +338,7 @@ def _csv_bytes(dataset: LabeledDataset) -> bytes:
 def save_csv(dataset: LabeledDataset, path: str | Path) -> None:
     """Feature columns then the label column, under a header row; floats as shortest
     round-trip repr. The bytes are those of `csv.writer`: no cell needs quoting."""
-    _atomic_write(Path(path), _csv_bytes(dataset))
+    _atomic_write(path, _csv_bytes(dataset))
 
 
 def load_csv(path: str | Path, role: str, task_id: str, class_count: int) -> LabeledDataset:

@@ -491,7 +491,7 @@ def _find_grid(grid: Sequence[Checkpoint], lr: float, augment: AugmentLevel, see
     for c in grid:
         if c.config.lr == lr and c.config.augment is augment and c.config.seed == seed:
             return c
-    raise LookupError(f"no grid checkpoint with lr={lr} augment={augment} seed={seed}")
+    raise LookupError(f"no grid checkpoint with lr={lr} augment={augment.value} seed={seed}")
 
 
 # Pairs for the connectivity probe. The LR pair straddles the edge of the

@@ -2,11 +2,11 @@
 
 Each checkpoint gets its own directory under the store root holding
 `weights.bin` (raw little-endian float64) and `manifest.json` (schema,
-architecture, config, lineage, metrics, checksum). The manifest is written
-last via temp-file-plus-rename, so a crash mid-save can never leave a
-manifest that points at absent or partial weights: either the manifest is
-complete and the weights it describes are in place, or the directory is
-recognizable debris and ignored.
+architecture, config, lineage, metrics, checksum). Each file is published
+by `data._atomic_write` (temp file plus rename) and the manifest goes last,
+so a crash mid-save can never leave a manifest that points at absent or
+partial weights: either the manifest is complete and the weights it
+describes are in place, or the directory is recognizable debris and ignored.
 """
 
 from __future__ import annotations
@@ -92,6 +92,16 @@ def _read_regular(path: str) -> bytes | None:
         os.close(fd)
 
 
+def _mkdir(path: str) -> None:
+    """`os.mkdir`, making the missing parents first (a store's first save creates its root);
+    like `os.mkdir`, raises FileExistsError where `path` already exists."""
+    try:
+        os.mkdir(path)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        os.mkdir(path)
+
+
 def _checksum(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
@@ -122,7 +132,9 @@ class Store:
         return name
 
     def _file(self, checkpoint_id: str, name: str) -> str:
-        """A checkpoint's file as a string path, with no `Path` built; ids become paths only here and in `_checked`."""
+        """A checkpoint's file as a string path, with no `Path` built: every read of it (`_read_regular`) and
+        every write (`data._atomic_write`, soupkit's one publish path) takes this string. Ids become paths
+        only here and in `_checked`."""
         return f"{self.root}/{self._checked(checkpoint_id)}/{name}"
 
     def exists(self, checkpoint_id: str) -> bool:
@@ -134,20 +146,20 @@ class Store:
         A taken id whose stored weights are byte-identical writes nothing;
         other weights under it are refused.
         """
-        d = self.root / self._checked(ck.id)
+        weights, manifest_file = self._file(ck.id, "weights.bin"), self._file(ck.id, "manifest.json")
         raw = encode_weights(ck.params.values)
         digest = _checksum(raw)
         try:  # a fresh id costs one mkdir: the store is looked at only on a collision
-            d.mkdir(parents=True)
+            _mkdir(os.path.dirname(weights))
         except FileExistsError:
-            if (stored := _read_regular(f"{d}/manifest.json")) is not None:
+            if (stored := _read_regular(manifest_file)) is not None:
                 if _schema_checked(stored, ck.id).get("weights_checksum") != digest:
                     raise StoreError(f"checkpoint id {ck.id} already exists") from None
                 return ck.id
             # A directory without a manifest is debris of a crashed save or the
             # work of a concurrent writer: the renames below replace its weights,
             # and deleting its files could pull a temp file from under that writer.
-        _atomic_write(d / "weights.bin", raw)
+        _atomic_write(weights, raw)
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "id": ck.id,
@@ -160,7 +172,7 @@ class Store:
             "weights_file": "weights.bin",
             "weights_checksum": digest,
         }
-        _atomic_write(d / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True).encode("ascii"))
+        _atomic_write(manifest_file, json.dumps(manifest, indent=2, sort_keys=True).encode("ascii"))
         return ck.id
 
     def read_manifest(self, checkpoint_id: str) -> dict:
@@ -232,7 +244,7 @@ class Store:
         )
         self.save_checkpoint(ck)
         if stored is None:
-            _atomic_write(Path(self._file(soup.id, "audit.json")), audit)
+            _atomic_write(self._file(soup.id, "audit.json"), audit)
         return soup.id
 
     def load_audit(self, soup_id: str) -> dict:
@@ -260,20 +272,21 @@ class Store:
             if any(raw not in (None, _csv_bytes(splits[role])) for role, raw in on_disk.items()):
                 raise StoreError(f"dataset {name!r} already exists with different splits")
             splits = {role: ds for role, ds in splits.items() if on_disk[role] is None}
-        d.mkdir(parents=True, exist_ok=True)
+        os.makedirs(d, exist_ok=True)
         for role, ds in splits.items():
-            save_csv(ds, d / f"{role}.csv")
+            save_csv(ds, f"{d}/{role}.csv")
         if stored is None:
-            _atomic_write(d / "task.json", json.dumps(spec.to_dict(), indent=2, sort_keys=True).encode("ascii"))
+            _atomic_write(f"{d}/task.json", json.dumps(spec.to_dict(), indent=2, sort_keys=True).encode("ascii"))
         return d
 
     def load_dataset(self, name: str, role: str) -> LabeledDataset:
         """A split of a saved dataset; splits without a `task.json` are debris of a crashed save and read as absent."""
         d = self.dataset_dir(name)
-        if (raw := _read_regular(f"{d}/task.json")) is None or not (d / f"{role}.csv").is_file():
+        split = f"{d}/{role}.csv"
+        if (raw := _read_regular(f"{d}/task.json")) is None or not os.path.isfile(split):
             raise StoreError(f"no {role} split for dataset {name!r} in {self.root}")
         spec = _task_spec(raw, f"task.json of dataset {name!r}")
-        return load_csv(d / f"{role}.csv", role, spec.task_id, spec.class_count)
+        return load_csv(split, role, spec.task_id, spec.class_count)
 
     # -- experiments ------------------------------------------------------
 

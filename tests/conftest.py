@@ -42,42 +42,29 @@ def pinned():
     return lookup
 
 
-class _FullDisk:
-    """A writable file that takes half of the first write, then fails the way
-    a full disk does."""
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def write(self, data):
-        self._fh.write(data[: len(data) // 2])
-        self._fh.flush()
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    def close(self):
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
 @pytest.fixture
 def full_disk(monkeypatch):
-    """`full_disk(name)`: from then on, every file opened for writing whose
-    name starts with `name` (a temp file beside it included) fails mid-write."""
-    names = []
-    real_open = Path.open
+    """`full_disk(name)`: from then on, every file soupkit creates for writing
+    whose name starts with `name` (a temp file beside it included) takes half
+    of the first write, then fails the way a full disk does."""
+    names, doomed = [], set()
+    real_open, real_write = os.open, os.write
 
-    def open_(self, mode="r", *args, **kwargs):
-        fh = real_open(self, mode, *args, **kwargs)
-        if any(c in mode for c in "wxa") and self.name.startswith(tuple(names)):
-            return _FullDisk(fh)
-        return fh
+    def open_(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        if flags & (os.O_WRONLY | os.O_RDWR) and os.path.basename(path).startswith(tuple(names)):
+            doomed.add(fd)
+        return fd
 
-    monkeypatch.setattr(Path, "open", open_)
+    def write(fd, data):
+        if fd not in doomed:
+            return real_write(fd, data)
+        doomed.discard(fd)
+        real_write(fd, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("soupkit.data.os.open", open_)
+    monkeypatch.setattr("soupkit.data.os.write", write)
     return names.append
 
 

@@ -633,6 +633,14 @@ def test_gen_data_refuses_a_non_finite_knob_in_one_line(tmp_path):
     assert not (tmp_path / "store").exists()
 
 
+def test_gen_data_refuses_an_overflowing_knob_in_one_line(tmp_path):
+    # in a fresh interpreter, where a numpy RuntimeWarning would reach stderr
+    proc = _child("-m", "soupkit.cli", "--store", str(tmp_path / "store"), "gen-data", "--name", "d",
+                  "--heterogeneity", "1e300")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: non-finite features in the source split of task rough-0\n"
+
+
 def test_dispatch_runs_the_handler_bound_on_the_module_now(pipe, monkeypatch):
     argv = ("--store", pipe["store"], "eval", "--id", pipe["grid"][0], "--data", "demo", "--metric", "accuracy")
     _ok(*argv)  # the parser is built and cached by the first dispatch

@@ -16,6 +16,7 @@ from soupkit.data import (
     LabeledDataset,
     TaskKind,
     TaskSpec,
+    _atomic_write,
     _Jitter,
     augment,
     gen_task,
@@ -313,6 +314,25 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.array([[np.nan, 0.0]]), np.array([0]), class_count=2, role="train", task_id="t")
 
 
+def _dataset(features, labels, class_count=2):
+    return lambda: LabeledDataset(np.asarray(features), np.asarray(labels), class_count=class_count,
+                                  role="train", task_id="t")
+
+
+@pytest.mark.parametrize("make, message", [
+    (_dataset(np.zeros(3), np.zeros(3, dtype=int)), r"features must be a non-empty 2-D array, got shape \(3,\)"),
+    (_dataset(np.zeros((0, 2)), np.zeros(0, dtype=int)), r"features must be a non-empty 2-D array, got shape \(0, 2\)"),
+    (_dataset(np.zeros((3, 2)), np.zeros(2, dtype=int)), r"labels shape \(2,\) does not match 3 rows"),
+    (_dataset(np.zeros((2, 2)), [0.0, 1.0]), "labels must be integers, got dtype float64"),
+    (_dataset(np.zeros((2, 2)), [0, 0], class_count=1), "class_count must be at least 2, got 1"),
+    (_dataset([[np.inf, 0.0]], [0]), "non-finite features in the train split of task t"),
+    (lambda: _spec(n_samples=0), "n_samples must be positive, got 0"),
+], ids=["1-D features", "no rows", "label shape", "float labels", "one class", "non-finite", "no samples"])
+def test_dataset_and_spec_refusals_name_their_cause(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def _csv_writer_save(dataset, path):
     """`save_csv` as it was, one `csv.writer` row at a time: the byte reference."""
     import csv
@@ -351,6 +371,19 @@ def test_save_csv_failing_mid_write_keeps_previous_file(tmp_path, full_disk):
         save_csv(bundle.val, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
+
+
+def test_atomic_write_never_shares_a_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "train.csv"
+    target.write_bytes(b"published")
+    taken = tmp_path / f"train.csv.{'07' * 8}.tmp"
+    taken.write_bytes(b"another writer's")
+    monkeypatch.setattr("soupkit.data.os.urandom", lambda n: b"\x07" * n)
+    with pytest.raises(FileExistsError):
+        _atomic_write(str(target), b"new")
+    assert target.read_bytes() == b"published"
+    assert taken.read_bytes() == b"another writer's"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([target.name, taken.name])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from conftest import PINS_KERNELS
 
 import soupkit
 from soupkit import experiment
-from soupkit.data import TaskKind, gen_task
+from soupkit.data import AugmentLevel, LabeledDataset, TaskKind, gen_task
 from soupkit.experiment import (
     DEFAULT_ARCH,
     SOUPS,
@@ -362,6 +362,21 @@ def test_build_soups_refuses_a_pool_that_holds_one_checkpoint_twice(pool):
     for name in ("uniform", "gou"):
         with pytest.raises(ValueError, match=f"the {pool} pool holds checkpoint {twice.id} more than once"):
             build_soups([name], cfg.metric, cfg.arch, bundle.val, grid, groups)
+
+
+def _unknown_soup():
+    val = LabeledDataset(np.zeros((2, 6)), np.array([0, 1]), class_count=3, role="val", task_id="t")
+    build_soups(["nope"], "accuracy", DEFAULT_ARCH, val, [], [])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_unknown_soup, ValueError, "unknown soup method 'nope'"),
+    (lambda: experiment._find_grid([], 0.01, AugmentLevel.MINIMAL, 0), LookupError,
+     "no grid checkpoint with lr=0.01 augment=minimal seed=0"),
+], ids=["unknown soup", "grid miss"])
+def test_experiment_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_lr_groups_keep_rates_that_share_a_spelling_apart():

@@ -164,6 +164,22 @@ def test_batch_validation():
         Batch(np.zeros((2, 2)), np.array([0.5, 1.0]))
 
 
+_ARCH = ArchSpec((2, 4, 3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Batch(np.zeros((2, 3)), np.zeros((2, 1), dtype=int)), r"labels must be 1-D, got shape \(2, 1\)"),
+    (lambda: pack_params([(np.zeros((2, 4)), np.zeros(4)), (np.zeros((4, 2)), np.zeros(2))], _ARCH),
+     r"layer shape mismatch: got W\(4, 2\) b\(2,\), expected \(4,3\)"),
+    (lambda: nn._check_params(ParamVector(np.zeros(5), _ARCH.signature), _ARCH), "expected 27 parameters, got 5"),
+    (lambda: cross_entropy(np.zeros(3), np.zeros(3, dtype=int)), r"logits must be 2-D, got shape \(3,\)"),
+    (lambda: cross_entropy(np.zeros((3, 2)), np.zeros(2, dtype=int)), r"labels shape \(2,\) does not match logits rows 3"),
+], ids=["batch labels", "layer shape", "parameter count", "logits shape", "label shape"])
+def test_engine_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Loss
 

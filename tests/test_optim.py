@@ -176,6 +176,14 @@ def test_adamw_state_validation():
         AdamWState(m=np.zeros(2), v=-np.ones(2))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: AdamWState(m=np.zeros(2), v=np.zeros(2), step_count=-1), "step_count must be non-negative"),
+], ids=["negative step count"])
+def test_adamw_state_refusals_name_their_cause(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # Cyclical schedule
 
