@@ -187,6 +187,10 @@ def _sample_cluster_split(
     return feats[perm], labels[perm]
 
 
+# A finite knob can still overflow float64, in the cluster scales or in the
+# samples drawn with them. The features it spoils are refused in one error
+# that names the task, so numpy's overflow warnings would only add lines.
+@np.errstate(over="ignore", invalid="ignore")
 def gen_task(spec: TaskSpec, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)) -> TaskBundle:
     """Build all five splits of a task deterministically from its seed."""
     if spec.n_samples < spec.class_count:
@@ -196,11 +200,8 @@ def gen_task(spec: TaskSpec, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1
 
     c, d, h = spec.class_count, spec.dims, spec.cluster_heterogeneity
     means = CLASS_SEPARATION * r_struct.normal(size=(c, d)) / np.sqrt(d)
-    # A finite heterogeneity can still overflow the scales: the features it
-    # spoils are refused below, in one error that names the task.
-    with np.errstate(over="ignore"):
-        scale = 1.0 + h * r_struct.random(c)
-        stds = scale[:, None] * np.exp(0.25 * h * r_struct.normal(size=(c, d)))
+    scale = 1.0 + h * r_struct.random(c)
+    stds = scale[:, None] * np.exp(0.25 * h * r_struct.normal(size=(c, d)))
     if spec.imbalance_ratio > 1.0:
         weights = spec.imbalance_ratio ** ((c - 1 - np.arange(c)) / (c - 1))
     else:
